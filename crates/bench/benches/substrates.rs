@@ -464,9 +464,10 @@ fn bench_scale(c: &Harness) {
 /// End-to-end incremental serving benchmark over a 64-tick run: the
 /// wire-format delta-log checkpoint, the legacy whole-file JSON
 /// checkpoint, and no checkpointing at all. Records ingest throughput,
-/// per-batch latency (simulated clock), the serving envelope, and the
+/// per-batch latency (simulated clock), the serving envelope, the
 /// per-tick checkpoint cost curve — flat for the delta log (O(batch) per
-/// tick), linear for JSON (O(pool) per tick). Acceptance: final-tick
+/// tick), linear for JSON (O(pool) per tick) — and beside it the per-tick
+/// curation cost curve (previews, ingests, label-model refits). Acceptance: final-tick
 /// delta cost within 2x of the tick-4 cost, and wire-checkpointed wall
 /// throughput >= 85% of the no-checkpoint path. Results go to
 /// `results/BENCH_serve.json`; `CM_SERVE_JSON` overrides the output path.
@@ -555,6 +556,27 @@ fn bench_serve(c: &Harness) {
                 timing.checkpoint_bytes
             );
         }
+        let curation = &timing.curation_ticks;
+        let curation_ms = |i: usize| curation[i].elapsed.as_secs_f64() * 1e3;
+        let (curation_tick4_ms, curation_final_ms) = match curation.len() {
+            0 => (0.0, 0.0),
+            n => (curation_ms(3.min(n - 1)), curation_ms(n - 1)),
+        };
+        println!(
+            "serve/{:<32} curation ms/tick: tick4 {curation_tick4_ms:.3} final \
+             {curation_final_ms:.3}",
+            name
+        );
+        let curation_curve: Vec<Json> = curation
+            .iter()
+            .map(|t| {
+                Json::obj([
+                    ("tick", Json::Num(t.tick as f64)),
+                    ("ms", Json::Num(t.elapsed.as_secs_f64() * 1e3)),
+                    ("pool_rows", Json::Num(t.pool_rows as f64)),
+                ])
+            })
+            .collect();
         let curve: Vec<Json> = ticks
             .iter()
             .map(|t| {
@@ -595,6 +617,9 @@ fn bench_serve(c: &Harness) {
             ("checkpoint_steady_ms_tick4", Json::Num(tick4_ms)),
             ("checkpoint_steady_ms_final", Json::Num(final_ms)),
             ("checkpoint_ticks", Json::Arr(curve)),
+            ("curation_ms_tick4", Json::Num(curation_tick4_ms)),
+            ("curation_ms_final", Json::Num(curation_final_ms)),
+            ("curation_ticks", Json::Arr(curation_curve)),
             ("envelope_ms", Json::Num(timing.envelope().as_secs_f64() * 1e3)),
             ("serving_overhead_pct_of_curation", Json::Num(timing.overhead_pct())),
         ]));

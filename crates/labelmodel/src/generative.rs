@@ -5,20 +5,35 @@
 //! Drybell deploys): each LF has an abstain propensity and an accuracy;
 //! given the true label, votes are independent. Parameters are fitted with
 //! EM; probabilistic labels are the E-step posteriors at convergence.
+//!
+//! Because a row's posterior depends only on its vote vector, EM runs over
+//! [`VotePatterns`] — distinct vectors weighted by their row counts — and
+//! every sum a row would contribute is deposited `count` times at once
+//! with the exact [`StableSum::add_weighted`]. The fit is bit-identical to
+//! a row-by-row pass and costs O(patterns) per iteration.
 
 use cm_linalg::StableSum;
 use cm_par::ParConfig;
 
 use crate::matrix::LabelMatrix;
+use crate::patterns::VotePatterns;
 
-/// Below this many vote cells (`rows * LFs`) the EM fit stays on the serial
-/// code path regardless of the requested thread count, so small fits never
-/// pay spawn overhead and path selection depends only on input size.
+/// Below this much work the EM fit stays on the serial code path
+/// regardless of the requested thread count, so small fits never pay spawn
+/// overhead and path selection depends only on input size. The work of a
+/// fit is its patterns plus their non-abstain cells; that of row-wise
+/// prediction is `rows * LFs`.
 const EM_PAR_THRESHOLD: usize = 50_000;
 
-/// Minimum rows per chunk for the parallel EM steps. Part of the chunk
+/// Minimum rows per chunk for parallel prediction. Part of the chunk
 /// plan, so it must not depend on the thread count.
 const EM_MIN_ROWS_PER_CHUNK: usize = 256;
+
+/// Minimum patterns per chunk for the EM steps. Each chunk folds into its
+/// own [`EmMoments`] (one accumulator per LF), so chunks must be large
+/// enough for the sparse pattern work to outweigh that; like the row
+/// chunk it must not depend on the thread count.
+const EM_MIN_PATTERNS_PER_CHUNK: usize = 4096;
 
 /// Configuration for [`GenerativeModel::fit`].
 #[derive(Debug, Clone)]
@@ -52,7 +67,8 @@ impl Default for GenerativeConfig {
 
 /// Mergeable sufficient statistics of one EM iteration: per-LF agreement
 /// mass and vote totals (the M-step numerators/denominators), plus the
-/// posterior sum (prior update) and absolute posterior delta (convergence).
+/// posterior sum (prior update) and absolute posterior delta (convergence),
+/// each over rows (a pattern contributes once per row that shares it).
 ///
 /// Float masses live in [`StableSum`] superaccumulators and totals are
 /// integers, so `merge` is exact — associative and commutative. Folding
@@ -80,21 +96,20 @@ impl EmMoments {
         }
     }
 
-    /// Folds one row into the moments: `fresh` is this iteration's E-step
-    /// posterior for the row, `previous` the posterior it replaces.
+    /// Folds `count` rows sharing one vote pattern into the moments:
+    /// `cells` are the pattern's non-abstain `(lf, vote)` cells, `fresh`
+    /// this iteration's E-step posterior for it, `previous` the posterior
+    /// it replaces. Bit-identical to folding the rows one at a time.
     ///
     /// # Panics
-    /// Panics if the vote width differs from the accumulator's LF count.
-    pub fn observe_row(&mut self, votes: &[i8], fresh: f64, previous: f64) {
-        assert_eq!(votes.len(), self.total.len(), "LF count mismatch");
-        self.n_rows += 1;
-        self.delta.add((fresh - previous).abs());
-        self.posterior_sum.add(fresh);
-        for (j, &v) in votes.iter().enumerate() {
-            if v != 0 {
-                self.total[j] += 1;
-                self.agree[j].add(if v > 0 { fresh } else { 1.0 - fresh });
-            }
+    /// Panics if a cell's LF index is out of range.
+    pub fn observe_pattern(&mut self, cells: &[(u32, i8)], count: u64, fresh: f64, previous: f64) {
+        self.n_rows += count;
+        add_copies(&mut self.delta, (fresh - previous).abs(), count);
+        add_copies(&mut self.posterior_sum, fresh, count);
+        for &(j, v) in cells {
+            self.total[j as usize] += count;
+            add_copies(&mut self.agree[j as usize], if v > 0 { fresh } else { 1.0 - fresh }, count);
         }
     }
 
@@ -138,6 +153,15 @@ impl EmMoments {
     }
 }
 
+/// Adds `count` copies of `x`, in deposits of at most `u32::MAX` copies.
+fn add_copies(sum: &mut StableSum, x: f64, mut count: u64) {
+    while count > 0 {
+        let step = count.min(u64::from(u32::MAX));
+        sum.add_weighted(x, step as u32);
+        count -= step;
+    }
+}
+
 /// A fitted generative label model.
 #[derive(Debug, Clone)]
 pub struct GenerativeModel {
@@ -174,62 +198,49 @@ impl GenerativeModel {
     /// Produces bit-identical parameters and posteriors for any thread
     /// count: every float reduction lives in an exact [`StableSum`]
     /// superaccumulator (via [`EmMoments`]), so neither the chunk plan nor
-    /// the worker count can perturb a single bit. The resident fit is the
-    /// single-segment case of [`GenerativeModel::fit_segments`].
+    /// the worker count can perturb a single bit. The matrix is folded
+    /// into [`VotePatterns`] and fitted cold with
+    /// [`GenerativeModel::fit_patterns`].
     ///
     /// # Panics
     /// Panics if the matrix has no LFs.
     pub fn fit_with(matrix: &LabelMatrix, config: &GenerativeConfig, par: &ParConfig) -> Self {
-        Self::fit_segments(&[matrix], config, par)
+        Self::fit_patterns(&VotePatterns::of_segments(&[matrix]), config, None, par)
     }
 
-    /// Fits the model on a row-partitioned label matrix, segment by
-    /// segment — the out-of-core entry point used by the sharded curation
-    /// layer.
+    /// Fits the model on folded vote patterns — the entry point for
+    /// row-partitioned (out-of-core) and incremental fits.
     ///
-    /// Each EM iteration makes one fused E+M pass per segment: row
-    /// posteriors are recomputed from the current parameters (row-local,
-    /// so unaffected by partitioning) and folded into [`EmMoments`], whose
-    /// merge is exact. Parameters, iteration count, and convergence are
-    /// therefore **bit-identical for any segmentation** of the same rows —
-    /// `fit_segments(&[a, b, c], ..)` equals `fit_with(&concat(a, b, c), ..)`
-    /// at every shard size and thread count.
+    /// Each EM iteration makes one fused E+M pass over the patterns: a
+    /// pattern's posterior is recomputed from the current parameters and
+    /// folded into [`EmMoments`] once, weighted by its row count. Every
+    /// sum is exact, so the result equals a row-by-row pass bit for bit,
+    /// for any pattern numbering, chunk plan, and thread count. Pattern
+    /// counts do not depend on how the rows were partitioned, so fitting
+    /// `VotePatterns::of_segments(&[a, b, c])` equals
+    /// `fit_with(&concat(a, b, c), ..)` at every shard size.
     ///
-    /// # Panics
-    /// Panics if there are no LFs or the segments disagree on LF count.
-    pub fn fit_segments(
-        segments: &[&LabelMatrix],
-        config: &GenerativeConfig,
-        par: &ParConfig,
-    ) -> Self {
-        Self::fit_segments_warm(segments, config, None, par)
-    }
-
-    /// [`GenerativeModel::fit_segments`] with an optional warm start: the
-    /// EM iteration begins from the given `(accuracies, prior)` instead of
-    /// `config.init_accuracy`. With `None` this is exactly the cold fit.
-    /// The incremental serving loop passes the previous batch's parameters
-    /// here together with a small `config.max_iters`, turning the full EM
-    /// into a mini-batch refit.
-    ///
-    /// A fixed `config.class_prior` still wins over the warm start's prior
-    /// (the caller pinned it on purpose).
+    /// `warm` starts the EM iteration from the given `(accuracies,
+    /// prior)` instead of `config.init_accuracy`; with `None` this is the
+    /// cold fit. The incremental serving loop passes the previous batch's
+    /// parameters here together with a small `config.max_iters`, turning
+    /// the full EM into a mini-batch refit. A fixed `config.class_prior`
+    /// still wins over the warm start's prior (the caller pinned it on
+    /// purpose).
     ///
     /// # Panics
-    /// Panics if there are no LFs, the segments disagree on LF count, or
-    /// the warm start's accuracy count differs from the matrix's LF count.
-    pub fn fit_segments_warm(
-        segments: &[&LabelMatrix],
+    /// Panics if there are no LFs or the warm start's accuracy count
+    /// differs from the LF count.
+    pub fn fit_patterns(
+        patterns: &VotePatterns,
         config: &GenerativeConfig,
         warm: Option<&WarmStart>,
         par: &ParConfig,
     ) -> Self {
-        let n_lfs = segments.first().map_or(0, |m| m.n_lfs());
+        let n_lfs = patterns.n_lfs();
         assert!(n_lfs > 0, "cannot fit a generative model with zero LFs");
-        assert!(segments.iter().all(|m| m.n_lfs() == n_lfs), "segments disagree on LF count");
         let (lo, hi) = config.accuracy_bounds;
         assert!(lo > 0.5 && hi < 1.0 && lo < hi, "invalid accuracy bounds");
-        let total_rows: usize = segments.iter().map(|m| m.n_rows()).sum();
         let mut accuracies = match warm {
             Some(w) => {
                 assert_eq!(w.accuracies.len(), n_lfs, "warm start LF count mismatch");
@@ -243,41 +254,42 @@ impl GenerativeModel {
             .unwrap_or(0.5)
             .clamp(1e-4, 1.0 - 1e-4);
 
-        // Size-only gate on the whole corpus: small fits run the serial
+        // Size-only gate on the pattern table: small fits run the serial
         // plan, big ones run the caller's plan. Exact accumulation makes
         // the choice invisible in the output either way.
-        let par = if total_rows * n_lfs < EM_PAR_THRESHOLD {
-            ParConfig::serial().with_min_chunk(EM_MIN_ROWS_PER_CHUNK)
+        let par = if patterns.len() + patterns.n_cells() < EM_PAR_THRESHOLD {
+            ParConfig::serial().with_min_chunk(EM_MIN_PATTERNS_PER_CHUNK)
         } else {
-            par.clone().with_min_chunk(EM_MIN_ROWS_PER_CHUNK)
+            par.clone().with_min_chunk(EM_MIN_PATTERNS_PER_CHUNK)
         };
 
-        let mut posteriors: Vec<Vec<f64>> =
-            segments.iter().map(|m| vec![0.5f64; m.n_rows()]).collect();
+        // Every row of a pattern shares its posterior, so the previous
+        // posterior the convergence delta needs is per pattern too.
+        let mut posteriors = vec![0.5f64; patterns.len()];
         let mut iterations = 0;
         for iter in 0..config.max_iters {
             iterations = iter + 1;
-            let mut moments = EmMoments::new(n_lfs);
-            for (seg, post) in segments.iter().zip(posteriors.iter_mut()) {
-                // Fused E+M pass: per-chunk fresh posteriors plus moment
-                // partials, merged exactly.
-                let chunks = cm_par::par_map_chunks(&par, seg.n_rows(), |range| {
-                    let mut fresh = Vec::with_capacity(range.len());
-                    let mut part = EmMoments::new(n_lfs);
-                    for r in range {
-                        let q = posterior_for_row(seg.row(r), &accuracies, prior);
-                        part.observe_row(seg.row(r), q, post[r]);
-                        fresh.push(q);
-                    }
-                    (fresh, part)
-                })
-                .unwrap_or_else(|e| e.resume());
-                let mut offset = 0usize;
-                for (fresh, part) in chunks {
-                    post[offset..offset + fresh.len()].copy_from_slice(&fresh);
-                    offset += fresh.len();
-                    moments.merge(&part);
+            // Fused E+M pass: per-chunk fresh posteriors plus moment
+            // partials, merged exactly.
+            let logs = LogParams::new(&accuracies, prior);
+            let chunks = cm_par::par_map_chunks(&par, patterns.len(), |range| {
+                let mut fresh = Vec::with_capacity(range.len());
+                let mut part = EmMoments::new(n_lfs);
+                for p in range {
+                    let cells = patterns.cells(p);
+                    let q = logs.posterior(sparse(cells));
+                    part.observe_pattern(cells, patterns.count(p), q, posteriors[p]);
+                    fresh.push(q);
                 }
+                (fresh, part)
+            })
+            .unwrap_or_else(|e| e.resume());
+            let mut moments = EmMoments::new(n_lfs);
+            let mut offset = 0usize;
+            for (fresh, part) in chunks {
+                posteriors[offset..offset + fresh.len()].copy_from_slice(&fresh);
+                offset += fresh.len();
+                moments.merge(&part);
             }
             for (j, acc) in accuracies.iter_mut().enumerate() {
                 if let Some(a) = moments.accuracy(j) {
@@ -342,45 +354,88 @@ impl GenerativeModel {
     /// Panics if the LF count differs from the fitted matrix.
     pub fn predict_with(&self, matrix: &LabelMatrix, par: &ParConfig) -> Vec<f64> {
         assert_eq!(matrix.n_lfs(), self.accuracies.len(), "LF count mismatch");
+        let logs = LogParams::new(&self.accuracies, self.class_prior);
+        let row = |r: usize| logs.posterior(dense(matrix.row(r)));
         if matrix.n_rows() * matrix.n_lfs() < EM_PAR_THRESHOLD {
-            return (0..matrix.n_rows())
-                .map(|r| posterior_for_row(matrix.row(r), &self.accuracies, self.class_prior))
-                .collect();
+            return (0..matrix.n_rows()).map(row).collect();
         }
-        cm_par::par_map(&par.clone().with_min_chunk(EM_MIN_ROWS_PER_CHUNK), matrix.n_rows(), |r| {
-            posterior_for_row(matrix.row(r), &self.accuracies, self.class_prior)
-        })
-        .unwrap_or_else(|e| e.resume())
+        cm_par::par_map(&par.clone().with_min_chunk(EM_MIN_ROWS_PER_CHUNK), matrix.n_rows(), row)
+            .unwrap_or_else(|e| e.resume())
+    }
+
+    /// Probabilistic labels for folded vote patterns, one per pattern:
+    /// bit-identical to [`GenerativeModel::predict`] on any row with that
+    /// vote vector.
+    ///
+    /// # Panics
+    /// Panics if the LF count differs from the fitted model's.
+    pub fn predict_patterns(&self, patterns: &VotePatterns) -> Vec<f64> {
+        assert_eq!(patterns.n_lfs(), self.accuracies.len(), "LF count mismatch");
+        let logs = LogParams::new(&self.accuracies, self.class_prior);
+        (0..patterns.len()).map(|p| logs.posterior(sparse(patterns.cells(p)))).collect()
     }
 }
 
-/// `P(y = 1 | votes)` under the independent model.
-fn posterior_for_row(votes: &[i8], accuracies: &[f64], prior: f64) -> f64 {
-    let mut log_pos = prior.ln();
-    let mut log_neg = (1.0 - prior).ln();
-    let mut any = false;
-    for (&v, &a) in votes.iter().zip(accuracies) {
-        match v {
-            1 => {
-                any = true;
-                log_pos += a.ln();
-                log_neg += (1.0 - a).ln();
-            }
-            -1 => {
-                any = true;
-                log_pos += (1.0 - a).ln();
-                log_neg += a.ln();
-            }
-            _ => {}
+/// A dense vote row as `(lf, vote)` cells, abstains included.
+fn dense(votes: &[i8]) -> impl Iterator<Item = (usize, i8)> + '_ {
+    votes.iter().copied().enumerate()
+}
+
+/// A pattern's non-abstain cells as `(lf, vote)` pairs.
+fn sparse(cells: &[(u32, i8)]) -> impl Iterator<Item = (usize, i8)> + '_ {
+    cells.iter().map(|&(j, v)| (j as usize, v))
+}
+
+/// One parameter set's log-likelihood terms, taken once instead of once
+/// per vote cell: `(ln a, ln(1 - a))` per LF and the same for the prior.
+/// `ln` is a pure function, so a table entry is the very value a per-cell
+/// call would return, and posteriors keep their bits.
+struct LogParams {
+    prior: f64,
+    log_prior: (f64, f64),
+    lfs: Vec<(f64, f64)>,
+}
+
+impl LogParams {
+    fn new(accuracies: &[f64], prior: f64) -> Self {
+        Self {
+            prior,
+            log_prior: (prior.ln(), (1.0 - prior).ln()),
+            lfs: accuracies.iter().map(|&a| (a.ln(), (1.0 - a).ln())).collect(),
         }
     }
-    if !any {
-        return prior;
+
+    /// `P(y = 1 | votes)` under the independent model. Abstains
+    /// contribute nothing, so a dense row and its sparse pattern cells
+    /// (both in LF order) run the same float operations and give the same
+    /// bits.
+    fn posterior(&self, votes: impl Iterator<Item = (usize, i8)>) -> f64 {
+        let (mut log_pos, mut log_neg) = self.log_prior;
+        let mut any = false;
+        for (j, v) in votes {
+            let (log_a, log_not_a) = self.lfs[j];
+            match v {
+                1 => {
+                    any = true;
+                    log_pos += log_a;
+                    log_neg += log_not_a;
+                }
+                -1 => {
+                    any = true;
+                    log_pos += log_not_a;
+                    log_neg += log_a;
+                }
+                _ => {}
+            }
+        }
+        if !any {
+            return self.prior;
+        }
+        let m = log_pos.max(log_neg);
+        let pos = (log_pos - m).exp();
+        let neg = (log_neg - m).exp();
+        pos / (pos + neg)
     }
-    let m = log_pos.max(log_neg);
-    let pos = (log_pos - m).exp();
-    let neg = (log_neg - m).exp();
-    pos / (pos + neg)
 }
 
 /// Majority-vote baseline: mean of non-abstain votes mapped to `[0, 1]`;
@@ -411,6 +466,202 @@ mod tests {
     use cm_linalg::rng::StdRng;
 
     use super::*;
+
+    /// The per-row posterior the log table replaced: `ln` per vote cell.
+    fn posterior_for_row(votes: &[i8], accuracies: &[f64], prior: f64) -> f64 {
+        let mut log_pos = prior.ln();
+        let mut log_neg = (1.0 - prior).ln();
+        let mut any = false;
+        for (&v, &a) in votes.iter().zip(accuracies) {
+            match v {
+                1 => {
+                    any = true;
+                    log_pos += a.ln();
+                    log_neg += (1.0 - a).ln();
+                }
+                -1 => {
+                    any = true;
+                    log_pos += (1.0 - a).ln();
+                    log_neg += a.ln();
+                }
+                _ => {}
+            }
+        }
+        if !any {
+            return prior;
+        }
+        let m = log_pos.max(log_neg);
+        let pos = (log_pos - m).exp();
+        let neg = (log_neg - m).exp();
+        pos / (pos + neg)
+    }
+
+    /// The row-wise fold the pattern fold replaced: one row, one deposit.
+    fn observe_row(m: &mut EmMoments, votes: &[i8], fresh: f64, previous: f64) {
+        assert_eq!(votes.len(), m.total.len(), "LF count mismatch");
+        m.n_rows += 1;
+        m.delta.add((fresh - previous).abs());
+        m.posterior_sum.add(fresh);
+        for (j, &v) in votes.iter().enumerate() {
+            if v != 0 {
+                m.total[j] += 1;
+                m.agree[j].add(if v > 0 { fresh } else { 1.0 - fresh });
+            }
+        }
+    }
+
+    /// Oracle: the row-by-row EM loop, one posterior and one moment
+    /// deposit per row per iteration. The pattern-folded
+    /// [`GenerativeModel::fit_patterns`] must reproduce it bit for bit.
+    fn fit_rowwise(
+        segments: &[&LabelMatrix],
+        config: &GenerativeConfig,
+        warm: Option<&WarmStart>,
+        par: &ParConfig,
+    ) -> GenerativeModel {
+        let n_lfs = segments[0].n_lfs();
+        let (lo, hi) = config.accuracy_bounds;
+        let total_rows: usize = segments.iter().map(|m| m.n_rows()).sum();
+        let mut accuracies: Vec<f64> = match warm {
+            Some(w) => w.accuracies.iter().map(|a| a.clamp(lo, hi)).collect(),
+            None => vec![config.init_accuracy.clamp(lo, hi); n_lfs],
+        };
+        let mut prior = config
+            .class_prior
+            .or(warm.map(|w| w.class_prior))
+            .unwrap_or(0.5)
+            .clamp(1e-4, 1.0 - 1e-4);
+        let par = if total_rows * n_lfs < EM_PAR_THRESHOLD {
+            ParConfig::serial().with_min_chunk(EM_MIN_ROWS_PER_CHUNK)
+        } else {
+            par.clone().with_min_chunk(EM_MIN_ROWS_PER_CHUNK)
+        };
+        let mut posteriors: Vec<Vec<f64>> =
+            segments.iter().map(|m| vec![0.5f64; m.n_rows()]).collect();
+        let mut iterations = 0;
+        for iter in 0..config.max_iters {
+            iterations = iter + 1;
+            let mut moments = EmMoments::new(n_lfs);
+            for (seg, post) in segments.iter().zip(posteriors.iter_mut()) {
+                let chunks = cm_par::par_map_chunks(&par, seg.n_rows(), |range| {
+                    let mut fresh = Vec::with_capacity(range.len());
+                    let mut part = EmMoments::new(n_lfs);
+                    for r in range {
+                        let q = posterior_for_row(seg.row(r), &accuracies, prior);
+                        observe_row(&mut part, seg.row(r), q, post[r]);
+                        fresh.push(q);
+                    }
+                    (fresh, part)
+                })
+                .unwrap_or_else(|e| e.resume());
+                let mut offset = 0usize;
+                for (fresh, part) in chunks {
+                    post[offset..offset + fresh.len()].copy_from_slice(&fresh);
+                    offset += fresh.len();
+                    moments.merge(&part);
+                }
+            }
+            for (j, acc) in accuracies.iter_mut().enumerate() {
+                if let Some(a) = moments.accuracy(j) {
+                    *acc = a.clamp(lo, hi);
+                }
+            }
+            if config.class_prior.is_none() {
+                if let Some(p) = moments.mean_posterior() {
+                    prior = p.clamp(1e-4, 1.0 - 1e-4);
+                }
+            }
+            let delta = moments.mean_delta().unwrap_or(0.0);
+            if delta < config.tol && iter > 0 {
+                break;
+            }
+        }
+        GenerativeModel { accuracies, class_prior: prior, iterations }
+    }
+
+    /// Row-aligned cuts of `m` into separate matrices.
+    fn split_rows(m: &LabelMatrix, cuts: &[usize]) -> Vec<LabelMatrix> {
+        let mut segs = Vec::new();
+        let mut start = 0;
+        for &end in cuts.iter().chain([&m.n_rows()]) {
+            let mut votes = Vec::new();
+            for r in start..end {
+                votes.extend_from_slice(m.row(r));
+            }
+            segs.push(LabelMatrix::from_votes(end - start, m.n_lfs(), votes, m.names().to_vec()));
+            start = end;
+        }
+        segs
+    }
+
+    /// The folded fit against the row-wise oracle, bit for bit: sparse
+    /// and dense votes, cold and warm starts, fixed and learned priors,
+    /// several segment cuts, and 1, 2 and 4 threads.
+    #[test]
+    fn folded_fit_matches_rowwise_oracle_bitwise() {
+        // Twelve LFs at 90% propensity give thousands of patterns, past
+        // the parallel gate; two sparse LFs give a handful.
+        let dense_specs: Vec<(f64, f64)> = (0..12).map(|j| (0.6 + 0.03 * j as f64, 0.9)).collect();
+        let cases = [
+            ("abstain-heavy", synthetic(3000, 0.2, &[(0.9, 0.05), (0.7, 0.1), (0.8, 0.02)], 31).0),
+            ("dense", synthetic(8000, 0.35, &dense_specs, 32).0),
+        ];
+        for (name, m) in &cases {
+            let folded = VotePatterns::of_segments(&[m]);
+            if *name == "dense" {
+                let work = folded.len() + folded.n_cells();
+                assert!(work >= EM_PAR_THRESHOLD && folded.len() > EM_MIN_PATTERNS_PER_CHUNK);
+            }
+            let cold =
+                GenerativeModel::fit_with(m, &GenerativeConfig::default(), &ParConfig::serial());
+            let warms = [None, Some(cold.warm_start())];
+            for class_prior in [None, Some(0.3)] {
+                let config = GenerativeConfig { class_prior, ..GenerativeConfig::default() };
+                for warm in &warms {
+                    for cuts in [vec![], vec![1], vec![1500, 1501, 2900]] {
+                        let segs = split_rows(m, &cuts);
+                        let refs: Vec<&LabelMatrix> = segs.iter().collect();
+                        for threads in [1usize, 2, 4] {
+                            let par = ParConfig::threads(threads);
+                            let oracle = fit_rowwise(&refs, &config, warm.as_ref(), &par);
+                            let fit = GenerativeModel::fit_patterns(
+                                &VotePatterns::of_segments(&refs),
+                                &config,
+                                warm.as_ref(),
+                                &par,
+                            );
+                            let at = format!(
+                                "{name}, prior {class_prior:?}, warm {}, cuts {cuts:?}, \
+                                 threads {threads}",
+                                warm.is_some()
+                            );
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(fit.accuracies()), bits(oracle.accuracies()), "{at}");
+                            assert_eq!(fit.class_prior().to_bits(), oracle.class_prior().to_bits());
+                            assert_eq!(fit.iterations(), oracle.iterations(), "{at}");
+                            let rows: Vec<f64> = (0..m.n_rows())
+                                .map(|r| {
+                                    posterior_for_row(
+                                        m.row(r),
+                                        oracle.accuracies(),
+                                        oracle.class_prior(),
+                                    )
+                                })
+                                .collect();
+                            assert_eq!(bits(&fit.predict_with(m, &par)), bits(&rows), "{at}");
+                            let by_pattern = fit.predict_patterns(&folded);
+                            let mut ids = VotePatterns::new(m.n_lfs());
+                            let gathered: Vec<f64> = (0..m.n_rows())
+                                .map(|r| by_pattern[ids.observe(m.row(r))])
+                                .collect();
+                            assert_eq!(bits(&gathered), bits(&rows), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// Builds a synthetic label matrix: `n` rows with true labels at the
     /// given positive rate, and LFs with the given accuracies/propensities.
@@ -554,30 +805,16 @@ mod tests {
         let (m, _) = synthetic(20_000, 0.3, &[(0.9, 0.8), (0.7, 0.8), (0.6, 0.5)], 11);
         let cfg = GenerativeConfig::default();
         let whole = GenerativeModel::fit_with(&m, &cfg, &ParConfig::threads(2));
-        let split = |cuts: &[usize]| -> Vec<LabelMatrix> {
-            let mut segs = Vec::new();
-            let mut start = 0;
-            for &end in cuts.iter().chain([&m.n_rows()]) {
-                let mut votes = Vec::new();
-                for r in start..end {
-                    votes.extend_from_slice(m.row(r));
-                }
-                segs.push(LabelMatrix::from_votes(
-                    end - start,
-                    m.n_lfs(),
-                    votes,
-                    m.names().to_vec(),
-                ));
-                start = end;
-            }
-            segs
-        };
         for cuts in [vec![1usize], vec![8192], vec![4999, 10_000, 15_000], vec![m.n_rows()]] {
-            let segs = split(&cuts);
+            let segs = split_rows(&m, &cuts);
             for threads in [1usize, 2, 4] {
                 let refs: Vec<&LabelMatrix> = segs.iter().collect();
-                let model =
-                    GenerativeModel::fit_segments(&refs, &cfg, &ParConfig::threads(threads));
+                let model = GenerativeModel::fit_patterns(
+                    &VotePatterns::of_segments(&refs),
+                    &cfg,
+                    None,
+                    &ParConfig::threads(threads),
+                );
                 assert_eq!(
                     model.accuracies(),
                     whole.accuracies(),
@@ -598,7 +835,7 @@ mod tests {
                 // Any deterministic (fresh, previous) pair exercises all
                 // accumulator fields.
                 let q = 0.25 + 0.5 * (r % 7) as f64 / 7.0;
-                p.observe_row(m.row(r), q, 0.5);
+                observe_row(&mut p, m.row(r), q, 0.5);
             }
             p
         };
@@ -618,6 +855,33 @@ mod tests {
         }
         assert_eq!(fwd.mean_posterior().map(f64::to_bits), rev.mean_posterior().map(f64::to_bits));
         assert_eq!(fwd.mean_delta().map(f64::to_bits), rev.mean_delta().map(f64::to_bits));
+    }
+
+    #[test]
+    fn observe_pattern_equals_its_rows_one_by_one() {
+        let votes = [1i8, 0, -1, 1];
+        let cells = [(0u32, 1i8), (2, -1), (3, 1)];
+        for count in [0u64, 1, 7, 300] {
+            let (fresh, previous) = (0.3 + 1e-9 * count as f64, 0.71);
+            let mut rows = EmMoments::new(4);
+            for _ in 0..count {
+                observe_row(&mut rows, &votes, fresh, previous);
+            }
+            let mut folded = EmMoments::new(4);
+            folded.observe_pattern(&cells, count, fresh, previous);
+            assert_eq!(folded.n_rows(), rows.n_rows());
+            for j in 0..4 {
+                assert_eq!(
+                    folded.accuracy(j).map(f64::to_bits),
+                    rows.accuracy(j).map(f64::to_bits)
+                );
+            }
+            assert_eq!(
+                folded.mean_posterior().map(f64::to_bits),
+                rows.mean_posterior().map(f64::to_bits)
+            );
+            assert_eq!(folded.mean_delta().map(f64::to_bits), rows.mean_delta().map(f64::to_bits));
+        }
     }
 
     #[test]
@@ -651,7 +915,12 @@ mod tests {
         for threads in [1usize, 4] {
             let par = ParConfig::threads(threads);
             let cold = GenerativeModel::fit_with(&m, &cfg, &par);
-            let warmed = GenerativeModel::fit_segments_warm(&[&m], &cfg, Some(&warm), &par);
+            let warmed = GenerativeModel::fit_patterns(
+                &VotePatterns::of_segments(&[&m]),
+                &cfg,
+                Some(&warm),
+                &par,
+            );
             assert_eq!(cold.accuracies(), warmed.accuracies(), "threads = {threads}");
             assert_eq!(cold.class_prior().to_bits(), warmed.class_prior().to_bits());
             assert_eq!(cold.iterations(), warmed.iterations());
@@ -668,7 +937,12 @@ mod tests {
         let par = ParConfig::threads(2);
         let cold = GenerativeModel::fit_with(&m, &cfg, &par);
         let warm = cold.warm_start();
-        let refit = GenerativeModel::fit_segments_warm(&[&m], &cfg, Some(&warm), &par);
+        let refit = GenerativeModel::fit_patterns(
+            &VotePatterns::of_segments(&[&m]),
+            &cfg,
+            Some(&warm),
+            &par,
+        );
         assert!(
             refit.iterations() < cold.iterations(),
             "warm refit took {} iterations, cold fit {}",
@@ -701,8 +975,8 @@ mod tests {
     fn warm_start_rejects_wrong_lf_count() {
         let (m, _) = synthetic(100, 0.3, &[(0.9, 0.9), (0.8, 0.8)], 6);
         let warm = WarmStart { accuracies: vec![0.7], class_prior: 0.5 };
-        GenerativeModel::fit_segments_warm(
-            &[&m],
+        GenerativeModel::fit_patterns(
+            &VotePatterns::of_segments(&[&m]),
             &GenerativeConfig::default(),
             Some(&warm),
             &ParConfig::serial(),

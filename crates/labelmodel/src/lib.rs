@@ -13,6 +13,7 @@ pub mod diagnostics;
 pub mod generative;
 pub mod lf;
 pub mod matrix;
+pub mod patterns;
 
 pub use anchored::{AnchoredModel, LfRates, RateCounts};
 pub use diagnostics::{evaluate_lfs, filter_lfs, LfReport, LfSummary};
@@ -22,3 +23,4 @@ pub use lf::{
     Predicate, ThresholdDirection, Vote,
 };
 pub use matrix::{LabelMatrix, VoteCounts, VoteStats};
+pub use patterns::VotePatterns;

@@ -20,6 +20,10 @@
 //!   (round half to even), the same answer an infinitely precise sum
 //!   would round to.
 //!
+//! [`StableSum::add_weighted`] adds `count` copies of a value as one
+//! integer deposit, bit-identical to `count` calls of [`StableSum::add`];
+//! the folded label model uses it to weigh a vote pattern by its rows.
+//!
 //! Non-finite inputs make the accumulator sticky: the rendered value
 //! follows IEEE addition over the non-finite inputs alone (`+∞` stays
 //! `+∞`, opposing infinities or any NaN yield NaN), matching what a
@@ -37,7 +41,9 @@ const LIMB_BITS: u32 = 32;
 /// deposit adds at most `2^85` in magnitude to one limb, so `2^38`
 /// deposits keep every limb below `2^(85 + 38) = 2^123`, and merging two
 /// saturated accumulators stays below `2^124` — comfortably inside
-/// `i128`.
+/// `i128`. A weighted deposit of `count < 2^32` counts as `count`
+/// deposits; it can overshoot the budget by under `2^32` before the
+/// carry pass it triggers, still below `2^124`.
 const MAX_PENDING: u64 = 1 << 38;
 
 /// An exact `f64` accumulator with associative merge. See the module
@@ -86,17 +92,37 @@ impl StableSum {
         if x == 0.0 {
             return;
         }
-        let bits = x.to_bits();
-        let neg = (bits >> 63) != 0;
-        let biased = ((bits >> 52) & 0x7FF) as i32;
-        let frac = bits & ((1u64 << 52) - 1);
-        // x = mantissa * 2^(position - 1074), position in 0..=2045.
-        let (mantissa, position) =
-            if biased == 0 { (frac, 0) } else { (frac | (1 << 52), biased as usize - 1) };
-        let (limb, shift) = (position / LIMB_BITS as usize, position % LIMB_BITS as usize);
+        let (neg, mantissa, limb, shift) = split(x);
         let deposit = (mantissa as i128) << shift;
         self.limbs[limb] += if neg { -deposit } else { deposit };
         self.pending += 1;
+        if self.pending >= MAX_PENDING {
+            self.carry_propagate();
+        }
+    }
+
+    /// Adds `count` copies of one value in a single step, bit-identical
+    /// to `count` calls of [`StableSum::add`]: the mantissa times the count
+    /// is still an exact integer deposit into one limb (below `2^117`), and
+    /// the carry budget is charged `count` deposits. Repeating a non-finite
+    /// value settles after two IEEE additions, so at most two are replayed.
+    pub fn add_weighted(&mut self, x: f64, count: u32) {
+        if count == 0 {
+            return;
+        }
+        if !x.is_finite() {
+            for _ in 0..count.min(2) {
+                self.add(x);
+            }
+            return;
+        }
+        if x == 0.0 {
+            return;
+        }
+        let (neg, mantissa, limb, shift) = split(x);
+        let deposit = (i128::from(mantissa) * i128::from(count)) << shift;
+        self.limbs[limb] += if neg { -deposit } else { deposit };
+        self.pending += u64::from(count);
         if self.pending >= MAX_PENDING {
             self.carry_propagate();
         }
@@ -128,7 +154,8 @@ impl StableSum {
         if self.has_special {
             return self.special;
         }
-        let mut limbs = self.limbs.clone();
+        let mut limbs = [0i128; LIMBS];
+        limbs.copy_from_slice(&self.limbs);
         propagate(&mut limbs);
         let mut negative = false;
         if limbs[LIMBS - 1] < 0 {
@@ -189,6 +216,19 @@ impl StableSum {
             magnitude
         }
     }
+}
+
+/// Splits a finite nonzero `x` into `(negative, mantissa, limb, shift)`
+/// with `|x| = mantissa * 2^(32 * limb + shift - 1074)`.
+fn split(x: f64) -> (bool, u64, usize, usize) {
+    let bits = x.to_bits();
+    let neg = (bits >> 63) != 0;
+    let biased = ((bits >> 52) & 0x7FF) as i32;
+    let frac = bits & ((1u64 << 52) - 1);
+    // x = mantissa * 2^(position - 1074), position in 0..=2045.
+    let (mantissa, position) =
+        if biased == 0 { (frac, 0) } else { (frac | (1 << 52), biased as usize - 1) };
+    (neg, mantissa, position / LIMB_BITS as usize, position % LIMB_BITS as usize)
 }
 
 /// The low 32 bits of a normalized (non-negative, `< 2^32`) limb.
@@ -336,6 +376,154 @@ mod tests {
         let values: Vec<f64> = (1..=1000).map(|i| i as f64 * 0.25).collect();
         let s = StableSum::of(values.iter().copied());
         assert_eq!(s.value(), (1000 * 1001 / 2) as f64 * 0.25);
+    }
+
+    /// A finite `f64` drawn over the whole bit space: every exponent,
+    /// both signs, subnormals included.
+    fn random_finite(rng: &mut StdRng) -> f64 {
+        loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                return x;
+            }
+        }
+    }
+
+    /// `count` copies of `x`, added one power of two at a time: `x * 2^k`
+    /// is exact whenever it stays finite, so this is the same exact total
+    /// as `count` plain adds, reachable for counts near `u32::MAX`.
+    fn add_by_doubling(s: &mut StableSum, x: f64, count: u32) {
+        for k in 0..32 {
+            if count >> k & 1 == 1 {
+                s.add(x * 2f64.powi(k));
+            }
+        }
+    }
+
+    #[test]
+    fn add_weighted_equals_repeated_add() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let tiny = f64::from_bits(1);
+        let mut values: Vec<f64> = (0..200).map(|_| random_finite(&mut rng)).collect();
+        values.extend([tiny, -tiny, f64::MIN_POSITIVE, -f64::MAX, f64::MAX, 0.0, -0.0, 1.0]);
+        for &x in &values {
+            for count in [0u32, 1, 2, 3, 7, 64, 257] {
+                let mut repeated = StableSum::new();
+                for _ in 0..count {
+                    repeated.add(x);
+                }
+                let mut weighted = StableSum::new();
+                weighted.add_weighted(x, count);
+                assert_eq!(
+                    weighted.value().to_bits(),
+                    repeated.value().to_bits(),
+                    "{x:e} x {count}"
+                );
+            }
+        }
+        // Interleaved with plain adds, in one accumulator.
+        let mut repeated = StableSum::new();
+        let mut weighted = StableSum::new();
+        for &x in &values {
+            let count = rng.gen_range(0u32..40);
+            for _ in 0..count {
+                repeated.add(x);
+            }
+            weighted.add_weighted(x, count);
+            repeated.add(x / 3.0);
+            weighted.add(x / 3.0);
+        }
+        assert_eq!(weighted.value().to_bits(), repeated.value().to_bits());
+    }
+
+    #[test]
+    fn add_weighted_handles_counts_up_to_u32_max() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..300 {
+            // Keep x * 2^31 finite so the doubling reference stays exact.
+            let x = loop {
+                let x = random_finite(&mut rng);
+                if (x * 2f64.powi(31)).is_finite() {
+                    break x;
+                }
+            };
+            for count in [u32::MAX, u32::MAX - 1, 1 << 31, rng.gen_range(1u32..=u32::MAX)] {
+                let mut reference = StableSum::new();
+                add_by_doubling(&mut reference, x, count);
+                let mut weighted = StableSum::new();
+                weighted.add_weighted(x, count);
+                assert_eq!(
+                    weighted.value().to_bits(),
+                    reference.value().to_bits(),
+                    "{x:e} x {count}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn add_weighted_runs_cross_the_carry_budget() {
+        // A full mantissa at the top of a limb (shift 31) times u32::MAX
+        // deposits almost 2^116, so 2^11 of them would overflow an i128
+        // limb: only charging the carry budget `count` deposits per call
+        // keeps 5000 of them exact (debug builds trap on overflow). Each
+        // maximal call is 2^32 deposits, so the run crosses the 2^38
+        // budget dozens of times.
+        let top = f64::from_bits((1024u64 << 52) | ((1u64 << 52) - 1));
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut weighted = StableSum::new();
+        let mut reference = StableSum::new();
+        for i in 0..5000 {
+            let (x, count) = match i % 4 {
+                3 => (-top / 3.0, rng.gen_range(1u32..=u32::MAX)),
+                _ => (top, u32::MAX),
+            };
+            weighted.add_weighted(x, count);
+            add_by_doubling(&mut reference, x, count);
+        }
+        assert_eq!(weighted.value().to_bits(), reference.value().to_bits());
+    }
+
+    #[test]
+    fn add_weighted_partials_merge_exactly() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let terms: Vec<(f64, u32)> = (0..300)
+            .map(|_| (random_finite(&mut rng) * 2f64.powi(-40), rng.gen_range(0u32..=u32::MAX)))
+            .collect();
+        let mut whole = StableSum::new();
+        for &(x, c) in &terms {
+            whole.add_weighted(x, c);
+        }
+        for cuts in [[1usize, 2], [100, 101], [37, 250]] {
+            let mut merged = StableSum::new();
+            for range in [0..cuts[0], cuts[0]..cuts[1], cuts[1]..terms.len()] {
+                let mut part = StableSum::new();
+                for &(x, c) in &terms[range] {
+                    add_by_doubling(&mut part, x, c);
+                }
+                merged.merge(&part);
+            }
+            assert_eq!(merged.value().to_bits(), whole.value().to_bits(), "cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn add_weighted_non_finite_matches_repeated_add() {
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for count in [0u32, 1, 2, 5, u32::MAX] {
+                let mut repeated = StableSum::of([1.0]);
+                for _ in 0..count.min(5) {
+                    repeated.add(x);
+                }
+                let mut weighted = StableSum::of([1.0]);
+                weighted.add_weighted(x, count);
+                let (a, b) = (weighted.value(), repeated.value());
+                assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()), "{x} x {count}");
+            }
+        }
+        let mut s = StableSum::of([f64::INFINITY]);
+        s.add_weighted(f64::NEG_INFINITY, 3);
+        assert!(s.value().is_nan());
     }
 
     #[test]

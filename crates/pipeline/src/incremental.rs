@@ -7,9 +7,9 @@
 //!
 //! - This module owns the *curation state machine*: LFs are mined once on
 //!   the labeled text corpus, each arrival batch's votes append to the
-//!   accumulated label matrix, the EM label model refits warm-started
-//!   from the previous fit ([`cm_labelmodel::WarmStart`]), and the
-//!   propagation graph grows by online anchor insertion
+//!   accumulated pool votes and vote patterns, the EM label model refits
+//!   warm-started from the previous fit ([`cm_labelmodel::WarmStart`]),
+//!   and the propagation graph grows by online anchor insertion
 //!   ([`cm_propagation::OnlineGraph`]) instead of full rebuilds.
 //! - `cm-serve` owns the *robustness envelope*: admission control,
 //!   quality guards, quarantine, and checkpointing. The curator supports
@@ -30,9 +30,20 @@
 //! inherent to serving: similarity scales are fitted on the labeled
 //! corpus only (the pool isn't known upfront), and the label model is
 //! always the warm-startable EM model rather than the dev-anchored one.
+//!
+//! **Cost model**: an ingest costs O(batch + patterns) plus the Jacobi
+//! propagation solve. Each row's base-LF vote vector is interned once, on
+//! arrival, into a [`VotePatterns`] table; a tick then folds every row's
+//! `(base pattern, propagation vote)` pair through a dense three-slot
+//! table into the label-matrix patterns, fits EM on those, and gathers
+//! posteriors, coverage and abstain counts back to rows by pattern id.
 
-use cm_featurespace::{FeatureTable, FrozenTable, Label, SimilarityConfig};
-use cm_labelmodel::{GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, WarmStart};
+use cm_featurespace::{
+    CmError, CmResult, ErrorKind, FeatureTable, FrozenTable, Label, SimilarityConfig,
+};
+use cm_labelmodel::{
+    GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns, WarmStart,
+};
 use cm_mining::mine_lfs;
 use cm_orgsim::{ModalityDataset, World};
 use cm_par::ParConfig;
@@ -148,11 +159,22 @@ impl IncrementalState {
     /// export order reproduces [`IncrementalCurator::export_state`]'s
     /// output at the same point, bit-identically.
     ///
-    /// # Panics
-    /// Panics if the delta's propagation-graph presence disagrees with
-    /// this state's, or the graph delta misaligns (see
-    /// [`OnlineGraphState::apply_delta`]).
-    pub fn apply_delta(&mut self, delta: &IncrementalDelta) {
+    /// # Errors
+    /// Fails, leaving the state untouched, if the delta's
+    /// propagation-graph presence disagrees with this state's or the graph
+    /// delta misaligns (see [`OnlineGraphState::apply_delta`]).
+    pub fn apply_delta(&mut self, delta: &IncrementalDelta) -> CmResult<()> {
+        match (&mut self.graph, &delta.graph) {
+            (Some(g), Some(d)) => g.apply_delta(d)?,
+            (None, None) => {}
+            _ => {
+                return Err(CmError::new(
+                    ErrorKind::ShapeMismatch,
+                    "IncrementalState::apply_delta",
+                    "delta graph presence disagrees with the base state",
+                ))
+            }
+        }
         self.n_batches = delta.n_batches;
         self.pool.table.extend_from(&delta.new_rows.table);
         self.pool.labels.extend_from_slice(&delta.new_rows.labels);
@@ -160,14 +182,7 @@ impl IncrementalState {
         self.votes.extend_from_slice(&delta.new_votes);
         self.em_warm = delta.em_warm.clone();
         self.em_iterations = delta.em_iterations;
-        assert_eq!(
-            self.graph.is_some(),
-            delta.graph.is_some(),
-            "delta graph presence disagrees with the base state"
-        );
-        if let (Some(g), Some(d)) = (&mut self.graph, &delta.graph) {
-            g.apply_delta(d);
-        }
+        Ok(())
     }
 }
 
@@ -197,6 +212,10 @@ pub struct IncrementalCurator {
     pool: ModalityDataset,
     /// Base-LF votes over the pool, row-major `n_rows x n_base_lfs`.
     base_votes: Vec<i8>,
+    /// Distinct base-LF vote vectors of the pool, with row counts.
+    base_patterns: VotePatterns,
+    /// Each pool row's pattern id in `base_patterns`.
+    base_ids: Vec<u32>,
     warm: Option<WarmStart>,
     em_iterations: usize,
     posteriors: Vec<f64>,
@@ -266,6 +285,7 @@ impl IncrementalCurator {
             labels: Vec::new(),
             borderline: Vec::new(),
         };
+        let base_patterns = VotePatterns::new(lfs.len());
         IncrementalCurator {
             config,
             lfs,
@@ -274,6 +294,8 @@ impl IncrementalCurator {
             prop,
             pool,
             base_votes: Vec::new(),
+            base_patterns,
+            base_ids: Vec::new(),
             warm: None,
             em_iterations: 0,
             posteriors: Vec::new(),
@@ -350,7 +372,8 @@ impl IncrementalCurator {
 
     /// Ingests one arrival batch: appends its rows and votes, grows the
     /// propagation graph, refits the label model (warm-started after the
-    /// first batch), and refreshes the pool posteriors.
+    /// first batch) on the folded vote patterns, and refreshes the pool
+    /// posteriors.
     ///
     /// # Panics
     /// Panics if the batch's schema disagrees with the world's.
@@ -361,14 +384,15 @@ impl IncrementalCurator {
         self.pool.borderline.extend_from_slice(&batch.borderline);
         let batch_matrix = LabelMatrix::apply_with(&batch.table, &self.lfs, par);
         for r in 0..batch_rows {
-            self.base_votes.extend_from_slice(batch_matrix.row(r));
+            self.push_base_row(batch_matrix.row(r));
         }
         if let Some(p) = &mut self.prop {
             p.combined.extend_from(&batch.table);
             p.online.insert_rows(&FrozenTable::freeze(&p.combined), &p.sim);
         }
 
-        let matrix = self.assemble_matrix(par);
+        let folded = self.fold_patterns();
+        let (patterns, ids) = self.patterns_view(&folded);
         let gen_cfg = GenerativeConfig {
             class_prior: Some(self.prior),
             max_iters: if self.warm.is_some() {
@@ -378,24 +402,25 @@ impl IncrementalCurator {
             },
             ..self.config.curation.generative.clone()
         };
-        let model =
-            GenerativeModel::fit_segments_warm(&[&matrix], &gen_cfg, self.warm.as_ref(), par);
-        self.warm = Some(model.warm_start());
-        self.em_iterations = model.iterations();
-        self.refresh_outputs(&model, &matrix, par);
-        self.n_batches += 1;
-
+        let model = GenerativeModel::fit_patterns(patterns, &gen_cfg, self.warm.as_ref(), par);
         let n = self.pool.len();
         let start = n - batch_rows;
+        let abstains: usize = ids[start..].iter().map(|&p| patterns.abstains(p as usize)).sum();
+        let n_lfs = patterns.n_lfs();
+        let (posteriors, covered) = gather_outputs(&model, patterns, ids);
+        self.posteriors = posteriors;
+        self.covered = covered;
+        self.warm = Some(model.warm_start());
+        self.em_iterations = model.iterations();
+        self.n_batches += 1;
+
         let covered_in_batch = self.covered[start..].iter().filter(|&&c| c).count();
-        let abstains: usize =
-            (start..n).map(|r| matrix.row(r).iter().filter(|&&v| v == 0).count()).sum();
         BatchStats {
             batch_index: self.n_batches - 1,
             rows: batch_rows,
             total_rows: n,
             coverage: covered_in_batch as f64 / batch_rows.max(1) as f64,
-            abstain_rate: abstains as f64 / (batch_rows * matrix.n_lfs()).max(1) as f64,
+            abstain_rate: abstains as f64 / (batch_rows * n_lfs).max(1) as f64,
             mean_entropy: mean_entropy(&self.posteriors[start..]),
             em_iterations: self.em_iterations,
         }
@@ -473,7 +498,10 @@ impl IncrementalCurator {
             votes
         };
         c.pool = state.pool;
-        c.base_votes = base_votes;
+        let n_base = c.lfs.len();
+        for r in 0..c.pool.len() {
+            c.push_base_row(&base_votes[r * n_base..(r + 1) * n_base]);
+        }
         c.n_batches = state.n_batches;
         c.mark_rows = c.pool.len();
         c.warm = state.em_warm;
@@ -483,9 +511,11 @@ impl IncrementalCurator {
             p.online = OnlineGraph::from_snapshot(c.config.curation.prop_k, g);
         }
         if c.warm.is_some() {
-            let matrix = c.assemble_matrix(par);
-            let model = c.current_model();
-            c.refresh_outputs(&model, &matrix, par);
+            let folded = c.fold_patterns();
+            let (patterns, ids) = c.patterns_view(&folded);
+            let (posteriors, covered) = gather_outputs(&c.current_model(), patterns, ids);
+            c.posteriors = posteriors;
+            c.covered = covered;
         }
         c
     }
@@ -500,20 +530,20 @@ impl IncrementalCurator {
         GenerativeModel::from_params(warm.accuracies.clone(), warm.class_prior, self.em_iterations)
     }
 
-    /// The full pool label matrix: accumulated base votes plus, when
-    /// propagation is on, a freshly propagated-and-tuned column (all
-    /// abstain when tuning clears no threshold).
-    fn assemble_matrix(&self, par: &ParConfig) -> LabelMatrix {
-        let n = self.pool.len();
-        let n_base = self.lfs.len();
-        let Some(p) = &self.prop else {
-            return LabelMatrix::from_votes(
-                n,
-                n_base,
-                self.base_votes.clone(),
-                self.lf_names.clone(),
-            );
-        };
+    /// Appends one pool row's base-LF votes and interns its pattern.
+    fn push_base_row(&mut self, votes: &[i8]) {
+        self.base_votes.extend_from_slice(votes);
+        self.base_ids.push(self.base_patterns.observe(votes) as u32);
+    }
+
+    /// The pool label matrix as vote patterns. Without propagation that is
+    /// the base-pattern table itself (`None`). With it, a freshly
+    /// propagated-and-tuned column (all abstain when tuning clears no
+    /// threshold) is folded in: `(base pattern, vote)` pairs map through
+    /// a dense three-slot table, so only a pair's first row pays a lookup.
+    /// Returns the patterns and each row's pattern id.
+    fn fold_patterns(&self) -> Option<(VotePatterns, Vec<u32>)> {
+        let p = self.prop.as_ref()?;
         let scores = propagate(&p.online.graph(), &p.seeds, &p.prop_cfg);
         let artifacts = prop_artifacts_from_scores(
             &scores,
@@ -521,23 +551,50 @@ impl IncrementalCurator {
             p.dev_labels.clone(),
             &self.config.curation,
         );
-        let _ = par;
-        let mut votes = Vec::with_capacity(n * (n_base + 1));
-        for r in 0..n {
-            votes.extend_from_slice(&self.base_votes[r * n_base..(r + 1) * n_base]);
-            votes.push(match &artifacts {
-                Some(a) => a.pool_lf.vote_row(r).as_i8(),
-                None => 0,
-            });
+        let mut patterns = VotePatterns::new(self.lfs.len() + 1);
+        let mut slots = vec![u32::MAX; self.base_patterns.len() * 3];
+        let mut ids = Vec::with_capacity(self.base_ids.len());
+        let mut dense = Vec::new();
+        for (r, &base) in self.base_ids.iter().enumerate() {
+            let vote = artifacts.as_ref().map_or(0, |a| a.pool_lf.vote_row(r).as_i8());
+            let slot = &mut slots[base as usize * 3 + (vote + 1) as usize];
+            if *slot == u32::MAX {
+                self.base_patterns.dense_into(base as usize, &mut dense);
+                dense.push(vote);
+                *slot = patterns.observe(&dense) as u32;
+            } else {
+                patterns.add_rows(*slot as usize, 1);
+            }
+            ids.push(*slot);
         }
-        LabelMatrix::from_votes(n, n_base + 1, votes, self.lf_names.clone())
+        Some((patterns, ids))
     }
 
-    fn refresh_outputs(&mut self, model: &GenerativeModel, matrix: &LabelMatrix, par: &ParConfig) {
-        self.posteriors = model.predict_with(matrix, par);
-        self.covered =
-            (0..matrix.n_rows()).map(|r| matrix.row(r).iter().any(|&v| v != 0)).collect();
+    /// The patterns and row ids [`IncrementalCurator::fold_patterns`]
+    /// produced, or the base ones when it folded nothing in.
+    fn patterns_view<'a>(
+        &'a self,
+        folded: &'a Option<(VotePatterns, Vec<u32>)>,
+    ) -> (&'a VotePatterns, &'a [u32]) {
+        match folded {
+            Some((patterns, ids)) => (patterns, ids),
+            None => (&self.base_patterns, &self.base_ids),
+        }
     }
+}
+
+/// Row posteriors and coverage, gathered from per-pattern values.
+fn gather_outputs(
+    model: &GenerativeModel,
+    patterns: &VotePatterns,
+    ids: &[u32],
+) -> (Vec<f64>, Vec<bool>) {
+    let by_pattern = model.predict_patterns(patterns);
+    let covers: Vec<bool> = (0..patterns.len()).map(|p| patterns.covers(p)).collect();
+    (
+        ids.iter().map(|&p| by_pattern[p as usize]).collect(),
+        ids.iter().map(|&p| covers[p as usize]).collect(),
+    )
 }
 
 /// Mean binary entropy (nats) of a posterior slice; `0.0` when empty.
@@ -690,7 +747,7 @@ mod tests {
             deltas.push(live.export_delta());
         }
         for d in &deltas {
-            replayed.apply_delta(d);
+            replayed.apply_delta(d).unwrap();
         }
         // The replayed state matches a fresh O(pool) export field-by-field
         // (the pool table has no equality; its votes and labels pin it).

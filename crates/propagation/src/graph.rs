@@ -16,37 +16,21 @@ impl SparseGraph {
     /// # Panics
     /// Panics if an endpoint is out of range.
     pub fn from_edges(n_vertices: usize, edges: &[(u32, u32, f32)]) -> Self {
-        // Collect both directions, dedup per (src, dst) keeping max weight.
-        let mut adj: Vec<Vec<(u32, f32)>> = vec![Vec::new(); n_vertices];
-        for &(a, b, w) in edges {
-            assert!(
-                (a as usize) < n_vertices && (b as usize) < n_vertices,
-                "edge endpoint out of range"
-            );
-            if a == b {
-                continue;
-            }
-            adj[a as usize].push((b, w));
-            adj[b as usize].push((a, w));
-        }
-        let mut offsets = Vec::with_capacity(n_vertices + 1);
-        let mut neighbors = Vec::new();
-        let mut weights = Vec::new();
+        Self::from_adjacency(&symmetric_adjacency(n_vertices, edges))
+    }
+
+    /// Packs per-vertex neighbor lists, each sorted by neighbor with no
+    /// repeats (as [`symmetric_adjacency`] leaves them), into CSR.
+    pub(crate) fn from_adjacency(adj: &[Vec<(u32, f32)>]) -> Self {
+        let total: usize = adj.iter().map(Vec::len).sum();
+        let mut offsets = Vec::with_capacity(adj.len() + 1);
+        let mut neighbors = Vec::with_capacity(total);
+        let mut weights = Vec::with_capacity(total);
         offsets.push(0);
-        for list in &mut adj {
-            list.sort_by_key(|&(n, _)| n);
-            let mut last: Option<u32> = None;
-            for &(n, w) in list.iter() {
-                if last == Some(n) {
-                    let idx = weights.len() - 1;
-                    if w > weights[idx] {
-                        weights[idx] = w;
-                    }
-                } else {
-                    neighbors.push(n);
-                    weights.push(w);
-                    last = Some(n);
-                }
+        for list in adj {
+            for &(n, w) in list {
+                neighbors.push(n);
+                weights.push(w);
             }
             offsets.push(neighbors.len());
         }
@@ -88,6 +72,63 @@ impl SparseGraph {
     pub fn weighted_degree(&self, v: usize) -> f64 {
         let (_, w) = self.neighbors(v);
         w.iter().map(|&x| f64::from(x)).sum()
+    }
+}
+
+/// Symmetrized neighbor lists of an edge list: both directions of every
+/// non-loop edge, each list sorted by neighbor (stably, so among repeats
+/// edge order decides) and deduplicated with max-weight wins.
+///
+/// # Panics
+/// Panics if an endpoint is out of range.
+pub(crate) fn symmetric_adjacency(
+    n_vertices: usize,
+    edges: &[(u32, u32, f32)],
+) -> Vec<Vec<(u32, f32)>> {
+    let mut adj: Vec<Vec<(u32, f32)>> = vec![Vec::new(); n_vertices];
+    for &(a, b, w) in edges {
+        assert!(
+            (a as usize) < n_vertices && (b as usize) < n_vertices,
+            "edge endpoint out of range"
+        );
+        if a == b {
+            continue;
+        }
+        adj[a as usize].push((b, w));
+        adj[b as usize].push((a, w));
+    }
+    for list in &mut adj {
+        normalize(list);
+    }
+    adj
+}
+
+/// Sorts one neighbor list by neighbor (stably) and merges repeats, the
+/// first occurrence's weight replaced by any strictly larger one.
+pub(crate) fn normalize(list: &mut Vec<(u32, f32)>) {
+    list.sort_by_key(|&(n, _)| n);
+    list.dedup_by(|later, kept| {
+        if later.0 != kept.0 {
+            return false;
+        }
+        if later.1 > kept.1 {
+            kept.1 = later.1;
+        }
+        true
+    });
+}
+
+/// Appends edge `(n, w)` to a neighbor list whose entries are all `<= n`,
+/// keeping it sorted and deduplicated exactly as [`symmetric_adjacency`]
+/// would: a repeat of the last neighbor keeps the larger weight.
+pub(crate) fn link(list: &mut Vec<(u32, f32)>, n: u32, w: f32) {
+    match list.last_mut() {
+        Some(last) if last.0 == n => {
+            if w > last.1 {
+                last.1 = w;
+            }
+        }
+        _ => list.push((n, w)),
     }
 }
 

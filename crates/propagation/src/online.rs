@@ -24,11 +24,19 @@
 //! the accepted approximation cost of avoiding full rebuilds, mirroring
 //! how Expander-style systems absorb incremental updates between offline
 //! rebuilds.
+//!
+//! The symmetrized adjacency is kept **append-only** beside the edge
+//! list. Every edge joins the newest row to an older one, so an older
+//! row's neighbor list only ever gains the newest row id — larger than
+//! anything already in it — and stays sorted by simply pushing. The
+//! newest row's own list is its k edges, sorted once. [`OnlineGraph::graph`]
+//! therefore packs the lists into CSR without sorting the edge list, and
+//! equals [`SparseGraph::from_edges`] over it exactly.
 
-use cm_featurespace::{FrozenTable, PairKernel, SimilarityConfig};
+use cm_featurespace::{CmError, CmResult, ErrorKind, FrozenTable, PairKernel, SimilarityConfig};
 
 use crate::builder::{candidate_stride, route_row, TopK};
-use crate::graph::SparseGraph;
+use crate::graph::{link, normalize, symmetric_adjacency, SparseGraph};
 
 /// Anchor-pool size target for a corpus of `n` rows. Matches the batch
 /// builder's [`GraphBuilder::approximate`](crate::GraphBuilder::approximate)
@@ -89,6 +97,9 @@ pub struct OnlineGraph {
     anchors: Vec<u32>,
     anchor_members: Vec<Vec<u32>>,
     edges: Vec<(u32, u32, f32)>,
+    /// Symmetrized neighbor lists of `edges`, one per row, each sorted by
+    /// neighbor and deduplicated (see the module docs).
+    adjacency: Vec<Vec<(u32, f32)>>,
     // Durable marks: how much of each list was already exported by the
     // last `export_delta` (or covered by the snapshot this graph was
     // restored from). `mark_members[i]` is the member count of anchor `i`
@@ -113,6 +124,7 @@ impl OnlineGraph {
             anchors: Vec::new(),
             anchor_members: Vec::new(),
             edges: Vec::new(),
+            adjacency: Vec::new(),
             mark_anchors: 0,
             mark_members: Vec::new(),
             mark_edges: 0,
@@ -175,7 +187,18 @@ impl OnlineGraph {
                 top.push(j, s as f32);
             }
         }
+        let first = self.edges.len();
         top.drain_into(i as u32, &mut self.edges);
+        // Candidates are earlier rows, so row `i` is newer than every
+        // neighbor: its own list is its edges sorted once, and each
+        // neighbor's list grows by one push.
+        let mut own = Vec::with_capacity(self.edges.len() - first);
+        for &(_, j, w) in &self.edges[first..] {
+            own.push((j, w));
+            link(&mut self.adjacency[j as usize], i as u32, w);
+        }
+        normalize(&mut own);
+        self.adjacency.push(own);
         for &a in &route {
             self.anchor_members[a].push(i as u32);
         }
@@ -188,10 +211,11 @@ impl OnlineGraph {
     }
 
     /// Materializes the current graph (symmetrized CSR over all inserted
-    /// rows). Rebuilding from the same edge list is deterministic, so the
+    /// rows) from the append-only adjacency: O(rows + edges), no sort.
+    /// Equal to `SparseGraph::from_edges(n_rows, edges)`, so the
     /// propagation stage sees identical graphs before and after a resume.
     pub fn graph(&self) -> SparseGraph {
-        SparseGraph::from_edges(self.n_rows, &self.edges)
+        SparseGraph::from_adjacency(&self.adjacency)
     }
 
     /// Exports the full routing state for checkpointing. Does not move
@@ -237,17 +261,19 @@ impl OnlineGraph {
 
     /// Rebuilds a graph from an exported state; insertion resumes exactly
     /// where the snapshot was taken. The routing parameters are not part
-    /// of the state and must match the original graph's.
+    /// of the state and must match the original graph's. Builds the
+    /// adjacency once, as [`SparseGraph::from_edges`] would.
     ///
     /// # Panics
-    /// Panics if the state's anchor and member lists disagree in length.
+    /// Panics if the state fails [`OnlineGraphState::validate`] (callers
+    /// decoding untrusted bytes must validate first).
     pub fn from_snapshot(k: usize, state: OnlineGraphState) -> Self {
-        assert_eq!(
-            state.anchors.len(),
-            state.anchor_members.len(),
-            "anchor list and member lists disagree"
-        );
+        if let Err(e) = state.validate() {
+            // lint: allow(panic) — documented panic: decoders validate first
+            panic!("invalid online graph state: {e}");
+        }
         let mut g = OnlineGraph::new(k);
+        g.adjacency = symmetric_adjacency(state.n_rows, &state.edges);
         g.n_rows = state.n_rows;
         g.anchors = state.anchors;
         g.anchor_members = state.anchor_members;
@@ -259,28 +285,107 @@ impl OnlineGraph {
     }
 }
 
+/// An error for a graph state or delta that no graph could have exported.
+fn malformed(message: String) -> CmError {
+    CmError::new(ErrorKind::OutOfBounds, "OnlineGraphState", message)
+}
+
+/// Checks that every row id in `ids` is below `n_rows`.
+fn rows_in_range(what: &str, ids: &[u32], n_rows: usize) -> CmResult<()> {
+    match ids.iter().find(|&&v| v as usize >= n_rows) {
+        Some(v) => Err(malformed(format!("{what} row {v} out of range for {n_rows} rows"))),
+        None => Ok(()),
+    }
+}
+
+/// Checks that every edge endpoint is below `n_rows`.
+fn edges_in_range(edges: &[(u32, u32, f32)], n_rows: usize) -> CmResult<()> {
+    match edges.iter().find(|&&(a, b, _)| a.max(b) as usize >= n_rows) {
+        Some((a, b, _)) => {
+            Err(malformed(format!("edge ({a}, {b}) out of range for {n_rows} rows")))
+        }
+        None => Ok(()),
+    }
+}
+
 impl OnlineGraphState {
+    /// Checks the invariants every exported state holds: one member list
+    /// per anchor, and every anchor, member and edge endpoint a row below
+    /// `n_rows`.
+    ///
+    /// # Errors
+    /// Fails, naming the first violation, on a state no graph could have
+    /// exported.
+    pub fn validate(&self) -> CmResult<()> {
+        if self.anchors.len() != self.anchor_members.len() {
+            return Err(malformed(format!(
+                "{} anchors but {} member lists",
+                self.anchors.len(),
+                self.anchor_members.len()
+            )));
+        }
+        rows_in_range("anchor", &self.anchors, self.n_rows)?;
+        for members in &self.anchor_members {
+            rows_in_range("member", members, self.n_rows)?;
+        }
+        edges_in_range(&self.edges, self.n_rows)
+    }
+
     /// Applies one exported delta in place: pure appends, so replaying a
     /// base snapshot plus every delta in export order is bit-identical to
     /// the live graph's [`OnlineGraph::snapshot`] at the same point.
     ///
-    /// # Panics
-    /// Panics if the delta references an anchor index this state does not
-    /// have or rewinds `n_rows` — both mean the delta was exported against
-    /// a different base (callers decoding untrusted bytes must validate
-    /// first).
-    pub fn apply_delta(&mut self, delta: &OnlineGraphDelta) {
-        assert!(delta.n_rows >= self.n_rows, "delta rewinds n_rows");
+    /// # Errors
+    /// Fails, leaving the state untouched, if the delta rewinds `n_rows`,
+    /// references an anchor index this state does not have, or names a
+    /// row at or past its own `n_rows` — each means the delta was not
+    /// exported against this base.
+    pub fn apply_delta(&mut self, delta: &OnlineGraphDelta) -> CmResult<()> {
+        if delta.n_rows < self.n_rows {
+            return Err(malformed(format!(
+                "delta rewinds n_rows from {} to {}",
+                self.n_rows, delta.n_rows
+            )));
+        }
+        delta.validate()?;
+        if let Some((idx, _)) =
+            delta.member_appends.iter().find(|(idx, _)| *idx as usize >= self.anchors.len())
+        {
+            return Err(malformed(format!(
+                "delta appends to anchor {idx} of {}",
+                self.anchors.len()
+            )));
+        }
         self.n_rows = delta.n_rows;
         self.edges.extend_from_slice(&delta.new_edges);
         for (idx, members) in &delta.member_appends {
-            assert!((*idx as usize) < self.anchor_members.len(), "delta anchor out of range");
             self.anchor_members[*idx as usize].extend_from_slice(members);
         }
         for (anchor, members) in &delta.new_anchors {
             self.anchors.push(*anchor);
             self.anchor_members.push(members.clone());
         }
+        Ok(())
+    }
+}
+
+impl OnlineGraphDelta {
+    /// Checks that every row the delta names — edge endpoints, appended
+    /// members, new anchors and their members — is below its `n_rows`.
+    ///
+    /// # Errors
+    /// Fails, naming the first violation, on a delta no graph could have
+    /// exported.
+    pub fn validate(&self) -> CmResult<()> {
+        edges_in_range(&self.new_edges, self.n_rows)?;
+        for (_, members) in &self.member_appends {
+            rows_in_range("member", members, self.n_rows)?;
+        }
+        for (anchor, members) in &self.new_anchors {
+            rows_in_range("anchor", &[*anchor], self.n_rows)?;
+            rows_in_range("member", members, self.n_rows)?;
+        }
+        Ok(())
     }
 }
 
@@ -421,7 +526,7 @@ mod tests {
         for end in [55usize, 90, 130, 131, 200] {
             g.insert_rows(&FrozenTable::freeze(&prefix_table(&t, end)), &cfg);
             let delta = g.export_delta();
-            replayed.apply_delta(&delta);
+            replayed.apply_delta(&delta).unwrap();
             assert_eq!(replayed, g.snapshot(), "after replaying up to row {end}");
         }
     }
@@ -456,6 +561,115 @@ mod tests {
         let mut resumed = OnlineGraph::from_snapshot(4, first.snapshot());
         resumed.insert_rows(&FrozenTable::freeze(&t), &cfg);
         assert_eq!(resumed.export_delta(), live_delta);
+    }
+
+    /// Rows with one random numeric feature, so similarities vary and a
+    /// row's top-k come out in score order, not id order.
+    fn random_numeric(n: usize, seed: u64) -> FeatureTable {
+        use cm_linalg::rng::{Rng, StdRng};
+        let schema = Arc::new(FeatureSchema::from_defs(vec![FeatureDef::numeric(
+            "x",
+            FeatureSet::A,
+            ServingMode::Servable,
+        )]));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = FeatureTable::new(schema);
+        for _ in 0..n {
+            t.push_row(&[FeatureValue::Numeric(rng.gen_range(0.0..4.0))]);
+        }
+        t
+    }
+
+    /// The graph the online graph replaced: a full rebuild from the edge
+    /// list.
+    fn rebuilt(g: &OnlineGraph) -> SparseGraph {
+        SparseGraph::from_edges(g.n_rows(), &g.edges)
+    }
+
+    /// Random batch sizes, from single rows to large jumps.
+    fn random_cuts(n: usize, seed: u64) -> Vec<usize> {
+        use cm_linalg::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cuts = Vec::new();
+        let mut end = 0;
+        while end < n {
+            end = (end + rng.gen_range(1usize..40)).min(n);
+            cuts.push(end);
+        }
+        cuts
+    }
+
+    #[test]
+    fn appended_adjacency_matches_full_rebuild() {
+        let cfg = SimilarityConfig::uniform(vec![0]);
+        for (t, seed) in
+            [(interleaved(300), 1u64), (random_numeric(300, 2), 2), (random_numeric(300, 3), 3)]
+        {
+            let mut g = OnlineGraph::new(4);
+            for end in random_cuts(t.len(), seed) {
+                g.insert_rows(&FrozenTable::freeze(&prefix_table(&t, end)), &cfg);
+                assert_eq!(g.graph(), rebuilt(&g), "seed {seed}, after row {end}");
+            }
+        }
+    }
+
+    #[test]
+    fn restored_and_replayed_adjacency_matches_full_rebuild() {
+        let t = random_numeric(240, 5);
+        let cfg = SimilarityConfig::uniform(vec![0]);
+        let cuts = random_cuts(t.len(), 7);
+        let mut live = OnlineGraph::new(4);
+        live.insert_rows(&FrozenTable::freeze(&prefix_table(&t, cuts[2])), &cfg);
+        let mut replayed = live.snapshot();
+        live.mark_durable();
+        let restored = OnlineGraph::from_snapshot(4, live.snapshot());
+        assert_eq!(restored.graph(), rebuilt(&restored));
+        for &end in &cuts[3..] {
+            live.insert_rows(&FrozenTable::freeze(&prefix_table(&t, end)), &cfg);
+            replayed.apply_delta(&live.export_delta()).unwrap();
+            // A graph restored from base + deltas, then grown further.
+            let mut resumed = OnlineGraph::from_snapshot(4, replayed.clone());
+            assert_eq!(resumed.graph(), rebuilt(&resumed), "after row {end}");
+            resumed.insert_rows(&FrozenTable::freeze(&t), &cfg);
+            assert_eq!(resumed.graph(), rebuilt(&resumed), "grown from row {end}");
+        }
+        assert_eq!(live.graph(), rebuilt(&live));
+    }
+
+    #[test]
+    fn malformed_states_and_deltas_are_rejected() {
+        let t = interleaved(60);
+        let cfg = SimilarityConfig::uniform(vec![0]);
+        let mut g = OnlineGraph::new(4);
+        g.insert_rows(&FrozenTable::freeze(&prefix_table(&t, 30)), &cfg);
+        let base = g.snapshot();
+        assert!(base.validate().is_ok());
+        let mut bad = base.clone();
+        bad.edges.push((30, 0, 0.5));
+        assert!(bad.validate().is_err());
+        let mut bad = base.clone();
+        bad.anchor_members[0].push(99);
+        assert!(bad.validate().is_err());
+        let mut bad = base.clone();
+        bad.anchors.push(1);
+        assert!(bad.validate().is_err());
+
+        g.mark_durable();
+        g.insert_rows(&FrozenTable::freeze(&t), &cfg);
+        let delta = g.export_delta();
+        let mut state = base.clone();
+        let mut rewind = delta.clone();
+        rewind.n_rows = 10;
+        assert!(state.apply_delta(&rewind).is_err());
+        let mut far = delta.clone();
+        far.new_edges.push((60, 1, 0.5));
+        assert!(state.apply_delta(&far).is_err());
+        let mut stray = delta.clone();
+        stray.member_appends.push((u32::MAX, vec![1]));
+        assert!(state.apply_delta(&stray).is_err());
+        assert_eq!(state, base, "a rejected delta leaves the state untouched");
+        state.apply_delta(&delta).unwrap();
+        assert_eq!(state, g.snapshot());
     }
 
     #[test]

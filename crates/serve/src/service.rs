@@ -167,6 +167,19 @@ pub struct CheckpointTickCost {
     pub wrote_base: bool,
 }
 
+/// Per-tick curation cost (previews, ingests, label-model refits), the
+/// curve the serve bench plots beside [`CheckpointTickCost`]: flat when a
+/// tick costs O(batch), rising when it grows with the pool.
+#[derive(Debug, Clone, Copy)]
+pub struct CurationTickCost {
+    /// Tick this curation work happened in.
+    pub tick: usize,
+    /// Wall-clock cost of the tick's previews and ingests.
+    pub elapsed: Duration,
+    /// Pool rows after the tick.
+    pub pool_rows: usize,
+}
+
 /// Wall-clock accounting of one run, reported out-of-band (never part of
 /// deterministic fixtures).
 #[derive(Debug, Clone, Default)]
@@ -186,6 +199,8 @@ pub struct ServeTiming {
     pub checkpoint_bytes: usize,
     /// Per-tick checkpoint write costs, in tick order.
     pub checkpoint_ticks: Vec<CheckpointTickCost>,
+    /// Per-tick curation costs, in tick order, for ticks that curated.
+    pub curation_ticks: Vec<CurationTickCost>,
 }
 
 impl ServeTiming {
@@ -413,6 +428,7 @@ pub fn run(config: &ServeConfig, par: &ParConfig) -> CmResult<RunOutcome> {
         }
         tick += 1;
         access.advance_clock_ms(config.inter_batch_ms);
+        let curation_before = timing.curation;
 
         // Deferred batches re-offer ahead of new arrivals.
         for item in std::mem::take(&mut deferred) {
@@ -471,6 +487,14 @@ pub fn run(config: &ServeConfig, par: &ParConfig) -> CmResult<RunOutcome> {
                     reasons: verdict.reasons,
                 });
             }
+        }
+
+        if timing.curation > curation_before {
+            timing.curation_ticks.push(CurationTickCost {
+                tick,
+                elapsed: timing.curation - curation_before,
+                pool_rows: curator.n_rows(),
+            });
         }
 
         // Crash injection fires after the k-th ingest, *before* this

@@ -208,11 +208,15 @@ pub fn capture_delta(
 }
 
 /// Applies one replayed delta record onto the accumulated checkpoint.
-fn apply_tick_delta(cp: &mut Checkpoint, d: TickDelta) {
+///
+/// # Errors
+/// Fails, leaving the checkpoint untouched, on a delta that was not
+/// exported against it (see `IncrementalState::apply_delta`).
+fn apply_tick_delta(cp: &mut Checkpoint, d: TickDelta) -> CmResult<()> {
+    cp.curator.apply_delta(&d.curator)?;
     cp.ticks = d.ticks;
     cp.rows_generated = d.rows_generated;
     cp.access = d.access;
-    cp.curator.apply_delta(&d.curator);
     cp.pending = d.pending;
     cp.telemetry.shed = d.shed;
     cp.telemetry.quarantined = d.quarantined;
@@ -221,6 +225,7 @@ fn apply_tick_delta(cp: &mut Checkpoint, d: TickDelta) {
     cp.telemetry.last_entropy = d.last_entropy;
     cp.telemetry.batch_stats.extend(d.new_batch_stats);
     cp.telemetry.latencies_ms.extend(d.new_latencies_ms);
+    Ok(())
 }
 
 impl Checkpoint {
@@ -554,12 +559,14 @@ fn graph_from_json(json: &Json) -> CmResult<OnlineGraphState> {
                 .collect::<CmResult<Vec<u32>>>()
         })
         .collect::<CmResult<Vec<_>>>()?;
-    Ok(OnlineGraphState {
+    let state = OnlineGraphState {
         n_rows: req_usize(json, "n_rows")?,
         anchors: u32s("anchors")?,
         anchor_members,
         edges,
-    })
+    };
+    state.validate()?;
+    Ok(state)
 }
 
 fn batch_stats_to_json(s: &BatchStats) -> Json {
@@ -988,7 +995,9 @@ fn dec_graph(r: &mut Reader<'_>) -> CmResult<Option<OnlineGraphState>> {
         anchor_members.push(dec_u32_list(r)?);
     }
     let edges = dec_edges(r)?;
-    Ok(Some(OnlineGraphState { n_rows, anchors, anchor_members, edges }))
+    let state = OnlineGraphState { n_rows, anchors, anchor_members, edges };
+    state.validate()?;
+    Ok(Some(state))
 }
 
 fn enc_graph_delta(w: &mut Writer, g: &Option<OnlineGraphDelta>) {
@@ -1030,7 +1039,9 @@ fn dec_graph_delta(r: &mut Reader<'_>) -> CmResult<Option<OnlineGraphDelta>> {
         let anchor = r.u32v().map_err(wire_err)?;
         new_anchors.push((anchor, dec_u32_list(r)?));
     }
-    Ok(Some(OnlineGraphDelta { n_rows, new_edges, member_appends, new_anchors }))
+    let delta = OnlineGraphDelta { n_rows, new_edges, member_appends, new_anchors };
+    delta.validate()?;
+    Ok(Some(delta))
 }
 
 fn enc_votes(w: &mut Writer, votes: &[i8]) {
@@ -1325,11 +1336,16 @@ pub struct RecoveredLog {
 /// corrupt frame; the torn tail is *discarded* (reported via
 /// `valid_bytes`), recovering to the last durable tick. A torn or corrupt
 /// **base** frame is unrecoverable and errors — base rewrites are atomic,
-/// so only deliberate corruption produces one.
+/// so only deliberate corruption produces one. So does a delta frame
+/// whose checksum holds but whose payload does not decode or does not
+/// apply to the state before it: it was written whole, so it is not a
+/// torn tail, and dropping it would silently lose durable ticks.
 ///
 /// # Errors
 /// Fails on an unparseable JSON checkpoint, a bad magic/version header,
-/// or a corrupt base frame.
+/// a corrupt base frame, or a checksum-valid record that is malformed
+/// (for example a graph edge past the row count or a delta that rewinds
+/// the graph).
 pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<RecoveredLog> {
     let first = bytes.iter().copied().find(|b| !b.is_ascii_whitespace());
     if first == Some(b'{') {
@@ -1360,15 +1376,14 @@ pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Recovered
     let mut deltas = 0usize;
     while !r.is_empty() {
         // A torn or corrupt tail record — torn mid-append by a crash, or
-        // deliberately bit-flipped — fails the frame checksum (or payload
-        // decode) and everything from it on is discarded.
+        // deliberately bit-flipped — fails the frame checksum and
+        // everything from it on is discarded.
         let mut attempt = r.clone();
         let Ok(frame) = read_frame(&mut attempt) else { break };
         if frame.tag != TAG_DELTA {
             break;
         }
-        let Ok(delta) = dec_delta_payload(frame.payload, schema) else { break };
-        apply_tick_delta(&mut checkpoint, delta);
+        apply_tick_delta(&mut checkpoint, dec_delta_payload(frame.payload, schema)?)?;
         r = attempt;
         valid_bytes = r.pos();
         deltas += 1;
@@ -1834,6 +1849,75 @@ mod tests {
             let rec = load_any(&bytes, &schema()).expect("corrupt tail must still recover");
             assert_eq!(rec.deltas, 0, "flip at {byte}");
             assert_eq!(rec.valid_bytes, base.len(), "flip at {byte}");
+        }
+    }
+
+    /// Writes `bytes` as a checkpoint file and opens a store on it.
+    fn open_bytes(name: &str, bytes: &[u8]) -> CmResult<Option<Checkpoint>> {
+        let dir = std::env::temp_dir().join("cm_snapshot_store_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write checkpoint");
+        let opened = CheckpointStore::open(
+            &path,
+            CheckpointFormat::Wire,
+            CompactionPolicy::default(),
+            &schema(),
+        );
+        let _ = std::fs::remove_file(&path);
+        opened.map(|(_, cp)| cp)
+    }
+
+    /// Checksum-valid records that no run could have written: decoding or
+    /// replaying them must fail the open, not panic and not be dropped as
+    /// a torn tail.
+    #[test]
+    fn malformed_graph_records_fail_the_open() {
+        let cp = fixture();
+        let mut base = encode_base_file(&cp);
+        base.extend_from_slice(&encode_delta_frame(&delta_fixture(&cp)));
+        assert!(open_bytes("well_formed.ckpt", &base).expect("well-formed log").is_some());
+
+        type Corrupt<T> = (&'static str, fn(&mut T));
+        let bad_bases: [Corrupt<OnlineGraphState>; 4] = [
+            ("edge endpoint", |g| g.edges.push((5, 0, 0.5))),
+            ("anchor id", |g| g.anchors[1] = 9),
+            ("member id", |g| g.anchor_members[0].push(5)),
+            ("member lists", |g| {
+                g.anchor_members.pop();
+            }),
+        ];
+        for (what, corrupt) in bad_bases {
+            let mut bad = fixture();
+            corrupt(bad.curator.graph.as_mut().expect("graph"));
+            let err = open_bytes("bad_base.ckpt", &encode_base_file(&bad));
+            assert!(err.is_err(), "base with a bad {what} must not open");
+            assert!(load(&bad.save(), &schema()).is_err(), "JSON base with a bad {what}");
+        }
+
+        let bad_deltas: [Corrupt<TickDelta>; 5] = [
+            ("edge endpoint", |d| d.curator.graph.as_mut().expect("g").new_edges.push((7, 0, 0.5))),
+            ("new anchor", |d| d.curator.graph.as_mut().expect("g").new_anchors[0].0 = 8),
+            ("anchor index", |d| {
+                d.curator.graph.as_mut().expect("g").member_appends.push((2, vec![6]))
+            }),
+            ("rewinding row count", |d| {
+                d.curator.graph = Some(OnlineGraphDelta {
+                    n_rows: 4,
+                    new_edges: vec![],
+                    member_appends: vec![],
+                    new_anchors: vec![],
+                })
+            }),
+            ("graph presence", |d| d.curator.graph = None),
+        ];
+        for (what, corrupt) in bad_deltas {
+            let mut delta = delta_fixture(&cp);
+            corrupt(&mut delta);
+            let mut bytes = encode_base_file(&cp);
+            bytes.extend_from_slice(&encode_delta_frame(&delta));
+            let err = open_bytes("bad_delta.ckpt", &bytes);
+            assert!(err.is_err(), "delta with a bad {what} must not open");
         }
     }
 
