@@ -612,8 +612,8 @@ impl AccessLayer {
 }
 
 /// Replayable live state of an [`AccessLayer`], exported after a serving
-/// batch and restored on crash recovery. Serializes via [`cm_json::ToJson`]
-/// into the service checkpoint.
+/// batch and restored on crash recovery. The service checkpoint encodes it
+/// in its binary log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessState {
     /// Simulated clock reading at export time.
@@ -637,150 +637,6 @@ pub struct ServiceAccessState {
     pub snapshot: Option<FeatureValue>,
     /// Accumulated statistics.
     pub stats: ServiceStats,
-}
-
-/// Encodes a feature value for the checkpoint (tagged object). Finite
-/// floats round-trip bit-exactly through cm-json's shortest-round-trip
-/// number formatting; snapshots hold validated live values, which are
-/// always finite.
-fn feature_value_to_json(value: &FeatureValue) -> cm_json::Json {
-    use cm_json::Json;
-    match value {
-        FeatureValue::Missing => Json::obj([("kind", Json::Str("missing".to_owned()))]),
-        FeatureValue::Numeric(x) => {
-            Json::obj([("kind", Json::Str("numeric".to_owned())), ("value", Json::Num(*x))])
-        }
-        FeatureValue::Categorical(set) => Json::obj([
-            ("kind", Json::Str("categorical".to_owned())),
-            ("ids", Json::Arr(set.iter().map(|id| Json::Num(f64::from(id))).collect())),
-        ]),
-        FeatureValue::Embedding(e) => Json::obj([
-            ("kind", Json::Str("embedding".to_owned())),
-            ("values", Json::Arr(e.iter().map(|&x| Json::Num(f64::from(x))).collect())),
-        ]),
-    }
-}
-
-/// Decodes a feature value written by [`feature_value_to_json`].
-fn feature_value_from_json(json: &cm_json::Json) -> CmResult<FeatureValue> {
-    use cm_featurespace::CatSet;
-    const LOC: &str = "feature_value_from_json";
-    let bad = |msg: &str| CmError::new(ErrorKind::InvalidConfig, LOC, msg.to_owned());
-    let kind = json.get("kind").and_then(cm_json::Json::as_str).ok_or_else(|| bad("no kind"))?;
-    match kind {
-        "missing" => Ok(FeatureValue::Missing),
-        "numeric" => {
-            let x =
-                json.get("value").and_then(cm_json::Json::as_f64).ok_or_else(|| bad("no value"))?;
-            Ok(FeatureValue::Numeric(x))
-        }
-        "categorical" => {
-            let ids =
-                json.get("ids").and_then(cm_json::Json::as_arr).ok_or_else(|| bad("no ids"))?;
-            let mut set = CatSet::new();
-            for id in ids {
-                let id = id.as_f64().ok_or_else(|| bad("bad id"))?;
-                set.insert(id as u32);
-            }
-            Ok(FeatureValue::Categorical(set))
-        }
-        "embedding" => {
-            let values = json
-                .get("values")
-                .and_then(cm_json::Json::as_arr)
-                .ok_or_else(|| bad("no values"))?;
-            let e = values
-                .iter()
-                .map(|v| v.as_f64().map(|x| x as f32).ok_or_else(|| bad("bad component")))
-                .collect::<CmResult<Vec<f32>>>()?;
-            Ok(FeatureValue::Embedding(e))
-        }
-        other => Err(CmError::new(
-            ErrorKind::InvalidConfig,
-            LOC,
-            format!("unknown feature value kind {other:?}"),
-        )),
-    }
-}
-
-impl cm_json::ToJson for ServiceAccessState {
-    fn to_json(&self) -> cm_json::Json {
-        use cm_json::Json;
-        Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            ("consecutive_lost", Json::Num(f64::from(self.consecutive_lost))),
-            ("open", Json::Bool(self.open)),
-            ("opened_at_ms", Json::Num(self.opened_at_ms as f64)),
-            ("snapshot", self.snapshot.as_ref().map_or(cm_json::Json::Null, feature_value_to_json)),
-            ("stats", cm_json::ToJson::to_json(&self.stats)),
-        ])
-    }
-}
-
-impl ServiceAccessState {
-    /// Rebuilds one service's state from its JSON form.
-    pub fn from_json(json: &cm_json::Json) -> CmResult<Self> {
-        const LOC: &str = "ServiceAccessState::from_json";
-        let missing =
-            |field: &str| CmError::new(ErrorKind::NotFound, LOC, format!("missing {field}"));
-        let snapshot = match json.get("snapshot") {
-            None | Some(cm_json::Json::Null) => None,
-            Some(v) => Some(feature_value_from_json(v)?),
-        };
-        Ok(Self {
-            name: json
-                .get("name")
-                .and_then(cm_json::Json::as_str)
-                .ok_or_else(|| missing("name"))?
-                .to_owned(),
-            consecutive_lost: json
-                .get("consecutive_lost")
-                .and_then(cm_json::Json::as_f64)
-                .ok_or_else(|| missing("consecutive_lost"))? as u32,
-            open: json
-                .get("open")
-                .and_then(cm_json::Json::as_bool)
-                .ok_or_else(|| missing("open"))?,
-            opened_at_ms: json
-                .get("opened_at_ms")
-                .and_then(cm_json::Json::as_f64)
-                .ok_or_else(|| missing("opened_at_ms"))? as u64,
-            snapshot,
-            stats: ServiceStats::from_json(json.get("stats").ok_or_else(|| missing("stats"))?)?,
-        })
-    }
-}
-
-impl cm_json::ToJson for AccessState {
-    fn to_json(&self) -> cm_json::Json {
-        use cm_json::Json;
-        Json::obj([
-            ("now_ms", Json::Num(self.now_ms as f64)),
-            ("services", Json::arr(self.services.iter())),
-        ])
-    }
-}
-
-impl AccessState {
-    /// Rebuilds a layer state from its JSON form.
-    pub fn from_json(json: &cm_json::Json) -> CmResult<Self> {
-        const LOC: &str = "AccessState::from_json";
-        let missing =
-            |field: &str| CmError::new(ErrorKind::NotFound, LOC, format!("missing {field}"));
-        Ok(Self {
-            now_ms: json
-                .get("now_ms")
-                .and_then(cm_json::Json::as_f64)
-                .ok_or_else(|| missing("now_ms"))? as u64,
-            services: json
-                .get("services")
-                .and_then(cm_json::Json::as_arr)
-                .ok_or_else(|| missing("services"))?
-                .iter()
-                .map(ServiceAccessState::from_json)
-                .collect::<CmResult<Vec<_>>>()?,
-        })
-    }
 }
 
 /// Synthesizes a detectably corrupt response for `base`: NaN numerics,
@@ -1145,12 +1001,10 @@ mod tests {
         for row in 0..40u64 {
             call(&mut full, row);
         }
-        // Crash after row 39: export, round-trip through JSON, restore
-        // into a fresh layer, continue. Tail outputs and the final summary
-        // must be bit-identical to the uninterrupted run.
-        let json = cm_json::Json::parse(&full.export_state().to_json().to_string_pretty()).unwrap();
-        let state = AccessState::from_json(&json).unwrap();
-        assert_eq!(state, full.export_state());
+        // Crash after row 39: export, restore into a fresh layer,
+        // continue. Tail outputs and the final summary must be
+        // bit-identical to the uninterrupted run.
+        let state = full.export_state();
         let mut resumed = AccessLayer::new(&p, policy, &descriptors(), 9).unwrap();
         resumed.restore_state(&state).unwrap();
         for row in 40..120u64 {

@@ -120,9 +120,6 @@ pub struct IncrementalState {
     /// The accumulated pool: featurized arrival rows in ingest order.
     pub pool: ModalityDataset,
     /// Accumulated base-LF votes, row-major `pool.len() x n_base_lfs`.
-    /// Optional: when the length disagrees with the pool (legacy
-    /// checkpoints serialize no votes), [`IncrementalCurator::restore`]
-    /// recomputes them by re-applying the mined LFs.
     pub votes: Vec<i8>,
     /// EM parameters of the current model, if any batch has been fitted.
     pub em_warm: Option<WarmStart>,
@@ -160,17 +157,38 @@ impl IncrementalState {
     /// output at the same point, bit-identically.
     ///
     /// # Errors
-    /// Fails, leaving the state untouched, if the delta's
-    /// propagation-graph presence disagrees with this state's or the graph
-    /// delta misaligns (see [`OnlineGraphState::apply_delta`]).
+    /// Fails, leaving the state untouched, if the delta's votes per row
+    /// differ from this state's, if its propagation-graph presence
+    /// disagrees with this state's, or if the graph delta misaligns (see
+    /// [`OnlineGraphState::apply_delta`]).
     pub fn apply_delta(&mut self, delta: &IncrementalDelta) -> CmResult<()> {
+        const LOC: &str = "IncrementalState::apply_delta";
+        let (rows, new_rows) = (self.pool.len(), delta.new_rows.len());
+        let whole = |votes: usize, rows: usize| votes == 0 || votes.checked_rem(rows) == Some(0);
+        let aligned = whole(self.votes.len(), rows)
+            && whole(delta.new_votes.len(), new_rows)
+            && (rows == 0
+                || new_rows == 0
+                || self.votes.len() / rows == delta.new_votes.len() / new_rows);
+        if !aligned {
+            return Err(CmError::new(
+                ErrorKind::ShapeMismatch,
+                LOC,
+                format!(
+                    "delta votes ({} over {new_rows} rows) do not match the base's width \
+                     ({} over {rows} rows)",
+                    delta.new_votes.len(),
+                    self.votes.len()
+                ),
+            ));
+        }
         match (&mut self.graph, &delta.graph) {
             (Some(g), Some(d)) => g.apply_delta(d)?,
             (None, None) => {}
             _ => {
                 return Err(CmError::new(
                     ErrorKind::ShapeMismatch,
-                    "IncrementalState::apply_delta",
+                    LOC,
                     "delta graph presence disagrees with the base state",
                 ))
             }
@@ -468,15 +486,19 @@ impl IncrementalCurator {
     /// restored, after which behavior is bit-identical to the exporting
     /// curator's.
     ///
+    /// `_par` is unused: checkpointed votes are taken verbatim, so nothing
+    /// is re-applied. It stays for callers of the earlier signature.
+    ///
     /// # Panics
-    /// Panics if the state disagrees with the configuration (a graph
-    /// snapshot with propagation disabled, or vice versa).
+    /// Panics if the state disagrees with the configuration: a graph
+    /// snapshot with propagation disabled (or vice versa), or votes that
+    /// are not one per mined LF for every pool row.
     pub fn restore(
         world: &World,
         text: &ModalityDataset,
         config: IncrementalConfig,
         state: IncrementalState,
-        par: &ParConfig,
+        _par: &ParConfig,
     ) -> Self {
         let mut c = Self::new(world, text, config);
         assert_eq!(
@@ -484,23 +506,15 @@ impl IncrementalCurator {
             state.graph.is_some(),
             "checkpointed graph state disagrees with the propagation setting"
         );
-        // Checkpointed votes are used verbatim when they align with the
-        // pool; legacy checkpoints carry none and get them recomputed by
-        // re-applying the mined LFs (deterministic, so both paths agree).
-        let base_votes = if state.votes.len() == state.pool.len() * c.lfs.len() {
-            state.votes
-        } else {
-            let pool_matrix = LabelMatrix::apply_with(&state.pool.table, &c.lfs, par);
-            let mut votes = Vec::with_capacity(state.pool.len() * pool_matrix.n_lfs());
-            for r in 0..state.pool.len() {
-                votes.extend_from_slice(pool_matrix.row(r));
-            }
-            votes
-        };
-        c.pool = state.pool;
         let n_base = c.lfs.len();
+        assert_eq!(
+            state.votes.len(),
+            state.pool.len() * n_base,
+            "checkpointed votes are not one per mined LF for every pool row"
+        );
+        c.pool = state.pool;
         for r in 0..c.pool.len() {
-            c.push_base_row(&base_votes[r * n_base..(r + 1) * n_base]);
+            c.push_base_row(&state.votes[r * n_base..(r + 1) * n_base]);
         }
         c.n_batches = state.n_batches;
         c.mark_rows = c.pool.len();
@@ -780,23 +794,6 @@ mod tests {
         if let Some(g) = &idle.graph {
             assert!(g.new_edges.is_empty() && g.new_anchors.is_empty());
         }
-    }
-
-    #[test]
-    fn restore_prefers_checkpointed_votes_but_matches_recomputation() {
-        let (world, text, pool) = fixture();
-        let par = ParConfig::threads(1);
-        let all = batches(&pool, 60);
-        let mut cur = IncrementalCurator::new(&world, &text, fast_config());
-        cur.ingest_batch(&all[0], &par);
-        cur.ingest_batch(&all[1], &par);
-        let with_votes = cur.export_state();
-        let mut legacy = with_votes.clone();
-        legacy.votes = Vec::new(); // what a pre-delta-log checkpoint carries
-        let a = IncrementalCurator::restore(&world, &text, fast_config(), with_votes, &par);
-        let b = IncrementalCurator::restore(&world, &text, fast_config(), legacy, &par);
-        assert_eq!(a.base_votes, b.base_votes);
-        assert_eq!(a.posteriors(), b.posteriors());
     }
 
     #[test]

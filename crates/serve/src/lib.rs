@@ -31,6 +31,5 @@ pub use service::{
     run, CheckpointTickCost, CurationTickCost, RunOutcome, ServeConfig, ServeReport, ServeTiming,
 };
 pub use snapshot::{
-    CheckpointFormat, CheckpointStore, CompactionPolicy, PendingWork, ServeTelemetry,
-    CHECKPOINT_VERSION, LOG_VERSION,
+    CheckpointFormat, CheckpointStore, CompactionPolicy, PendingWork, ServeTelemetry, LOG_VERSION,
 };

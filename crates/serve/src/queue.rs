@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use cm_json::{Json, JsonError, ToJson};
+use cm_json::{Json, ToJson};
 use cm_orgsim::ModalityDataset;
 use cm_shard::{MemBudget, MemTracker};
 
@@ -93,27 +93,6 @@ impl ToJson for SheddingReport {
             ("peak_depth", self.peak_depth.to_json()),
             ("peak_bytes", self.peak_bytes.to_json()),
         ])
-    }
-}
-
-impl SheddingReport {
-    /// Parses a report previously emitted by [`ToJson`].
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let num = |field: &str| -> Result<usize, JsonError> {
-            v.get(field).and_then(Json::as_usize).ok_or_else(|| JsonError {
-                message: format!("missing or mistyped field {field:?}"),
-                offset: 0,
-            })
-        };
-        Ok(Self {
-            offered: num("offered")?,
-            admitted: num("admitted")?,
-            deferred: num("deferred")?,
-            shed_batches: num("shed_batches")?,
-            shed_rows: num("shed_rows")?,
-            peak_depth: num("peak_depth")?,
-            peak_bytes: num("peak_bytes")?,
-        })
     }
 }
 
@@ -297,22 +276,5 @@ mod tests {
         assert_eq!(restored.depth(), q.depth());
         assert_eq!(restored.queued_bytes(), q.queued_bytes());
         assert_eq!(restored.report(), q.report());
-    }
-
-    #[test]
-    fn shedding_report_round_trips_through_json() {
-        let r = SheddingReport {
-            offered: 10,
-            admitted: 6,
-            deferred: 2,
-            shed_batches: 2,
-            shed_rows: 64,
-            peak_depth: 4,
-            peak_bytes: 4096,
-        };
-        let back =
-            SheddingReport::from_json(&Json::parse(&r.to_json().to_string_pretty()).unwrap())
-                .unwrap();
-        assert_eq!(r, back);
     }
 }

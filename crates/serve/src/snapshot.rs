@@ -1,7 +1,6 @@
 //! Versioned checkpoint persistence for the incremental curation
 //! service: a **base snapshot + append-only delta log** in the `cm-wire`
-//! binary format, with the original JSON text form kept as a legacy
-//! compatibility format.
+//! binary format, the only checkpoint encoding.
 //!
 //! A checkpoint persists exactly the *arrival-dependent* state of a run:
 //! the stream cursor, the access-layer breaker/clock state, the curator's
@@ -13,7 +12,7 @@
 //!
 //! ## Log layout and recovery contract
 //!
-//! A wire-format checkpoint file is
+//! A checkpoint file is
 //! `[header][base frame][delta frame]*`: a 4-byte magic + version
 //! varint, then one [`Checkpoint`] encoded whole (O(pool)), then one
 //! [`TickDelta`] per tick (O(batch) — only what changed since the last
@@ -25,9 +24,9 @@
 //! policy in [`CompactionPolicy`]) go through a sibling temp file + atomic
 //! rename, so the base itself can never tear.
 //!
-//! All floats travel as raw IEEE-754 bits (wire) or shortest-round-trip
-//! text (legacy JSON), so a restart resumes *bit-identical* to an
-//! uninterrupted run.
+//! A file that does not open with the `CMCK` magic is an error, never
+//! migrated or overwritten. All floats travel as raw IEEE-754 bits, so a
+//! restart resumes *bit-identical* to an uninterrupted run.
 //!
 //! This module is the only place allowed to name [`Checkpoint`] or
 //! [`TickDelta`]: the `checkpoint-drift` lint bans both identifiers
@@ -45,7 +44,6 @@ use cm_featurespace::{
     CatSet, CmError, CmResult, ErrorKind, FeatureSchema, FeatureTable, FeatureValue, Label,
     ModalityKind,
 };
-use cm_json::{Json, ToJson};
 use cm_labelmodel::WarmStart;
 use cm_orgsim::ModalityDataset;
 use cm_pipeline::{BatchStats, IncrementalDelta, IncrementalState};
@@ -55,12 +53,9 @@ use cm_wire::{append_frame, fnv1a64, read_frame, read_header, write_header, Read
 use crate::guards::QuarantinedBatch;
 use crate::queue::{QueuedBatch, SheddingReport};
 
-/// Format version written into every legacy JSON checkpoint; the JSON
-/// loader rejects any other value. Bump whenever the serialized layout
-/// *or* the clean-path re-derivation contract changes.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// Version of the wire-format delta log (header varint after the magic).
+/// Version of the checkpoint log (header varint after the magic); the
+/// loader rejects any other value. Bump whenever the encoded layout *or*
+/// the clean-path re-derivation contract changes.
 pub const LOG_VERSION: u32 = 2;
 
 /// Magic bytes opening every wire-format checkpoint file.
@@ -106,8 +101,6 @@ pub struct ServeTelemetry {
 /// The complete persisted state of a service run after some tick.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Format version; see [`CHECKPOINT_VERSION`].
-    pub version: u32,
     /// Ticks completed before this checkpoint was taken.
     pub ticks: usize,
     /// Rows drawn from the arrival stream so far (stream fast-forward
@@ -166,15 +159,7 @@ pub fn capture(
     pending: PendingWork,
     telemetry: ServeTelemetry,
 ) -> Checkpoint {
-    Checkpoint {
-        version: CHECKPOINT_VERSION,
-        ticks,
-        rows_generated,
-        access,
-        curator,
-        pending,
-        telemetry,
-    }
+    Checkpoint { ticks, rows_generated, access, curator, pending, telemetry }
 }
 
 /// Assembles one tick's delta record. `stats_durable` / `latencies_durable`
@@ -226,402 +211,6 @@ fn apply_tick_delta(cp: &mut Checkpoint, d: TickDelta) -> CmResult<()> {
     cp.telemetry.batch_stats.extend(d.new_batch_stats);
     cp.telemetry.latencies_ms.extend(d.new_latencies_ms);
     Ok(())
-}
-
-impl Checkpoint {
-    /// Serializes the checkpoint to its legacy JSON text form.
-    pub fn save(&self) -> String {
-        Json::obj([
-            ("version", Json::Num(f64::from(self.version))),
-            ("ticks", self.ticks.to_json()),
-            ("rows_generated", self.rows_generated.to_json()),
-            ("access", self.access.to_json()),
-            ("curator", incremental_state_to_json(&self.curator)),
-            ("queue", Json::Arr(self.pending.queue.iter().map(queued_to_json).collect())),
-            ("deferred", Json::Arr(self.pending.deferred.iter().map(queued_to_json).collect())),
-            (
-                "quarantine",
-                Json::Arr(self.pending.quarantine.iter().map(quarantined_to_json).collect()),
-            ),
-            ("shed", self.telemetry.shed.to_json()),
-            ("quarantined", self.telemetry.quarantined.to_json()),
-            ("recovered", self.telemetry.recovered.to_json()),
-            ("dropped", self.telemetry.dropped.to_json()),
-            ("last_entropy", opt_num(self.telemetry.last_entropy)),
-            (
-                "batch_stats",
-                Json::Arr(self.telemetry.batch_stats.iter().map(batch_stats_to_json).collect()),
-            ),
-            (
-                "latencies_ms",
-                Json::Arr(
-                    self.telemetry.latencies_ms.iter().map(|&l| Json::Num(l as f64)).collect(),
-                ),
-            ),
-        ])
-        .to_string_pretty()
-    }
-}
-
-/// Parses and version-checks a legacy JSON checkpoint. `schema` is the
-/// world feature schema (clean-path state, re-derived by the caller) that
-/// every serialized table is rebuilt against.
-pub fn load(text: &str, schema: &Arc<FeatureSchema>) -> CmResult<Checkpoint> {
-    const LOC: &str = "snapshot::load";
-    let json =
-        Json::parse(text).map_err(|e| CmError::new(ErrorKind::InvalidConfig, LOC, e.message))?;
-    let version = req_usize(&json, "version")? as u32;
-    if version != CHECKPOINT_VERSION {
-        return Err(CmError::new(
-            ErrorKind::InvalidConfig,
-            LOC,
-            format!("unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"),
-        ));
-    }
-    let access = AccessState::from_json(json.get("access").ok_or_else(|| missing("access"))?)?;
-    let curator = incremental_state_from_json(
-        json.get("curator").ok_or_else(|| missing("curator"))?,
-        schema,
-    )?;
-    let pending = PendingWork {
-        queue: req_arr(&json, "queue")?
-            .iter()
-            .map(|v| queued_from_json(v, schema))
-            .collect::<CmResult<_>>()?,
-        deferred: req_arr(&json, "deferred")?
-            .iter()
-            .map(|v| queued_from_json(v, schema))
-            .collect::<CmResult<_>>()?,
-        quarantine: req_arr(&json, "quarantine")?
-            .iter()
-            .map(|v| quarantined_from_json(v, schema))
-            .collect::<CmResult<_>>()?,
-    };
-    let telemetry = ServeTelemetry {
-        shed: SheddingReport::from_json(json.get("shed").ok_or_else(|| missing("shed"))?)
-            .map_err(|e| CmError::new(ErrorKind::InvalidConfig, LOC, e.message))?,
-        quarantined: req_usize(&json, "quarantined")?,
-        recovered: req_usize(&json, "recovered")?,
-        dropped: req_usize(&json, "dropped")?,
-        last_entropy: match json.get("last_entropy") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_f64().ok_or_else(|| missing("last_entropy"))?),
-        },
-        batch_stats: req_arr(&json, "batch_stats")?
-            .iter()
-            .map(batch_stats_from_json)
-            .collect::<CmResult<_>>()?,
-        latencies_ms: req_arr(&json, "latencies_ms")?
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as u64).ok_or_else(|| missing("latencies_ms entry")))
-            .collect::<CmResult<_>>()?,
-    };
-    Ok(Checkpoint {
-        version,
-        ticks: req_usize(&json, "ticks")?,
-        rows_generated: req_usize(&json, "rows_generated")?,
-        access,
-        curator,
-        pending,
-        telemetry,
-    })
-}
-
-fn missing(field: &str) -> CmError {
-    CmError::new(ErrorKind::NotFound, "snapshot::load", format!("missing or mistyped {field}"))
-}
-
-fn req_usize(json: &Json, field: &str) -> CmResult<usize> {
-    json.get(field).and_then(Json::as_usize).ok_or_else(|| missing(field))
-}
-
-fn req_f64(json: &Json, field: &str) -> CmResult<f64> {
-    json.get(field).and_then(Json::as_f64).ok_or_else(|| missing(field))
-}
-
-fn req_arr<'a>(json: &'a Json, field: &str) -> CmResult<&'a [Json]> {
-    json.get(field).and_then(Json::as_arr).ok_or_else(|| missing(field))
-}
-
-fn opt_num(v: Option<f64>) -> Json {
-    v.map_or(Json::Null, Json::Num)
-}
-
-// --- feature values & datasets (JSON legacy) -----------------------------
-
-/// Tagged encoding mirroring the access layer's snapshot format. Finite
-/// floats (and `f32` embedding components widened to `f64`) round-trip
-/// bit-exactly.
-fn value_to_json(value: &FeatureValue) -> Json {
-    match value {
-        FeatureValue::Missing => Json::Null,
-        FeatureValue::Numeric(x) => Json::obj([("n", Json::Num(*x))]),
-        FeatureValue::Categorical(set) => {
-            Json::obj([("c", Json::Arr(set.iter().map(|id| Json::Num(f64::from(id))).collect()))])
-        }
-        FeatureValue::Embedding(e) => {
-            Json::obj([("e", Json::Arr(e.iter().map(|&x| Json::Num(f64::from(x))).collect()))])
-        }
-    }
-}
-
-fn value_from_json(json: &Json) -> CmResult<FeatureValue> {
-    if matches!(json, Json::Null) {
-        return Ok(FeatureValue::Missing);
-    }
-    if let Some(x) = json.get("n").and_then(Json::as_f64) {
-        return Ok(FeatureValue::Numeric(x));
-    }
-    if let Some(ids) = json.get("c").and_then(Json::as_arr) {
-        let mut set = CatSet::new();
-        for id in ids {
-            set.insert(id.as_f64().ok_or_else(|| missing("categorical id"))? as u32);
-        }
-        return Ok(FeatureValue::Categorical(set));
-    }
-    if let Some(values) = json.get("e").and_then(Json::as_arr) {
-        let e = values
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as f32).ok_or_else(|| missing("embedding component")))
-            .collect::<CmResult<Vec<f32>>>()?;
-        return Ok(FeatureValue::Embedding(e));
-    }
-    Err(missing("feature value tag"))
-}
-
-fn modality_to_json(m: ModalityKind) -> Json {
-    Json::Str(m.short().to_owned())
-}
-
-fn modality_from_json(json: &Json) -> CmResult<ModalityKind> {
-    match json.as_str() {
-        Some("T") => Ok(ModalityKind::Text),
-        Some("I") => Ok(ModalityKind::Image),
-        Some("V") => Ok(ModalityKind::Video),
-        _ => Err(missing("modality")),
-    }
-}
-
-fn dataset_to_json(ds: &ModalityDataset) -> Json {
-    let rows: Vec<Json> = (0..ds.table.len())
-        .map(|r| Json::Arr(ds.table.row(r).iter().map(value_to_json).collect()))
-        .collect();
-    Json::obj([
-        ("modality", modality_to_json(ds.modality)),
-        ("rows", Json::Arr(rows)),
-        ("labels", Json::Arr(ds.labels.iter().map(|l| Json::Num(l.as_f64())).collect())),
-        ("borderline", Json::Arr(ds.borderline.iter().map(|&b| Json::Bool(b)).collect())),
-    ])
-}
-
-fn dataset_from_json(json: &Json, schema: &Arc<FeatureSchema>) -> CmResult<ModalityDataset> {
-    let mut table = FeatureTable::new(schema.clone());
-    for row in req_arr(json, "rows")? {
-        let values = row
-            .as_arr()
-            .ok_or_else(|| missing("dataset row"))?
-            .iter()
-            .map(value_from_json)
-            .collect::<CmResult<Vec<_>>>()?;
-        table.push_row(&values);
-    }
-    let labels = req_arr(json, "labels")?
-        .iter()
-        .map(|v| match v.as_f64() {
-            Some(x) if x == 1.0 => Ok(Label::Positive),
-            Some(x) if x == 0.0 => Ok(Label::Negative),
-            _ => Err(missing("label")),
-        })
-        .collect::<CmResult<Vec<_>>>()?;
-    let borderline = req_arr(json, "borderline")?
-        .iter()
-        .map(|v| v.as_bool().ok_or_else(|| missing("borderline flag")))
-        .collect::<CmResult<Vec<_>>>()?;
-    Ok(ModalityDataset {
-        modality: modality_from_json(json.get("modality").ok_or_else(|| missing("modality"))?)?,
-        table,
-        labels,
-        borderline,
-    })
-}
-
-// --- queue & quarantine (JSON legacy) ------------------------------------
-
-fn queued_to_json(item: &QueuedBatch) -> Json {
-    Json::obj([
-        ("batch", dataset_to_json(&item.batch)),
-        ("arrival_ms", Json::Num(item.arrival_ms as f64)),
-        ("deferrals", Json::Num(f64::from(item.deferrals))),
-    ])
-}
-
-fn queued_from_json(json: &Json, schema: &Arc<FeatureSchema>) -> CmResult<QueuedBatch> {
-    Ok(QueuedBatch {
-        batch: dataset_from_json(json.get("batch").ok_or_else(|| missing("batch"))?, schema)?,
-        arrival_ms: req_f64(json, "arrival_ms")? as u64,
-        deferrals: req_usize(json, "deferrals")? as u32,
-    })
-}
-
-fn quarantined_to_json(q: &QuarantinedBatch) -> Json {
-    Json::obj([
-        ("item", queued_to_json(&q.item)),
-        ("retry_tick", q.retry_tick.to_json()),
-        ("attempts", Json::Num(f64::from(q.attempts))),
-        ("reasons", Json::Arr(q.reasons.iter().map(|r| Json::Str(r.clone())).collect())),
-    ])
-}
-
-fn quarantined_from_json(json: &Json, schema: &Arc<FeatureSchema>) -> CmResult<QuarantinedBatch> {
-    Ok(QuarantinedBatch {
-        item: queued_from_json(json.get("item").ok_or_else(|| missing("item"))?, schema)?,
-        retry_tick: req_usize(json, "retry_tick")?,
-        attempts: req_usize(json, "attempts")? as u32,
-        reasons: req_arr(json, "reasons")?
-            .iter()
-            .map(|v| v.as_str().map(str::to_owned).ok_or_else(|| missing("reason")))
-            .collect::<CmResult<_>>()?,
-    })
-}
-
-// --- curator state (JSON legacy) -----------------------------------------
-
-fn warm_to_json(w: &WarmStart) -> Json {
-    Json::obj([
-        ("accuracies", Json::Arr(w.accuracies.iter().map(|&a| Json::Num(a)).collect())),
-        ("class_prior", Json::Num(w.class_prior)),
-    ])
-}
-
-fn warm_from_json(json: &Json) -> CmResult<WarmStart> {
-    Ok(WarmStart {
-        accuracies: req_arr(json, "accuracies")?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| missing("accuracy")))
-            .collect::<CmResult<_>>()?,
-        class_prior: req_f64(json, "class_prior")?,
-    })
-}
-
-fn graph_to_json(g: &OnlineGraphState) -> Json {
-    Json::obj([
-        ("n_rows", g.n_rows.to_json()),
-        ("anchors", Json::Arr(g.anchors.iter().map(|&a| Json::Num(f64::from(a))).collect())),
-        (
-            "anchor_members",
-            Json::Arr(
-                g.anchor_members
-                    .iter()
-                    .map(|m| Json::Arr(m.iter().map(|&r| Json::Num(f64::from(r))).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "edges",
-            Json::Arr(
-                g.edges
-                    .iter()
-                    .map(|&(a, b, w)| {
-                        Json::Arr(vec![
-                            Json::Num(f64::from(a)),
-                            Json::Num(f64::from(b)),
-                            Json::Num(f64::from(w)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn graph_from_json(json: &Json) -> CmResult<OnlineGraphState> {
-    let u32s = |field: &str| -> CmResult<Vec<u32>> {
-        req_arr(json, field)?
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as u32).ok_or_else(|| missing(field)))
-            .collect()
-    };
-    let edges = req_arr(json, "edges")?
-        .iter()
-        .map(|v| {
-            let parts = v.as_arr().filter(|p| p.len() == 3).ok_or_else(|| missing("edge"))?;
-            let f = |i: usize| parts[i].as_f64().ok_or_else(|| missing("edge component"));
-            Ok((f(0)? as u32, f(1)? as u32, f(2)? as f32))
-        })
-        .collect::<CmResult<Vec<_>>>()?;
-    let anchor_members = req_arr(json, "anchor_members")?
-        .iter()
-        .map(|m| {
-            m.as_arr()
-                .ok_or_else(|| missing("anchor member list"))?
-                .iter()
-                .map(|v| v.as_f64().map(|x| x as u32).ok_or_else(|| missing("anchor member")))
-                .collect::<CmResult<Vec<u32>>>()
-        })
-        .collect::<CmResult<Vec<_>>>()?;
-    let state = OnlineGraphState {
-        n_rows: req_usize(json, "n_rows")?,
-        anchors: u32s("anchors")?,
-        anchor_members,
-        edges,
-    };
-    state.validate()?;
-    Ok(state)
-}
-
-fn batch_stats_to_json(s: &BatchStats) -> Json {
-    Json::obj([
-        ("batch_index", s.batch_index.to_json()),
-        ("rows", s.rows.to_json()),
-        ("total_rows", s.total_rows.to_json()),
-        ("coverage", Json::Num(s.coverage)),
-        ("abstain_rate", Json::Num(s.abstain_rate)),
-        ("mean_entropy", Json::Num(s.mean_entropy)),
-        ("em_iterations", s.em_iterations.to_json()),
-    ])
-}
-
-fn batch_stats_from_json(json: &Json) -> CmResult<BatchStats> {
-    Ok(BatchStats {
-        batch_index: req_usize(json, "batch_index")?,
-        rows: req_usize(json, "rows")?,
-        total_rows: req_usize(json, "total_rows")?,
-        coverage: req_f64(json, "coverage")?,
-        abstain_rate: req_f64(json, "abstain_rate")?,
-        mean_entropy: req_f64(json, "mean_entropy")?,
-        em_iterations: req_usize(json, "em_iterations")?,
-    })
-}
-
-fn incremental_state_to_json(s: &IncrementalState) -> Json {
-    // Legacy format carries no votes; restore recomputes them.
-    Json::obj([
-        ("n_batches", s.n_batches.to_json()),
-        ("pool", dataset_to_json(&s.pool)),
-        ("em_warm", s.em_warm.as_ref().map_or(Json::Null, warm_to_json)),
-        ("em_iterations", s.em_iterations.to_json()),
-        ("graph", s.graph.as_ref().map_or(Json::Null, graph_to_json)),
-    ])
-}
-
-fn incremental_state_from_json(
-    json: &Json,
-    schema: &Arc<FeatureSchema>,
-) -> CmResult<IncrementalState> {
-    Ok(IncrementalState {
-        n_batches: req_usize(json, "n_batches")?,
-        pool: dataset_from_json(json.get("pool").ok_or_else(|| missing("pool"))?, schema)?,
-        votes: Vec::new(),
-        em_warm: match json.get("em_warm") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(warm_from_json(v)?),
-        },
-        em_iterations: req_usize(json, "em_iterations")?,
-        graph: match json.get("graph") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(graph_from_json(v)?),
-        },
-    })
 }
 
 // --- wire encoding -------------------------------------------------------
@@ -1051,8 +640,13 @@ fn enc_votes(w: &mut Writer, votes: &[i8]) {
     }
 }
 
-fn dec_votes(r: &mut Reader<'_>) -> CmResult<Vec<i8>> {
+/// Decodes the row-major votes of `rows` pool rows, rejecting a vector
+/// that is not a whole number of votes per row.
+fn dec_votes(r: &mut Reader<'_>, rows: usize) -> CmResult<Vec<i8>> {
     let n = r.usizev().map_err(wire_err)?;
+    if n != 0 && n.checked_rem(rows) != Some(0) {
+        return Err(bad_wire(format!("{n} votes do not split evenly over {rows} rows")));
+    }
     let raw = r.take(n).map_err(wire_err)?;
     Ok(raw.iter().map(|&b| b as i8).collect())
 }
@@ -1070,10 +664,12 @@ fn dec_incremental_state(
     r: &mut Reader<'_>,
     schema: &Arc<FeatureSchema>,
 ) -> CmResult<IncrementalState> {
+    let n_batches = r.usizev().map_err(wire_err)?;
+    let pool = dec_dataset(r, schema)?;
     Ok(IncrementalState {
-        n_batches: r.usizev().map_err(wire_err)?,
-        pool: dec_dataset(r, schema)?,
-        votes: dec_votes(r)?,
+        n_batches,
+        votes: dec_votes(r, pool.len())?,
+        pool,
         em_warm: dec_warm(r)?,
         em_iterations: r.usizev().map_err(wire_err)?,
         graph: dec_graph(r)?,
@@ -1093,10 +689,12 @@ fn dec_incremental_delta(
     r: &mut Reader<'_>,
     schema: &Arc<FeatureSchema>,
 ) -> CmResult<IncrementalDelta> {
+    let n_batches = r.usizev().map_err(wire_err)?;
+    let new_rows = dec_dataset(r, schema)?;
     Ok(IncrementalDelta {
-        n_batches: r.usizev().map_err(wire_err)?,
-        new_rows: dec_dataset(r, schema)?,
-        new_votes: dec_votes(r)?,
+        n_batches,
+        new_votes: dec_votes(r, new_rows.len())?,
+        new_rows,
         em_warm: dec_warm(r)?,
         em_iterations: r.usizev().map_err(wire_err)?,
         graph: dec_graph_delta(r)?,
@@ -1228,7 +826,6 @@ fn encode_base_file(cp: &Checkpoint) -> Vec<u8> {
 fn dec_base_payload(payload: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Checkpoint> {
     let mut r = Reader::new(payload);
     let cp = Checkpoint {
-        version: CHECKPOINT_VERSION,
         ticks: r.usizev().map_err(wire_err)?,
         rows_generated: r.usizev().map_err(wire_err)?,
         access: dec_access(&mut r)?,
@@ -1311,54 +908,40 @@ fn dec_delta_payload(payload: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Ti
 
 // --- log recovery --------------------------------------------------------
 
-/// Result of recovering a checkpoint file in either format: the merged
-/// state (base + every complete delta) plus enough layout information for
-/// the [`CheckpointStore`] to continue appending where the log left off.
+/// Result of recovering a checkpoint file: the merged state (base + every
+/// complete delta) plus enough layout information for the
+/// [`CheckpointStore`] to continue appending where the log left off.
 #[derive(Debug)]
 pub struct RecoveredLog {
     /// The merged, replayed checkpoint state.
     pub checkpoint: Checkpoint,
-    /// Bytes of the header + base frame (0 for legacy JSON files).
+    /// Bytes of the header + base frame.
     pub base_bytes: usize,
     /// Bytes through the last complete record; anything past this is a
     /// torn tail the caller must truncate before appending.
     pub valid_bytes: usize,
     /// Delta records applied on top of the base.
     pub deltas: usize,
-    /// Whether the file was a legacy JSON checkpoint.
-    pub legacy_json: bool,
 }
 
-/// Recovers a checkpoint from raw file bytes in either format.
+/// Recovers a checkpoint from raw file bytes.
 ///
-/// Legacy JSON files (first non-whitespace byte `{`) parse whole or fail.
-/// Wire-format files replay base + deltas until the first truncated or
-/// corrupt frame; the torn tail is *discarded* (reported via
-/// `valid_bytes`), recovering to the last durable tick. A torn or corrupt
-/// **base** frame is unrecoverable and errors — base rewrites are atomic,
-/// so only deliberate corruption produces one. So does a delta frame
-/// whose checksum holds but whose payload does not decode or does not
-/// apply to the state before it: it was written whole, so it is not a
-/// torn tail, and dropping it would silently lose durable ticks.
+/// The log replays base + deltas until the first truncated or corrupt
+/// frame; the torn tail is *discarded* (reported via `valid_bytes`),
+/// recovering to the last durable tick. A torn or corrupt **base** frame
+/// is unrecoverable and errors — base rewrites are atomic, so only
+/// deliberate corruption produces one. So does a delta frame whose
+/// checksum holds but whose payload does not decode or does not apply to
+/// the state before it: it was written whole, so it is not a torn tail,
+/// and dropping it would silently lose durable ticks.
 ///
 /// # Errors
-/// Fails on an unparseable JSON checkpoint, a bad magic/version header,
-/// a corrupt base frame, or a checksum-valid record that is malformed
-/// (for example a graph edge past the row count or a delta that rewinds
-/// the graph).
+/// Fails on a bad magic/version header (any file that is not a `CMCK`
+/// log, such as a JSON checkpoint from before the log existed), a corrupt
+/// base frame, or a checksum-valid record that is malformed (for example
+/// a graph edge past the row count, votes that do not split evenly over
+/// their rows, or a delta that rewinds the graph).
 pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<RecoveredLog> {
-    let first = bytes.iter().copied().find(|b| !b.is_ascii_whitespace());
-    if first == Some(b'{') {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| bad_wire("checkpoint is neither valid UTF-8 JSON nor wire format"))?;
-        return Ok(RecoveredLog {
-            checkpoint: load(text, schema)?,
-            base_bytes: 0,
-            valid_bytes: bytes.len(),
-            deltas: 0,
-            legacy_json: true,
-        });
-    }
     let mut r = Reader::new(bytes);
     let version = read_header(&mut r, LOG_MAGIC).map_err(wire_err)?;
     if version != LOG_VERSION {
@@ -1388,37 +971,19 @@ pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Recovered
         valid_bytes = r.pos();
         deltas += 1;
     }
-    Ok(RecoveredLog { checkpoint, base_bytes, valid_bytes, deltas, legacy_json: false })
+    Ok(RecoveredLog { checkpoint, base_bytes, valid_bytes, deltas })
 }
 
 // --- the store -----------------------------------------------------------
 
-/// On-disk checkpoint representation (`CM_CKPT_FORMAT`).
+/// On-disk checkpoint representation. The `cm-wire` base + delta log is
+/// the only one; the enum survives so that callers of
+/// [`CheckpointStore::open`] written against the former two-format API
+/// keep compiling, and the store ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointFormat {
-    /// `cm-wire` binary base + append-only delta log (the default).
+    /// `cm-wire` binary base + append-only delta log.
     Wire,
-    /// Legacy JSON text, rewritten whole every tick (O(pool) per tick;
-    /// kept for comparison benchmarks and old checkpoints).
-    Json,
-}
-
-impl CheckpointFormat {
-    /// Parses the `CM_CKPT_FORMAT` value (`wire` | `json`).
-    ///
-    /// # Errors
-    /// Fails on any other string.
-    pub fn parse(s: &str) -> CmResult<Self> {
-        match s.trim() {
-            "wire" => Ok(CheckpointFormat::Wire),
-            "json" => Ok(CheckpointFormat::Json),
-            other => Err(CmError::new(
-                ErrorKind::InvalidConfig,
-                "CheckpointFormat::parse",
-                format!("CM_CKPT_FORMAT {other:?} is neither \"wire\" nor \"json\""),
-            )),
-        }
-    }
 }
 
 /// When the delta log is folded back into a fresh base snapshot. Both
@@ -1446,11 +1011,9 @@ impl Default for CompactionPolicy {
 #[derive(Debug)]
 pub struct CheckpointStore {
     path: PathBuf,
-    format: CheckpointFormat,
     policy: CompactionPolicy,
-    /// Header + base frame bytes in the current file (0 = no wire base
-    /// yet: fresh file or legacy JSON, either way the next commit writes
-    /// a base).
+    /// Header + base frame bytes in the current file (0 = no base yet:
+    /// the next commit writes one).
     base_bytes: usize,
     /// Valid file length (through the last complete record).
     file_bytes: usize,
@@ -1461,19 +1024,20 @@ impl CheckpointStore {
     /// Opens a checkpoint store over `path`. If the file exists its state
     /// is recovered ([`load_any`]) and any torn tail is truncated away so
     /// later appends start at a record boundary; a missing file yields a
-    /// fresh store and `None`.
+    /// fresh store and `None`. `_format` is ignored (see
+    /// [`CheckpointFormat`]).
     ///
     /// # Errors
-    /// Propagates recovery errors and filesystem errors.
+    /// Propagates recovery errors (a file that is not a `CMCK` log is
+    /// refused and left untouched) and filesystem errors.
     pub fn open(
         path: &Path,
-        format: CheckpointFormat,
+        _format: CheckpointFormat,
         policy: CompactionPolicy,
         schema: &Arc<FeatureSchema>,
     ) -> CmResult<(Self, Option<Checkpoint>)> {
         let mut store = CheckpointStore {
             path: path.to_path_buf(),
-            format,
             policy,
             base_bytes: 0,
             file_bytes: 0,
@@ -1495,11 +1059,9 @@ impl CheckpointStore {
                 .map_err(|e| store.io_err("open for truncate", &e))?;
             f.set_len(recovered.valid_bytes as u64).map_err(|e| store.io_err("truncate", &e))?;
         }
-        if !recovered.legacy_json {
-            store.base_bytes = recovered.base_bytes;
-            store.file_bytes = recovered.valid_bytes;
-            store.deltas_since_base = recovered.deltas;
-        }
+        store.base_bytes = recovered.base_bytes;
+        store.file_bytes = recovered.valid_bytes;
+        store.deltas_since_base = recovered.deltas;
         Ok((store, Some(recovered.checkpoint)))
     }
 
@@ -1511,14 +1073,12 @@ impl CheckpointStore {
         )
     }
 
-    /// Whether the next commit must be a full base rewrite: always for the
-    /// JSON format, on a fresh/legacy file, and when the compaction policy
-    /// says the log has grown past its recovery-cost budget.
+    /// Whether the next commit must be a full base rewrite: on a fresh
+    /// file, and when the compaction policy says the log has grown past
+    /// its recovery-cost budget.
     pub fn needs_base(&self) -> bool {
-        if self.format == CheckpointFormat::Json || self.base_bytes == 0 {
-            return true;
-        }
-        self.deltas_since_base >= self.policy.every_ticks
+        self.base_bytes == 0
+            || self.deltas_since_base >= self.policy.every_ticks
             || self.file_bytes as f64 >= self.base_bytes as f64 * self.policy.max_log_factor
     }
 
@@ -1530,16 +1090,13 @@ impl CheckpointStore {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn commit_base(&mut self, cp: &Checkpoint) -> CmResult<usize> {
-        let bytes = match self.format {
-            CheckpointFormat::Wire => encode_base_file(cp),
-            CheckpointFormat::Json => cp.save().into_bytes(),
-        };
+        let bytes = encode_base_file(cp);
         let mut tmp_name = self.path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
         tmp_name.push(".tmp");
         let tmp = self.path.with_file_name(tmp_name);
         std::fs::write(&tmp, &bytes).map_err(|e| self.io_err("write temp", &e))?;
         std::fs::rename(&tmp, &self.path).map_err(|e| self.io_err("rename", &e))?;
-        self.base_bytes = if self.format == CheckpointFormat::Wire { bytes.len() } else { 0 };
+        self.base_bytes = bytes.len();
         self.file_bytes = bytes.len();
         self.deltas_since_base = 0;
         Ok(bytes.len())
@@ -1551,14 +1108,13 @@ impl CheckpointStore {
     /// Returns the bytes written.
     ///
     /// # Errors
-    /// Fails if no base has been committed (or the store is in JSON
-    /// format) and on filesystem errors.
+    /// Fails if no base has been committed and on filesystem errors.
     pub fn commit_delta(&mut self, delta: &TickDelta) -> CmResult<usize> {
-        if self.format != CheckpointFormat::Wire || self.base_bytes == 0 {
+        if self.base_bytes == 0 {
             return Err(CmError::new(
                 ErrorKind::InvalidConfig,
                 "CheckpointStore",
-                "delta append without a wire-format base (call commit_base first)",
+                "delta append without a base (call commit_base first)",
             ));
         }
         let frame = encode_delta_frame(delta);
@@ -1742,40 +1298,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trips_bit_exactly() {
-        let cp = fixture();
-        let text = cp.save();
-        let back = load(&text, &schema()).expect("load");
-        // Bit-exact: re-serializing the loaded checkpoint reproduces the
-        // original text byte for byte (floats included).
-        assert_eq!(back.save(), text);
-        // Spot-check irrational floats survived exactly.
-        let warm = back.curator.em_warm.expect("warm");
-        assert_eq!(warm.accuracies[0].to_bits(), (1.0f64 / 3.0).to_bits());
-        assert_eq!(back.pending.quarantine[0].retry_tick, 9);
-        assert_eq!(back.telemetry.latencies_ms, vec![15, 30]);
-        assert_eq!(back.access.services[0].opened_at_ms, 640);
-    }
-
-    #[test]
-    fn load_rejects_other_versions() {
-        let text = fixture().save().replacen("\"version\": 1", "\"version\": 2", 1);
-        let err = load(&text, &schema()).expect_err("version 2 must be rejected");
-        assert!(err.to_string().contains("unsupported checkpoint version"));
-    }
-
-    #[test]
-    fn load_rejects_truncated_checkpoints() {
-        let text = fixture().save();
-        assert!(load(&text[..text.len() / 2], &schema()).is_err());
-    }
-
-    #[test]
     fn wire_base_round_trips_bit_exactly() {
         let cp = fixture();
         let bytes = encode_base_file(&cp);
         let rec = load_any(&bytes, &schema()).expect("recover");
-        assert!(!rec.legacy_json);
         assert_eq!(rec.deltas, 0);
         assert_eq!(rec.valid_bytes, bytes.len());
         assert_eq!(rec.base_bytes, bytes.len());
@@ -1879,23 +1405,25 @@ mod tests {
         assert!(open_bytes("well_formed.ckpt", &base).expect("well-formed log").is_some());
 
         type Corrupt<T> = (&'static str, fn(&mut T));
-        let bad_bases: [Corrupt<OnlineGraphState>; 4] = [
-            ("edge endpoint", |g| g.edges.push((5, 0, 0.5))),
-            ("anchor id", |g| g.anchors[1] = 9),
-            ("member id", |g| g.anchor_members[0].push(5)),
-            ("member lists", |g| {
-                g.anchor_members.pop();
+        let bad_bases: [Corrupt<IncrementalState>; 5] = [
+            ("edge endpoint", |s| s.graph.as_mut().expect("g").edges.push((5, 0, 0.5))),
+            ("anchor id", |s| s.graph.as_mut().expect("g").anchors[1] = 9),
+            ("member id", |s| s.graph.as_mut().expect("g").anchor_members[0].push(5)),
+            ("member lists", |s| {
+                s.graph.as_mut().expect("g").anchor_members.pop();
+            }),
+            ("dropped vote", |s| {
+                s.votes.pop();
             }),
         ];
         for (what, corrupt) in bad_bases {
             let mut bad = fixture();
-            corrupt(bad.curator.graph.as_mut().expect("graph"));
+            corrupt(&mut bad.curator);
             let err = open_bytes("bad_base.ckpt", &encode_base_file(&bad));
             assert!(err.is_err(), "base with a bad {what} must not open");
-            assert!(load(&bad.save(), &schema()).is_err(), "JSON base with a bad {what}");
         }
 
-        let bad_deltas: [Corrupt<TickDelta>; 5] = [
+        let bad_deltas: [Corrupt<TickDelta>; 7] = [
             ("edge endpoint", |d| d.curator.graph.as_mut().expect("g").new_edges.push((7, 0, 0.5))),
             ("new anchor", |d| d.curator.graph.as_mut().expect("g").new_anchors[0].0 = 8),
             ("anchor index", |d| {
@@ -1910,6 +1438,11 @@ mod tests {
                 })
             }),
             ("graph presence", |d| d.curator.graph = None),
+            ("dropped vote", |d| {
+                d.curator.new_votes.pop();
+            }),
+            // Whole, but two votes per row against the base's three.
+            ("vote width", |d| d.curator.new_votes.truncate(4)),
         ];
         for (what, corrupt) in bad_deltas {
             let mut delta = delta_fixture(&cp);
@@ -1921,15 +1454,34 @@ mod tests {
         }
     }
 
+    /// A whole-file JSON checkpoint as written before the delta log
+    /// existed: an empty run, with no rows, no model and nothing in flight.
+    const LEGACY_JSON: &str = r#"{"version": 1, "ticks": 0, "rows_generated": 0,
+        "access": {"now_ms": 0, "services": []},
+        "curator": {"n_batches": 0, "em_warm": null, "em_iterations": 0, "graph": null,
+            "pool": {"modality": "I", "rows": [], "labels": [], "borderline": []}},
+        "queue": [], "deferred": [], "quarantine": [],
+        "shed": {"offered": 0, "admitted": 0, "deferred": 0, "shed_batches": 0,
+            "shed_rows": 0, "peak_depth": 0, "peak_bytes": 0},
+        "quarantined": 0, "recovered": 0, "dropped": 0, "last_entropy": null,
+        "batch_stats": [], "latencies_ms": []}"#;
+
     #[test]
-    fn load_any_sniffs_legacy_json() {
-        let cp = fixture();
-        let rec = load_any(cp.save().as_bytes(), &schema()).expect("legacy");
-        assert!(rec.legacy_json);
-        assert_eq!(rec.base_bytes, 0);
-        assert_eq!(rec.checkpoint.save(), cp.save());
-        // Legacy checkpoints carry no votes; restore recomputes them.
-        assert!(rec.checkpoint.curator.votes.is_empty());
+    fn store_refuses_json_checkpoints_and_leaves_them_untouched() {
+        let dir = std::env::temp_dir().join("cm_snapshot_store_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("legacy.json");
+        std::fs::write(&path, LEGACY_JSON).expect("write legacy checkpoint");
+        let opened = CheckpointStore::open(
+            &path,
+            CheckpointFormat::Wire,
+            CompactionPolicy::default(),
+            &schema(),
+        );
+        let after = std::fs::read(&path).expect("legacy file survives");
+        let _ = std::fs::remove_file(&path);
+        assert!(opened.is_err(), "a non-CMCK file must fail the open, not be migrated");
+        assert_eq!(after, LEGACY_JSON.as_bytes(), "a refused file must not be rewritten");
     }
 
     #[test]
@@ -2009,30 +1561,6 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).expect("meta").len(), clean_len);
         assert_eq!(cp_back.expect("state").ticks, cp.ticks + 1);
         assert_eq!(store.deltas_since_base, 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_json_format_always_rewrites_whole() {
-        let dir = std::env::temp_dir().join("cm_snapshot_store_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("legacy.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let (mut store, _) = CheckpointStore::open(
-            &path,
-            CheckpointFormat::Json,
-            CompactionPolicy::default(),
-            &schema(),
-        )
-        .expect("open");
-        assert!(store.needs_base());
-        let cp = fixture();
-        store.commit_base(&cp).expect("base");
-        assert!(store.needs_base(), "JSON format has no delta log");
-        assert!(store.commit_delta(&delta_fixture(&cp)).is_err());
-        // The file is plain JSON, loadable by the legacy path.
-        let text = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(load(&text, &schema()).expect("legacy load").save(), cp.save());
         let _ = std::fs::remove_file(&path);
     }
 }

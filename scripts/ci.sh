@@ -57,7 +57,7 @@ echo "==> serve smoke: crash/restart must be bit-identical to a clean run"
 # tick, and prints a deterministic report. Three runs against the pinned
 # fixture: clean, crashed after the 2nd batch ingest (stdout discarded),
 # and resumed off the crash's checkpoint at a different thread count.
-SERVE_CKPT=/tmp/cm_serve_drill_ckpt.json
+SERVE_CKPT=/tmp/cm_serve_drill_ckpt.ckpt
 rm -f "$SERVE_CKPT"
 CM_CHECKPOINT="$SERVE_CKPT" CM_THREADS=1 cargo run -q --release --example serve_drill \
     > /tmp/cm_serve_drill_clean.out
@@ -66,6 +66,7 @@ rm -f "$SERVE_CKPT"
 CM_CHECKPOINT="$SERVE_CKPT" CM_CRASH_AT=2 CM_THREADS=4 cargo run -q --release --example serve_drill \
     > /dev/null
 test -f "$SERVE_CKPT" || { echo "crashed run left no checkpoint"; exit 1; }
+head -c 4 "$SERVE_CKPT" | grep -q 'CMCK' || { echo "checkpoint is not a wire delta log"; exit 1; }
 CM_CHECKPOINT="$SERVE_CKPT" CM_THREADS=4 cargo run -q --release --example serve_drill \
     > /tmp/cm_serve_drill_resume.out
 diff /tmp/cm_serve_drill_resume.out tests/fixtures/serve_drill.out
