@@ -18,7 +18,7 @@ use cm_mining::{mine_itemsets, mine_itemsets_with, MiningConfig};
 use cm_models::{LogisticRegression, Mlp, MlpEpochConfig};
 use cm_orgsim::{TaskConfig, TaskId, World, WorldConfig};
 use cm_par::ParConfig;
-use cm_pipeline::{curate, curate_streamed, CurationConfig, DenseView, TaskData};
+use cm_pipeline::{curate, curate_streamed_with, CurationConfig, DenseView, TaskData};
 use cm_propagation::{propagate, propagate_streaming, GraphBuilder, PropagationConfig};
 use cm_shard::ShardConfig;
 
@@ -374,7 +374,7 @@ fn bench_faults(c: &Harness) {
 }
 
 /// Scale sweep for the sharded out-of-core curation driver: 10^4 -> 10^6
-/// pool rows streamed through `curate_streamed` under the default
+/// pool rows streamed through `curate_streamed_with` under the default
 /// `CM_MEM_BUDGET`, recording rows/sec and peak resident bytes into
 /// `results/BENCH_scale.json`. Each size is one end-to-end timed run (these
 /// are full curations, not microbenchmarks). `CM_SCALE_MAX_ROWS` caps the
@@ -387,6 +387,7 @@ fn bench_scale(c: &Harness) {
         .unwrap_or(1_000_000);
     let config = CurationConfig { use_label_propagation: false, ..CurationConfig::default() };
     let shard = ShardConfig::default();
+    let par = ParConfig::from_env();
     let mut rows: Vec<Json> = Vec::new();
     for n in [10_000usize, 100_000, 1_000_000] {
         let name = format!("curate_streamed_{n}");
@@ -400,7 +401,7 @@ fn bench_scale(c: &Harness) {
             ..TaskConfig::paper(TaskId::Ct1)
         };
         let start = Instant::now();
-        let streamed = curate_streamed(task, 3, &config, &shard).unwrap();
+        let streamed = curate_streamed_with(task, 3, &config, &shard, &par).unwrap();
         let elapsed = start.elapsed();
         let rows_per_sec = n as f64 / elapsed.as_secs_f64();
         let stages = streamed.timing;
@@ -409,13 +410,13 @@ fn bench_scale(c: &Harness) {
             name, elapsed, rows_per_sec, streamed.stats.peak_bytes, streamed.stats.segments
         );
         println!(
-            "scale/{:<32} stages ms: mining {:.0} propagation {:.0} lf_apply {:.0} \
-             concat {:.0} model {:.0}",
+            "scale/{:<32} stages ms: mining {:.0} propagation {:.0} generation {:.0} \
+             lf_apply {:.0} model {:.0}",
             name,
             stages.mining.as_secs_f64() * 1e3,
             stages.propagation.as_secs_f64() * 1e3,
+            stages.generation.as_secs_f64() * 1e3,
             stages.lf_application.as_secs_f64() * 1e3,
-            stages.concat.as_secs_f64() * 1e3,
             stages.model.as_secs_f64() * 1e3
         );
         assert_eq!(streamed.output.probabilistic_labels.len(), n);
@@ -428,8 +429,8 @@ fn bench_scale(c: &Harness) {
             ("peak_resident_bytes", Json::Num(streamed.stats.peak_bytes as f64)),
             ("mining_ms", Json::Num(stages.mining.as_secs_f64() * 1e3)),
             ("propagation_ms", Json::Num(stages.propagation.as_secs_f64() * 1e3)),
+            ("generation_ms", Json::Num(stages.generation.as_secs_f64() * 1e3)),
             ("lf_application_ms", Json::Num(stages.lf_application.as_secs_f64() * 1e3)),
-            ("concat_ms", Json::Num(stages.concat.as_secs_f64() * 1e3)),
             ("model_ms", Json::Num(stages.model.as_secs_f64() * 1e3)),
         ]));
     }

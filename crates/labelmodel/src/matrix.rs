@@ -5,7 +5,7 @@
 use cm_featurespace::{FeatureTable, FrozenTable};
 use cm_par::ParConfig;
 
-use crate::lf::{LabelingFunction, Vote};
+use crate::lf::{BoundScoreLf, LabelingFunction, Vote};
 
 /// `n_rows * n_lfs` work above which LF application and vote statistics
 /// fan out across `cm-par`. The paper applies LFs with MapReduce for the
@@ -118,16 +118,15 @@ impl LabelMatrix {
         let n_lfs = lfs.len();
         let names = lfs.iter().map(|lf| lf.name().to_owned()).collect();
         let mut votes = vec![0i8; n_rows * n_lfs];
-        apply_into(table, lfs, &mut votes, par);
+        apply_into(table, lfs, None, &mut votes, par);
         Self { n_rows, n_lfs, votes, names }
     }
 
     /// Applies every LF to `table`, appending the votes in place — the
-    /// zero-copy segment path of the sharded driver. Bit-identical to
-    /// [`LabelMatrix::apply_with`] on `table` followed by
-    /// [`LabelMatrix::append_rows`], without the intermediate segment
-    /// matrix: same freeze, same parallel threshold, same chunking over
-    /// the same rows, writing straight into this matrix's buffer.
+    /// zero-copy segment path of the curation engine. Bit-identical to
+    /// [`LabelMatrix::apply_with`] on `table`, without the intermediate
+    /// segment matrix: same freeze, same parallel threshold, same chunking
+    /// over the same rows, writing straight into this matrix's buffer.
     ///
     /// # Panics
     /// Panics unless `lfs` matches this matrix's columns; re-raises a
@@ -138,15 +137,41 @@ impl LabelMatrix {
         lfs: &[Box<dyn LabelingFunction>],
         par: &ParConfig,
     ) {
-        assert_eq!(lfs.len(), self.n_lfs, "segment LF count mismatch");
-        assert!(
-            lfs.iter().map(|lf| lf.name()).eq(self.names.iter().map(String::as_str)),
-            "segment LF name mismatch"
-        );
+        self.append_votes(table, lfs, None, par);
+    }
+
+    /// [`LabelMatrix::apply_append_with`] for a matrix one column wider
+    /// than `lfs`: the last column of appended row `r` is `bound`'s vote
+    /// on row `row_offset + r` of the table its scores are bound to (the
+    /// propagation LF, which needs no feature table).
+    ///
+    /// # Panics
+    /// Panics unless `lfs` followed by `bound` matches this matrix's
+    /// columns; re-raises a worker panic like [`LabelMatrix::apply_with`].
+    pub fn apply_append_bound_with(
+        &mut self,
+        table: &FeatureTable,
+        lfs: &[Box<dyn LabelingFunction>],
+        bound: &BoundScoreLf,
+        row_offset: usize,
+        par: &ParConfig,
+    ) {
+        self.append_votes(table, lfs, Some((bound, row_offset)), par);
+    }
+
+    fn append_votes(
+        &mut self,
+        table: &FeatureTable,
+        lfs: &[Box<dyn LabelingFunction>],
+        bound: Option<(&BoundScoreLf, usize)>,
+        par: &ParConfig,
+    ) {
+        let names = lfs.iter().map(|lf| lf.name()).chain(bound.map(|(b, _)| b.name()));
+        assert!(names.eq(self.names.iter().map(String::as_str)), "segment LF column mismatch");
         let n_rows = table.len();
         let base = self.votes.len();
         self.votes.resize(base + n_rows * self.n_lfs, 0);
-        apply_into(table, lfs, &mut self.votes[base..], par);
+        apply_into(table, lfs, bound, &mut self.votes[base..], par);
         self.n_rows += n_rows;
     }
 
@@ -307,62 +332,15 @@ impl LabelMatrix {
         }
     }
 
-    /// Concatenates row segments into one matrix. Votes are pure per-row
-    /// values, so applying LFs segment-by-segment and concatenating is
-    /// bit-identical to applying them to the whole table — the invariant
-    /// the sharded curation layer rests on.
-    ///
-    /// An empty `parts` yields the empty matrix.
-    ///
-    /// # Panics
-    /// Panics if the segments disagree on LF columns.
-    pub fn concat(parts: &[&LabelMatrix]) -> LabelMatrix {
-        let Some(first) = parts.first() else {
-            return LabelMatrix { n_rows: 0, n_lfs: 0, votes: Vec::new(), names: Vec::new() };
-        };
-        let mut votes = Vec::with_capacity(parts.iter().map(|p| p.votes.len()).sum());
-        let mut n_rows = 0;
-        for p in parts {
-            assert_eq!(p.n_lfs, first.n_lfs, "segment LF count mismatch");
-            assert_eq!(p.names, first.names, "segment LF name mismatch");
-            votes.extend_from_slice(&p.votes);
-            n_rows += p.n_rows;
-        }
-        LabelMatrix { n_rows, n_lfs: first.n_lfs, votes, names: first.names.clone() }
-    }
-
     /// An empty matrix over `names` with buffer space for `n_rows` rows
-    /// reserved up front — the destination for streaming appends
-    /// ([`LabelMatrix::append_rows`], [`LabelMatrix::push_row`]), which
-    /// then fill one allocation in place instead of gathering per-segment
-    /// matrices and copying them all again at the end.
+    /// reserved up front — the destination for segment appends
+    /// ([`LabelMatrix::apply_append_with`],
+    /// [`LabelMatrix::apply_append_bound_with`]), which then fill one
+    /// allocation in place instead of gathering per-segment matrices and
+    /// copying them all again at the end.
     pub fn with_row_capacity(n_rows: usize, names: Vec<String>) -> LabelMatrix {
         let n_lfs = names.len();
         LabelMatrix { n_rows: 0, n_lfs, votes: Vec::with_capacity(n_rows * n_lfs), names }
-    }
-
-    /// Appends `part`'s rows in place. Votes are pure per-row values, so
-    /// appending segment-by-segment is bit-identical to
-    /// [`LabelMatrix::concat`] over the same parts in the same order —
-    /// without holding every part resident at once.
-    ///
-    /// # Panics
-    /// Panics if `part` disagrees on LF columns.
-    pub fn append_rows(&mut self, part: &LabelMatrix) {
-        assert_eq!(part.n_lfs, self.n_lfs, "segment LF count mismatch");
-        assert_eq!(part.names, self.names, "segment LF name mismatch");
-        self.votes.extend_from_slice(&part.votes);
-        self.n_rows += part.n_rows;
-    }
-
-    /// Appends one row of votes.
-    ///
-    /// # Panics
-    /// Panics unless `row` holds exactly one vote per LF column.
-    pub fn push_row(&mut self, row: &[i8]) {
-        assert_eq!(row.len(), self.n_lfs, "row width mismatch");
-        self.votes.extend_from_slice(row);
-        self.n_rows += 1;
     }
 
     /// Approximate resident size in bytes (vote buffer dominates); used by
@@ -383,62 +361,57 @@ impl LabelMatrix {
     }
 }
 
-/// The one vote-fill path both [`LabelMatrix::apply_with`] and
-/// [`LabelMatrix::apply_append_with`] go through: `votes` is exactly
-/// `table.len() * lfs.len()` cells (a fresh buffer or the tail of a
-/// preallocated one — the chunking sees only the slice, so the bits
-/// cannot differ between the two callers).
+/// The one vote-fill path every application goes through: `votes` holds
+/// exactly `table.len()` rows of `lfs.len()` votes, plus `bound`'s column
+/// when present (a fresh buffer or the tail of a preallocated one — the
+/// chunking sees only the slice, so the bits cannot differ between
+/// callers).
 fn apply_into(
     table: &FeatureTable,
     lfs: &[Box<dyn LabelingFunction>],
+    bound: Option<(&BoundScoreLf, usize)>,
     votes: &mut [i8],
     par: &ParConfig,
 ) {
     let n_rows = table.len();
-    let n_lfs = lfs.len();
+    let width = lfs.len() + usize::from(bound.is_some());
+    if width == 0 {
+        return;
+    }
     // Freeze once per matrix: every LF then reads contiguous columns
     // instead of dispatching through the schema per row.
     let frozen = FrozenTable::freeze(table);
-    let work = n_rows.saturating_mul(n_lfs);
+    let work = n_rows.saturating_mul(lfs.len());
     if work < PAR_THRESHOLD || n_rows < 2 {
-        fill_votes(&frozen, lfs, votes, 0, n_rows);
+        fill_votes(&frozen, lfs, bound, votes, 0);
     } else {
         let par = par.clone().with_min_chunk(MIN_ROWS_PER_CHUNK);
-        if let Err(e) = cm_par::par_chunks_mut(&par, votes, n_lfs, |start, chunk| {
-            fill_votes_from(&frozen, lfs, chunk, start);
+        if let Err(e) = cm_par::par_chunks_mut(&par, votes, width, |start, chunk| {
+            fill_votes(&frozen, lfs, bound, chunk, start);
         }) {
             e.resume();
         }
     }
 }
 
+/// Fills whole rows of the vote buffer whose first row is `start` (the
+/// shape `cm_par::par_chunks_mut` hands out; the serial path passes the
+/// whole buffer at row 0).
 fn fill_votes(
     frozen: &FrozenTable<'_>,
     lfs: &[Box<dyn LabelingFunction>],
-    votes: &mut [i8],
-    start: usize,
-    end: usize,
-) {
-    let n_lfs = lfs.len();
-    for r in start..end {
-        for (j, lf) in lfs.iter().enumerate() {
-            votes[r * n_lfs + j] = lf.vote_frozen(frozen, r).as_i8();
-        }
-    }
-}
-
-/// Fills a chunk of the vote buffer whose first row is `start` (the shape
-/// `cm_par::par_chunks_mut` hands out).
-fn fill_votes_from(
-    frozen: &FrozenTable<'_>,
-    lfs: &[Box<dyn LabelingFunction>],
+    bound: Option<(&BoundScoreLf, usize)>,
     chunk: &mut [i8],
     start: usize,
 ) {
     let n_lfs = lfs.len();
-    for (i, rec) in chunk.chunks_exact_mut(n_lfs).enumerate() {
+    let width = n_lfs + usize::from(bound.is_some());
+    for (i, rec) in chunk.chunks_exact_mut(width).enumerate() {
         for (j, lf) in lfs.iter().enumerate() {
             rec[j] = lf.vote_frozen(frozen, start + i).as_i8();
+        }
+        if let Some((b, offset)) = bound {
+            rec[n_lfs] = b.vote_row(offset + start + i).as_i8();
         }
     }
 }
@@ -514,7 +487,7 @@ mod tests {
         let t = table(30_000);
         let serial = {
             let mut votes = vec![0i8; 30_000 * 2];
-            fill_votes(&FrozenTable::freeze(&t), &lfs(), &mut votes, 0, 30_000);
+            fill_votes(&FrozenTable::freeze(&t), &lfs(), None, &mut votes, 0);
             LabelMatrix::from_votes(30_000, 2, votes, vec!["a".into(), "b".into()])
         };
         for threads in [1usize, 2, 4, 8] {
@@ -628,37 +601,40 @@ mod tests {
         }
     }
 
+    /// Votes are pure per-row values, so appending segment by segment into
+    /// one preallocated buffer equals applying to the whole table — with
+    /// and without a bound propagation column, on the serial path (100
+    /// rows) and across the parallel threshold (30k rows).
     #[test]
-    fn concat_of_segments_matches_whole_apply() {
-        let t = table(100);
-        let whole = LabelMatrix::apply(&t, &lfs());
-        let mut segs = Vec::new();
-        for (start, end) in [(0usize, 1usize), (1, 37), (37, 100)] {
-            let schema = t.schema();
-            let mut seg = FeatureTable::new(Arc::clone(schema));
-            for r in start..end {
-                seg.push_row(&t.row(r));
+    fn segment_appends_match_whole_apply() {
+        let bound = BoundScoreLf::new(
+            "label_propagation",
+            (0..30_000).map(|r| (r % 5) as f64 / 4.0).collect(),
+            0.75,
+            0.25,
+        );
+        let plain = lfs();
+        let mut with_bound = lfs();
+        with_bound.push(Box::new(bound.clone()));
+        for (n, cuts) in [(100usize, [1usize, 37]), (30_000, [1, 9973])] {
+            let t = table(n);
+            let par = ParConfig::threads(4);
+            for bind in [false, true] {
+                let whole_lfs = if bind { &with_bound } else { &plain };
+                let whole = LabelMatrix::apply_with(&t, whole_lfs, &par);
+                let mut appended =
+                    LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
+                for (start, end) in [(0, cuts[0]), (cuts[0], cuts[1]), (cuts[1], n)] {
+                    let seg = t.gather(&(start..end).collect::<Vec<_>>());
+                    if bind {
+                        appended.apply_append_bound_with(&seg, &plain, &bound, start, &par);
+                    } else {
+                        appended.apply_append_with(&seg, &plain, &par);
+                    }
+                }
+                assert_eq!(appended, whole, "n = {n}, bound column = {bind}");
             }
-            segs.push(LabelMatrix::apply(&seg, &lfs()));
         }
-        let parts: Vec<&LabelMatrix> = segs.iter().collect();
-        assert_eq!(LabelMatrix::concat(&parts), whole);
-
-        // The streaming append path the sharded driver actually takes:
-        // same parts, same order, one preallocated buffer — same bits,
-        // whether appended whole or pushed row by row.
-        let mut streamed = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
-        for seg in &segs {
-            streamed.append_rows(seg);
-        }
-        assert_eq!(streamed, whole);
-        let mut by_row = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
-        for seg in &segs {
-            for r in 0..seg.n_rows() {
-                by_row.push_row(seg.row(r));
-            }
-        }
-        assert_eq!(by_row, whole);
     }
 
     #[test]

@@ -309,6 +309,8 @@ fn matmul_block4(
     o2: &mut [f32],
     o3: &mut [f32],
 ) {
+    // `k` indexes four row slices and `other`'s rows in lockstep.
+    #[allow(clippy::needless_range_loop)]
     for k in 0..a[0].len() {
         let (a0, a1, a2, a3) = (a[0][k], a[1][k], a[2][k], a[3][k]);
         let b_row = other.row(k);

@@ -342,7 +342,7 @@ mod tests {
         let tiny = f64::from_bits(1); // smallest subnormal, 2^-1074
         let s = StableSum::of([tiny, tiny, tiny]);
         assert_eq!(s.value(), 3.0 * tiny);
-        let s = StableSum::of(std::iter::repeat(tiny).take(4096));
+        let s = StableSum::of(vec![tiny; 4096]);
         assert_eq!(s.value(), 4096.0 * tiny);
         // Crossing from subnormal into normal territory.
         let s = StableSum::of([f64::MIN_POSITIVE, -tiny]);

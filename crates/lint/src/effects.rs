@@ -139,50 +139,40 @@ pub fn effects_in(u: &FileUnit, range: (usize, usize)) -> Vec<EffectSite> {
                     }
                 }
             }
-            "OpenOptions" => {
-                if tail == Some("new") {
-                    out.push(EffectSite {
-                        kind: EffectKind::Fs,
-                        tok: anchor,
-                        what: "OpenOptions::new".to_owned(),
-                    });
-                }
+            "OpenOptions" if tail == Some("new") => {
+                out.push(EffectSite {
+                    kind: EffectKind::Fs,
+                    tok: anchor,
+                    what: "OpenOptions::new".to_owned(),
+                });
             }
-            "Instant" | "SystemTime" => {
-                if tail == Some("now") {
-                    out.push(EffectSite {
-                        kind: EffectKind::Clock,
-                        tok: anchor,
-                        what: format!("{}::now", tok.ident_text()),
-                    });
-                }
+            "Instant" | "SystemTime" if tail == Some("now") => {
+                out.push(EffectSite {
+                    kind: EffectKind::Clock,
+                    tok: anchor,
+                    what: format!("{}::now", tok.ident_text()),
+                });
             }
-            "RandomState" => {
-                if tail == Some("new") {
-                    out.push(EffectSite {
-                        kind: EffectKind::Entropy,
-                        tok: anchor,
-                        what: "RandomState::new".to_owned(),
-                    });
-                }
+            "RandomState" if tail == Some("new") => {
+                out.push(EffectSite {
+                    kind: EffectKind::Entropy,
+                    tok: anchor,
+                    what: "RandomState::new".to_owned(),
+                });
             }
-            "thread_rng" => {
-                if code.is_punct(k + 1, '(') {
-                    out.push(EffectSite {
-                        kind: EffectKind::Entropy,
-                        tok: anchor,
-                        what: "thread_rng()".to_owned(),
-                    });
-                }
+            "thread_rng" if code.is_punct(k + 1, '(') => {
+                out.push(EffectSite {
+                    kind: EffectKind::Entropy,
+                    tok: anchor,
+                    what: "thread_rng()".to_owned(),
+                });
             }
-            "from_entropy" => {
-                if code.is_punct(k + 1, '(') {
-                    out.push(EffectSite {
-                        kind: EffectKind::Entropy,
-                        tok: anchor,
-                        what: "from_entropy()".to_owned(),
-                    });
-                }
+            "from_entropy" if code.is_punct(k + 1, '(') => {
+                out.push(EffectSite {
+                    kind: EffectKind::Entropy,
+                    tok: anchor,
+                    what: "from_entropy()".to_owned(),
+                });
             }
             _ => {}
         }

@@ -325,10 +325,9 @@ pub fn lex(source: &str) -> Vec<Tok> {
             '\'' => {
                 // Lifetime vs char literal. `'\…'` and `'x'` are chars;
                 // `'name` (no nearby closing quote) is a lifetime.
-                if lx.peek(1) == Some('\\') {
-                    lx.char_literal();
-                    TokKind::Char
-                } else if lx.peek(2) == Some('\'') && lx.peek(1) != Some('\'') {
+                if lx.peek(1) == Some('\\')
+                    || (lx.peek(2) == Some('\'') && lx.peek(1) != Some('\''))
+                {
                     lx.char_literal();
                     TokKind::Char
                 } else if lx.peek(1).is_some_and(is_ident_start) {

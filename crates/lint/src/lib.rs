@@ -85,9 +85,10 @@ pub struct LintConfig {
     /// rules are off everywhere else.
     pub hot_path_crates: Vec<PathBuf>,
     /// Path prefixes where the `stream-materialize` rule applies (the
-    /// streaming curation drivers, which must assemble segments through
-    /// cm-shard instead of materializing whole `FeatureTable`s); the rule
-    /// is off everywhere else.
+    /// streaming curation driver and the curation engine that assembles
+    /// its segments, which must go through cm-shard instead of
+    /// materializing whole `FeatureTable`s); the rule is off everywhere
+    /// else.
     pub stream_driver_paths: Vec<PathBuf>,
     /// Path prefixes exempt from the `checkpoint-drift` rule — cm-serve's
     /// snapshot module, the one place allowed to name the checkpoint type.
@@ -134,7 +135,10 @@ impl LintConfig {
             .iter()
             .map(PathBuf::from)
             .collect(),
-            stream_driver_paths: vec![PathBuf::from("crates/pipeline/src/stream.rs")],
+            stream_driver_paths: vec![
+                PathBuf::from("crates/pipeline/src/stream.rs"),
+                PathBuf::from("crates/pipeline/src/curation.rs"),
+            ],
             checkpoint_exempt: vec![PathBuf::from("crates/serve/src/snapshot.rs")],
             effect_sanctions: effects::EffectSanctions::default(),
         }

@@ -6,7 +6,7 @@
 //! `specs/lint_effects.json`. Each finding renders the full call chain
 //! from a workspace entry point (a function nobody calls) down to the
 //! function holding the effect, so a violation buried three calls under
-//! `curate_streamed` is self-explaining at the report line.
+//! `curate_streamed_with` is self-explaining at the report line.
 //!
 //! Sanctioned modules are *boundaries*: their effects neither report nor
 //! propagate to callers — calling `ParConfig::from_env` from anywhere is

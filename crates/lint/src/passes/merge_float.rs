@@ -148,7 +148,7 @@ fn evidence_in(u: &FileUnit, range: (usize, usize)) -> Option<String> {
         // Compound assigns: `+=`, `-=`, `*=`, `/=`.
         if tok.kind == TokKind::Punct {
             for op in ['+', '-', '*', '/'] {
-                if !(code.is_punct(k, op) && k + 1 <= range.1 && code.is_punct(k + 1, '=')) {
+                if !(code.is_punct(k, op) && k < range.1 && code.is_punct(k + 1, '=')) {
                     continue;
                 }
                 let target = assign_target(u, &code, range.0, k);

@@ -133,9 +133,10 @@ impl Mlp {
                 batch.len(),
                 |range| {
                     let mut part = GradPartial::zeros(this);
-                    let mut acts: Vec<Vec<f32>> = this.dims.iter().map(|&d| vec![0.0; d]).collect();
-                    let mut deltas: Vec<Vec<f32>> =
-                        this.dims[1..].iter().map(|&d| vec![0.0; d]).collect();
+                    let mut scratch = Scratch {
+                        acts: this.dims.iter().map(|&d| vec![0.0; d]).collect(),
+                        deltas: this.dims[1..].iter().map(|&d| vec![0.0; d]).collect(),
+                    };
                     for &i in &batch[range] {
                         this.accumulate_sample(
                             x,
@@ -143,8 +144,7 @@ impl Mlp {
                             sample_weights,
                             i,
                             &mut part,
-                            &mut acts,
-                            &mut deltas,
+                            &mut scratch,
                         );
                     }
                     part
@@ -177,7 +177,7 @@ impl Mlp {
     }
 
     /// Runs one sample's forward and backward pass, accumulating into the
-    /// chunk-local gradient partial. `acts`/`deltas` are reused scratch.
+    /// chunk-local gradient partial.
     fn accumulate_sample(
         &self,
         x: &Matrix,
@@ -185,9 +185,9 @@ impl Mlp {
         sample_weights: Option<&[f64]>,
         i: usize,
         part: &mut GradPartial,
-        acts: &mut [Vec<f32>],
-        deltas: &mut [Vec<f32>],
+        scratch: &mut Scratch,
     ) {
+        let Scratch { acts, deltas } = scratch;
         let n_layers = self.layers.len();
         acts[0].copy_from_slice(x.row(i));
         // Forward.
@@ -210,8 +210,7 @@ impl Mlp {
         deltas[n_layers - 1][0] = bce_grad(z, targets[i]) * w;
         for l in (0..n_layers).rev() {
             // Accumulate gradients for layer l.
-            for o in 0..self.layers[l].w.rows() {
-                let d = deltas[l][o];
+            for (o, &d) in deltas[l].iter().enumerate() {
                 if d != 0.0 {
                     cm_linalg::axpy(d, &acts[l], part.grad_w[l].row_mut(o));
                     part.grad_b[l][o] += d;
@@ -338,6 +337,13 @@ impl Mlp {
 
 /// Chunk-local gradient accumulator for one mini-batch slice; partials
 /// fold in chunk index order via [`GradPartial::add`].
+/// Per-chunk forward activations and backward deltas, reused across
+/// samples.
+struct Scratch {
+    acts: Vec<Vec<f32>>,
+    deltas: Vec<Vec<f32>>,
+}
+
 struct GradPartial {
     grad_w: Vec<Matrix>,
     grad_b: Vec<Vec<f32>>,

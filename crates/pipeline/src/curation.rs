@@ -6,20 +6,36 @@
 //! existing modalities as a development set") and posteriors on the
 //! unlabeled pool follow from Bayes' rule. The EM generative model and
 //! majority vote remain available for the ablation benches.
+//!
+//! Every driver runs one engine. `CurationSetup` holds what the labeled
+//! corpus yields (LFs, dev votes, prior, propagation seed block);
+//! `CurationEngine::append_segment` writes pool votes, propagation column
+//! included, into one preallocated matrix; and `CurationEngine::finish`
+//! fits the label model. Resident curation is
+//! the one-segment case of the streamed driver (`crate::stream`), and the
+//! incremental curator (`crate::incremental`) starts from the same setup.
+//! Only the propagation graph's construction differs by driver: the
+//! row-parallel builders over a resident pool, the sharded replays over a
+//! streamed one, an online graph under serving.
 
 use std::time::Duration;
 
 use cm_faults::{FaultSummary, Stopwatch};
-use cm_featurespace::{FeatureSchema, FeatureSet, Label, ServingMode, SimilarityConfig};
+use cm_featurespace::{
+    FeatureSchema, FeatureSet, FeatureTable, Label, ServingMode, SimilarityConfig,
+};
 use cm_labelmodel::{
     majority_vote, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel, LabelMatrix,
     LabelingFunction, LfRates,
 };
 use cm_linalg::rng::SliceRandom;
 use cm_linalg::rng::StdRng;
-use cm_mining::{mine_lfs, MiningConfig};
+use cm_mining::{lfs_from_itemsets, mine_itemsets_with, MiningConfig};
+use cm_orgsim::ModalityDataset;
 use cm_par::ParConfig;
-use cm_propagation::{propagate, tune_score_thresholds, GraphBuilder, PropagationConfig};
+use cm_propagation::{
+    propagate, tune_score_thresholds, GraphBuilder, PropagationConfig, SparseGraph,
+};
 
 use crate::data::TaskData;
 use crate::report::{DegradationReport, LfAbstainRates};
@@ -128,18 +144,13 @@ pub struct CurationOutput {
 
 /// Runs curation with automatically mined LFs (§4.3 + §4.4).
 pub fn curate(data: &TaskData, config: &CurationConfig) -> CurationOutput {
+    let par = ParConfig::from_env();
     let mining_start = Stopwatch::start();
     let columns = lf_columns(data.world.schema(), config);
-    let mined = mine_lfs(
-        &data.text.table,
-        &data.text.labels,
-        &columns,
-        &config.mining,
-        config.max_positive_lfs,
-        config.max_negative_lfs,
-    );
-    let mining_time = mining_start.elapsed();
-    curate_with_lfs(data, config, mined.lfs, mining_time)
+    let mined =
+        mine_itemsets_with(&data.text.table, &data.text.labels, &columns, &config.mining, &par);
+    let lfs = lfs_from_itemsets(&mined, config.max_positive_lfs, config.max_negative_lfs);
+    curate_resident(data, config, lfs, mining_start.elapsed(), &par)
 }
 
 /// Runs curation with a caller-provided LF suite (e.g. the hand-written
@@ -150,209 +161,374 @@ pub fn curate_with_lfs(
     lfs: Vec<Box<dyn LabelingFunction>>,
     authoring_time: Duration,
 ) -> CurationOutput {
-    // Dev evidence for the base LFs: the whole labeled text corpus.
-    let dev_matrix = LabelMatrix::apply(&data.text.table, &lfs);
-    let prior = data.text.positive_rate().clamp(1e-4, 0.5);
-
-    // Optional propagation LF, with its own dev slice.
-    let mut propagation_time = None;
-    let mut prop = None;
-    if config.use_label_propagation {
-        let start = Stopwatch::start();
-        prop = propagation_artifacts(data, config);
-        propagation_time = Some(start.elapsed());
-    }
-
-    let mut lf_names: Vec<String> = lfs.iter().map(|l| l.name().to_owned()).collect();
-    let mut pool_matrix = LabelMatrix::apply(&data.pool.table, &lfs);
-    let mut prop_rates: Option<LfRates> = None;
-    if let Some(p) = &prop {
-        lf_names.push("label_propagation".to_owned());
-        prop_rates = Some(LfRates::estimate(&p.dev_votes, &p.dev_labels));
-        // Extend the pool matrix with the propagation column.
-        let n = pool_matrix.n_rows();
-        let mut votes = Vec::with_capacity(n * (pool_matrix.n_lfs() + 1));
-        for r in 0..n {
-            votes.extend_from_slice(pool_matrix.row(r));
-            votes.push(p.pool_lf.vote(&data.pool.table, r).as_i8());
-        }
-        pool_matrix = LabelMatrix::from_votes(n, lf_names.len(), votes, lf_names.clone());
-    }
-
-    finish_curation(
-        ModelInputs {
-            dev_matrix: &dev_matrix,
-            dev_labels: &data.text.labels,
-            prop_dev_votes: prop.as_ref().map(|p| p.dev_votes.as_slice()),
-            prop_rates,
-            pool_matrix,
-            lf_names,
-            prior,
-            pool_truth: &data.pool.labels,
-            fault_summary: data.fault_summary.as_ref(),
-        },
-        config,
-        authoring_time,
-        propagation_time,
-        &ParConfig::from_env(),
-    )
+    curate_resident(data, config, lfs, authoring_time, &ParConfig::from_env())
 }
 
-/// Everything the model-fitting tail of curation needs, assembled either
-/// resident ([`curate_with_lfs`]) or segment by segment
-/// (`crate::stream::curate_streamed`). Both assemblies produce identical
-/// inputs, so sharing the tail makes the two paths agree by construction.
-pub(crate) struct ModelInputs<'a> {
-    /// LF votes over the labeled dev corpus (base LFs only).
-    pub dev_matrix: &'a LabelMatrix,
-    /// Dev corpus ground truth.
-    pub dev_labels: &'a [Label],
-    /// The propagation LF's votes on its dev slice, when present.
-    pub prop_dev_votes: Option<&'a [i8]>,
-    /// The propagation LF's dev-estimated rates, when present.
-    pub prop_rates: Option<LfRates>,
-    /// LF votes over the pool (propagation column included, when present).
-    pub pool_matrix: LabelMatrix,
-    /// LF names, one per pool-matrix column.
-    pub lf_names: Vec<String>,
-    /// Class prior, already clamped.
-    pub prior: f64,
-    /// Pool ground truth (diagnostics only).
-    pub pool_truth: &'a [Label],
-    /// Fault telemetry when datasets came through an access layer.
-    pub fault_summary: Option<&'a FaultSummary>,
-}
-
-/// The model-fitting tail shared by the resident and streamed drivers:
-/// abstain telemetry, degradation drops, label-model fit/predict, and the
-/// quality report. Thread-count invariant (every parallel substrate it
-/// calls is), so resident and streamed callers may pass different `par`.
-pub(crate) fn finish_curation(
-    inputs: ModelInputs<'_>,
+/// Resident curation: the whole pool is the engine's one segment.
+fn curate_resident(
+    data: &TaskData,
     config: &CurationConfig,
+    lfs: Vec<Box<dyn LabelingFunction>>,
     mining_time: Duration,
-    propagation_time: Option<Duration>,
     par: &ParConfig,
 ) -> CurationOutput {
-    let ModelInputs {
-        dev_matrix,
-        dev_labels,
-        prop_dev_votes,
-        prop_rates,
-        pool_matrix,
-        lf_names,
-        prior,
-        pool_truth,
-        fault_summary,
-    } = inputs;
-    let n_rows = pool_matrix.n_rows();
-    let n_lfs = pool_matrix.n_lfs();
+    let mut setup = CurationSetup::new(&data.text, lfs, config, par);
+    let start = Stopwatch::start();
+    let prop = setup.propagation.take().and_then(|b| b.resident_lf(&data.pool.table, config, par));
+    let propagation_time = config.use_label_propagation.then(|| start.elapsed());
+    let mut engine = CurationEngine::new(setup, prop, data.pool.len());
+    engine.append_segment(0, &data.pool.table, &data.pool.labels, par);
+    engine.finish(config, data.fault_summary.as_ref(), mining_time, propagation_time, par)
+}
 
-    // Abstain-rate telemetry: dev rates over the evidence the LF weights
-    // are estimated on (whole corpus for base LFs, the propagation dev
-    // slice for the propagation LF), pool rates over the pool votes.
-    let mut dev_abstain: Vec<f64> = (0..dev_matrix.n_lfs())
-        .map(|c| {
-            (0..dev_matrix.n_rows()).filter(|&r| dev_matrix.row(r)[c] == 0).count() as f64
-                / dev_matrix.n_rows().max(1) as f64
-        })
-        .collect();
-    if let Some(votes) = prop_dev_votes {
-        dev_abstain
-            .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
-    }
-    let pool_abstain: Vec<f64> = (0..n_lfs)
-        .map(|c| {
-            (0..n_rows).filter(|&r| pool_matrix.row(r)[c] == 0).count() as f64
-                / n_rows.max(1) as f64
-        })
-        .collect();
+/// What every curation driver (resident, streamed, incremental) builds
+/// from the labeled corpus before it sees a pool row.
+pub(crate) struct CurationSetup {
+    /// The base LFs, mined or provided.
+    pub lfs: Vec<Box<dyn LabelingFunction>>,
+    /// Base-LF names, in column order.
+    pub lf_names: Vec<String>,
+    /// Class prior: the labeled corpus's positive rate, clamped.
+    pub prior: f64,
+    /// Base-LF votes over the whole labeled corpus (§4.2's dev set).
+    pub dev_matrix: LabelMatrix,
+    /// The labeled corpus's ground truth, row-aligned with `dev_matrix`.
+    pub dev_labels: Vec<Label>,
+    /// The propagation seed block; `None` when propagation is off or the
+    /// split leaves no seed vertex.
+    pub propagation: Option<SeedBlock>,
+}
 
-    // Graceful degradation: a column that abstains on every dev row has no
-    // rate evidence and is dropped in any run. A column that abstains on
-    // every *pool* row casts no vote yet still shifts anchored posteriors
-    // through its abstain likelihood; on clean runs that likelihood is
-    // dev-calibrated and legitimately models modality shift, but on
-    // fault-injected runs the abstention is caused by service loss the dev
-    // calibration never saw — so those columns are dropped only when the
-    // datasets came through a fault-injecting access layer.
-    let fault_aware = fault_summary.is_some();
-    let dropped_idx: Vec<usize> = (0..n_lfs)
-        .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
-        .collect();
-    let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
-    let active_matrix = if dropped_idx.is_empty() {
-        pool_matrix
-    } else {
-        pool_matrix.without_columns(&dropped_idx)
-    };
-
-    // Coverage is invariant to dropping all-abstain columns, so clean runs
-    // see exactly the pre-degradation semantics.
-    let covered: Vec<bool> =
-        (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
-
-    let probabilistic_labels = if active_matrix.n_lfs() == 0 {
-        vec![prior; n_rows]
-    } else {
-        match config.label_model {
-            LabelModelKind::Anchored => {
-                let mut rates =
-                    AnchoredModel::fit(dev_matrix, dev_labels, Some(prior)).rates().to_vec();
-                if let Some(r) = prop_rates {
-                    rates.push(r);
-                }
-                // Fitting is per-column independent, so dropping rate
-                // entries by index equals fitting on the reduced matrix.
-                let rates: Vec<LfRates> = rates
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(c, _)| !dropped_idx.contains(&c))
-                    .map(|(_, r)| r)
-                    .collect();
-                AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
-            }
-            LabelModelKind::Em => {
-                let gen_cfg =
-                    GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
-                GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
-                    .predict_with(&active_matrix, par)
-            }
-            LabelModelKind::MajorityVote => majority_vote(&active_matrix),
+impl CurationSetup {
+    /// Builds the setup from the labeled corpus `text` and its LFs.
+    pub fn new(
+        text: &ModalityDataset,
+        lfs: Vec<Box<dyn LabelingFunction>>,
+        config: &CurationConfig,
+        par: &ParConfig,
+    ) -> Self {
+        let prior = text.positive_rate().clamp(1e-4, 0.5);
+        Self {
+            lf_names: lfs.iter().map(|l| l.name().to_owned()).collect(),
+            dev_matrix: LabelMatrix::apply_with(&text.table, &lfs, par),
+            dev_labels: text.labels.clone(),
+            propagation: config
+                .use_label_propagation
+                .then(|| SeedBlock::new(text, prior, config))
+                .flatten(),
+            lfs,
+            prior,
         }
-    };
+    }
+}
 
-    let pool_coverage = covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
-    let lf_abstain: Vec<LfAbstainRates> = lf_names
-        .iter()
-        .enumerate()
-        .map(|(c, name)| LfAbstainRates {
-            name: name.clone(),
-            dev_abstain_rate: dev_abstain[c],
-            pool_abstain_rate: pool_abstain[c],
-            dropped: dropped_idx.contains(&c),
+/// The labeled head of the propagation graph (§4.4): seed vertices from
+/// the old modality, then a held-out dev slice for threshold tuning. Pool
+/// rows follow as vertices `table.len()..`.
+pub(crate) struct SeedBlock {
+    /// `[seeds | dev]` feature rows, in vertex order.
+    pub table: FeatureTable,
+    /// Seed vertices `(vertex, label)`.
+    pub seeds: Vec<(usize, f64)>,
+    /// Dev-slice ground truth.
+    pub dev_labels: Vec<Label>,
+    /// Solver settings, starting unlabeled vertices at the class prior.
+    pub prop_cfg: PropagationConfig,
+}
+
+impl SeedBlock {
+    /// Splits the labeled corpus: a fifth as the dev slice, and as seeds
+    /// every remaining positive plus negatives up to `prop_max_seeds`.
+    /// Purely a function of `(labels, config.seed, config.prop_max_seeds)`.
+    /// `None` when no seed vertex survives (propagation then has nothing
+    /// to spread).
+    fn new(text: &ModalityDataset, prior: f64, config: &CurationConfig) -> Option<Self> {
+        let labels = &text.labels;
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5EED);
+        let mut idx: Vec<usize> = (0..labels.len()).collect();
+        idx.shuffle(&mut rng);
+        let dev_len = (labels.len() / 5).max(1);
+        let (dev_idx, rest) = idx.split_at(dev_len.min(idx.len()));
+        let mut seed_idx: Vec<usize> =
+            rest.iter().copied().filter(|&r| labels[r].is_positive()).collect();
+        let mut neg_budget = config.prop_max_seeds.saturating_sub(seed_idx.len());
+        for &r in rest {
+            if neg_budget == 0 {
+                break;
+            }
+            if !labels[r].is_positive() {
+                seed_idx.push(r);
+                neg_budget -= 1;
+            }
+        }
+        if seed_idx.is_empty() {
+            return None;
+        }
+        let mut table = text.table.gather(&seed_idx);
+        table.extend_from(&text.table.gather(dev_idx));
+        Some(Self {
+            table,
+            seeds: seed_idx.iter().enumerate().map(|(v, &r)| (v, labels[r].as_f64())).collect(),
+            dev_labels: dev_idx.iter().map(|&r| labels[r]).collect(),
+            prop_cfg: PropagationConfig { max_iters: 50, tol: 1e-4, prior },
         })
-        .collect();
-    let degradation = DegradationReport {
-        fault_seed: fault_summary.map_or(0, |s| s.seed),
-        tripped_services: fault_summary.map_or_else(Vec::new, FaultSummary::tripped_services),
-        dropped_lfs,
-        pool_coverage,
-        lf_abstain,
-        faults: fault_summary.cloned(),
-        serving: None,
-    };
+    }
 
-    let ws_quality = ws_quality(&probabilistic_labels, &covered, pool_truth);
-    CurationOutput {
-        probabilistic_labels,
-        covered,
-        lf_names,
-        ws_quality,
-        mining_time,
-        propagation_time,
-        conflict: active_matrix.conflict(),
-        degradation,
+    /// The propagation LF over a resident pool: scales and the k-NN graph
+    /// come from the row-parallel builders over `[seeds | dev | pool]`.
+    pub fn resident_lf(
+        mut self,
+        pool: &FeatureTable,
+        config: &CurationConfig,
+        par: &ParConfig,
+    ) -> Option<PropagationLf> {
+        self.table.extend_from(pool);
+        let sim = SimilarityConfig::uniform(sim_columns(self.table.schema(), config))
+            .fit_scales(&self.table);
+        let graph = GraphBuilder::approximate(config.prop_k, self.table.len()).build_with(
+            &self.table,
+            &sim,
+            config.seed ^ 0x6EA9,
+            par,
+        );
+        self.lf_from_graph(&graph, config)
+    }
+
+    /// Propagates the seed labels over `graph` (whose first vertices are
+    /// this block's rows), tunes thresholds on the dev slice, and binds
+    /// the remaining vertices' scores as the pool LF. `None` when no
+    /// thresholds clear the configured precision floor.
+    pub fn lf_from_graph(
+        &self,
+        graph: &SparseGraph,
+        config: &CurationConfig,
+    ) -> Option<PropagationLf> {
+        let scores = propagate(graph, &self.seeds, &self.prop_cfg);
+        let pool_start = self.seeds.len() + self.dev_labels.len();
+        let dev_scores = &scores[self.seeds.len()..pool_start];
+        let tuned = tune_score_thresholds(
+            dev_scores,
+            &self.dev_labels,
+            config.prop_min_precision,
+            config.prop_max_leakage,
+        )?;
+        let dev_votes: Vec<i8> = dev_scores
+            .iter()
+            .map(|&s| {
+                if s >= tuned.positive {
+                    1
+                } else if s <= tuned.negative {
+                    -1
+                } else {
+                    0
+                }
+            })
+            .collect();
+        Some(PropagationLf {
+            rates: LfRates::estimate(&dev_votes, &self.dev_labels),
+            pool_lf: BoundScoreLf::new(
+                "label_propagation",
+                scores[pool_start..].to_vec(),
+                tuned.positive,
+                tuned.negative,
+            ),
+            dev_votes,
+        })
+    }
+}
+
+/// The label-propagation LF (§4.4), tuned on the seed block's dev slice.
+pub(crate) struct PropagationLf {
+    /// Thresholded propagation scores, bound to pool rows.
+    pub pool_lf: BoundScoreLf,
+    /// The LF's votes on the dev slice.
+    pub dev_votes: Vec<i8>,
+    /// Class-conditional rates estimated from those votes.
+    pub rates: LfRates,
+}
+
+/// The batch curation engine: the shared setup, the propagation LF it
+/// yielded, and one pool sweep that writes each segment's base votes and
+/// propagation vote straight into a preallocated pool matrix. Resident
+/// curation appends the whole pool as one segment, streamed curation one
+/// segment at a time; votes are pure per-row values, so both assemble the
+/// same matrix bit for bit.
+pub(crate) struct CurationEngine {
+    setup: CurationSetup,
+    prop: Option<PropagationLf>,
+    pool_matrix: LabelMatrix,
+    pool_truth: Vec<Label>,
+}
+
+impl CurationEngine {
+    /// An engine over `n_pool` pool rows, with the pool matrix (base LFs,
+    /// then the propagation LF when present) preallocated.
+    pub fn new(setup: CurationSetup, prop: Option<PropagationLf>, n_pool: usize) -> Self {
+        let mut names = setup.lf_names.clone();
+        if let Some(p) = &prop {
+            names.push(p.pool_lf.name().to_owned());
+        }
+        Self {
+            pool_matrix: LabelMatrix::with_row_capacity(n_pool, names),
+            pool_truth: Vec::with_capacity(n_pool),
+            setup,
+            prop,
+        }
+    }
+
+    /// Resident bytes of the preallocated pool matrix.
+    pub fn pool_bytes(&self) -> usize {
+        self.pool_matrix.capacity_bytes()
+    }
+
+    /// Appends pool rows `offset..offset + table.len()`: every row's votes
+    /// land in the pool matrix in one pass, the propagation column
+    /// included.
+    ///
+    /// # Panics
+    /// Panics unless segments arrive in offset order.
+    pub fn append_segment(
+        &mut self,
+        offset: usize,
+        table: &FeatureTable,
+        labels: &[Label],
+        par: &ParConfig,
+    ) {
+        assert_eq!(offset, self.pool_matrix.n_rows(), "pool segments must arrive in order");
+        let lfs = &self.setup.lfs;
+        match &self.prop {
+            Some(p) => {
+                self.pool_matrix.apply_append_bound_with(table, lfs, &p.pool_lf, offset, par);
+            }
+            None => self.pool_matrix.apply_append_with(table, lfs, par),
+        }
+        self.pool_truth.extend_from_slice(labels);
+    }
+
+    /// The model-fitting tail: abstain telemetry, degradation drops,
+    /// label-model fit/predict, and the quality report. Thread-count
+    /// invariant (every parallel substrate it calls is).
+    pub fn finish(
+        self,
+        config: &CurationConfig,
+        fault_summary: Option<&FaultSummary>,
+        mining_time: Duration,
+        propagation_time: Option<Duration>,
+        par: &ParConfig,
+    ) -> CurationOutput {
+        let CurationEngine { setup, prop, pool_matrix, pool_truth } = self;
+        let CurationSetup { dev_matrix, dev_labels, prior, .. } = setup;
+        let lf_names = pool_matrix.names().to_vec();
+        let n_rows = pool_matrix.n_rows();
+        let n_lfs = pool_matrix.n_lfs();
+
+        // Abstain-rate telemetry: dev rates over the evidence the LF weights
+        // are estimated on (whole corpus for base LFs, the propagation dev
+        // slice for the propagation LF), pool rates over the pool votes.
+        let mut dev_abstain: Vec<f64> = (0..dev_matrix.n_lfs())
+            .map(|c| {
+                (0..dev_matrix.n_rows()).filter(|&r| dev_matrix.row(r)[c] == 0).count() as f64
+                    / dev_matrix.n_rows().max(1) as f64
+            })
+            .collect();
+        if let Some(votes) = prop.as_ref().map(|p| &p.dev_votes) {
+            dev_abstain
+                .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
+        }
+        let pool_abstain: Vec<f64> = (0..n_lfs)
+            .map(|c| {
+                (0..n_rows).filter(|&r| pool_matrix.row(r)[c] == 0).count() as f64
+                    / n_rows.max(1) as f64
+            })
+            .collect();
+
+        // Graceful degradation: a column that abstains on every dev row has no
+        // rate evidence and is dropped in any run. A column that abstains on
+        // every *pool* row casts no vote yet still shifts anchored posteriors
+        // through its abstain likelihood; on clean runs that likelihood is
+        // dev-calibrated and legitimately models modality shift, but on
+        // fault-injected runs the abstention is caused by service loss the dev
+        // calibration never saw — so those columns are dropped only when the
+        // datasets came through a fault-injecting access layer.
+        let fault_aware = fault_summary.is_some();
+        let dropped_idx: Vec<usize> = (0..n_lfs)
+            .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
+            .collect();
+        let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
+        let active_matrix = if dropped_idx.is_empty() {
+            pool_matrix
+        } else {
+            pool_matrix.without_columns(&dropped_idx)
+        };
+
+        // Coverage is invariant to dropping all-abstain columns, so clean runs
+        // see exactly the pre-degradation semantics.
+        let covered: Vec<bool> =
+            (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
+
+        let probabilistic_labels = if active_matrix.n_lfs() == 0 {
+            vec![prior; n_rows]
+        } else {
+            match config.label_model {
+                LabelModelKind::Anchored => {
+                    let mut rates =
+                        AnchoredModel::fit(&dev_matrix, &dev_labels, Some(prior)).rates().to_vec();
+                    if let Some(p) = &prop {
+                        rates.push(p.rates);
+                    }
+                    // Fitting is per-column independent, so dropping rate
+                    // entries by index equals fitting on the reduced matrix.
+                    let rates: Vec<LfRates> = rates
+                        .into_iter()
+                        .enumerate()
+                        .filter(|&(c, _)| !dropped_idx.contains(&c))
+                        .map(|(_, r)| r)
+                        .collect();
+                    AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
+                }
+                LabelModelKind::Em => {
+                    let gen_cfg =
+                        GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
+                    GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
+                        .predict_with(&active_matrix, par)
+                }
+                LabelModelKind::MajorityVote => majority_vote(&active_matrix),
+            }
+        };
+
+        let pool_coverage =
+            covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
+        let lf_abstain: Vec<LfAbstainRates> = lf_names
+            .iter()
+            .enumerate()
+            .map(|(c, name)| LfAbstainRates {
+                name: name.clone(),
+                dev_abstain_rate: dev_abstain[c],
+                pool_abstain_rate: pool_abstain[c],
+                dropped: dropped_idx.contains(&c),
+            })
+            .collect();
+        let degradation = DegradationReport {
+            fault_seed: fault_summary.map_or(0, |s| s.seed),
+            tripped_services: fault_summary.map_or_else(Vec::new, FaultSummary::tripped_services),
+            dropped_lfs,
+            pool_coverage,
+            lf_abstain,
+            faults: fault_summary.cloned(),
+            serving: None,
+        };
+
+        let ws_quality = ws_quality(&probabilistic_labels, &covered, &pool_truth);
+        CurationOutput {
+            probabilistic_labels,
+            covered,
+            lf_names,
+            ws_quality,
+            mining_time,
+            propagation_time,
+            conflict: active_matrix.conflict(),
+            degradation,
+        }
     }
 }
 
@@ -387,117 +563,6 @@ pub(crate) fn sim_columns(schema: &FeatureSchema, config: &CurationConfig) -> Ve
             .map(|(i, _)| i),
     );
     columns
-}
-
-/// Splits the labeled corpus for propagation: a dev slice for threshold
-/// tuning and seed vertices (every positive plus negatives up to the cap).
-/// Purely a function of `(labels, config.seed, config.prop_max_seeds)`, so
-/// the streamed driver derives the identical split.
-pub(crate) fn prop_split(labels: &[Label], config: &CurationConfig) -> (Vec<usize>, Vec<usize>) {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5EED);
-    let mut idx: Vec<usize> = (0..labels.len()).collect();
-    idx.shuffle(&mut rng);
-    let dev_len = (labels.len() / 5).max(1);
-    let (dev_idx, rest) = idx.split_at(dev_len.min(idx.len()));
-    let mut seed_idx: Vec<usize> =
-        rest.iter().copied().filter(|&r| labels[r].is_positive()).collect();
-    let mut neg_budget = config.prop_max_seeds.saturating_sub(seed_idx.len());
-    for &r in rest {
-        if neg_budget == 0 {
-            break;
-        }
-        if !labels[r].is_positive() {
-            seed_idx.push(r);
-            neg_budget -= 1;
-        }
-    }
-    (dev_idx.to_vec(), seed_idx)
-}
-
-pub(crate) struct PropagationArtifacts {
-    pub pool_lf: BoundScoreLf,
-    pub dev_votes: Vec<i8>,
-    pub dev_labels: Vec<Label>,
-}
-
-/// Turns propagated scores over a `[seeds | dev | pool]` corpus into the
-/// propagation LF: thresholds tuned on the dev slice, scores bound to the
-/// pool rows. `None` when no thresholds clear the configured precision
-/// floor (the resident and streamed drivers then both omit the LF).
-pub(crate) fn prop_artifacts_from_scores(
-    scores: &[f64],
-    seed_len: usize,
-    dev_labels: Vec<Label>,
-    config: &CurationConfig,
-) -> Option<PropagationArtifacts> {
-    let dev_scores = &scores[seed_len..seed_len + dev_labels.len()];
-    let tuned = tune_score_thresholds(
-        dev_scores,
-        &dev_labels,
-        config.prop_min_precision,
-        config.prop_max_leakage,
-    )?;
-    let dev_votes: Vec<i8> = dev_scores
-        .iter()
-        .map(|&s| {
-            if s >= tuned.positive {
-                1
-            } else if s <= tuned.negative {
-                -1
-            } else {
-                0
-            }
-        })
-        .collect();
-    let pool_scores = scores[seed_len + dev_labels.len()..].to_vec();
-    Some(PropagationArtifacts {
-        pool_lf: BoundScoreLf::new(
-            "label_propagation",
-            pool_scores,
-            tuned.positive,
-            tuned.negative,
-        ),
-        dev_votes,
-        dev_labels,
-    })
-}
-
-/// Builds the label-propagation LF (§4.4): seeds from the old modality,
-/// thresholds tuned on a held-out old-modality dev slice, scores bound to
-/// the pool rows. Also returns the dev slice's votes so the anchored label
-/// model can estimate the LF's class-conditional rates.
-fn propagation_artifacts(data: &TaskData, config: &CurationConfig) -> Option<PropagationArtifacts> {
-    let schema = data.world.schema();
-    let sim_columns = sim_columns(schema, config);
-
-    // Split text rows: seeds (clamped) vs dev (for threshold tuning).
-    let (dev_idx, seed_idx) = prop_split(&data.text.labels, config);
-    if seed_idx.is_empty() {
-        return None;
-    }
-
-    // Combined table: [seeds | dev | pool].
-    let seed_table = data.text.table.gather(&seed_idx);
-    let dev_table = data.text.table.gather(&dev_idx);
-    let mut combined = seed_table.clone();
-    combined.extend_from(&dev_table);
-    combined.extend_from(&data.pool.table);
-
-    let sim = SimilarityConfig::uniform(sim_columns).fit_scales(&combined);
-    let builder = GraphBuilder::approximate(config.prop_k, combined.len());
-    let graph = builder.build(&combined, &sim, config.seed ^ 0x6EA9);
-
-    let seeds: Vec<(usize, f64)> =
-        seed_idx.iter().enumerate().map(|(v, &r)| (v, data.text.labels[r].as_f64())).collect();
-    let prop_cfg = PropagationConfig {
-        max_iters: 50,
-        tol: 1e-4,
-        prior: data.text.positive_rate().clamp(1e-4, 0.5),
-    };
-    let scores = propagate(&graph, &seeds, &prop_cfg);
-
-    let dev_labels: Vec<Label> = dev_idx.iter().map(|&r| data.text.labels[r]).collect();
-    prop_artifacts_from_scores(&scores, seed_idx.len(), dev_labels, config)
 }
 
 fn ws_quality(probs: &[f64], covered: &[bool], truth: &[Label]) -> WsQuality {

@@ -26,10 +26,15 @@
 //! faulty arrival history (pool rows, EM parameters, graph routing) rides
 //! in [`IncrementalState`].
 //!
-//! Two deliberate divergences from the one-shot batch pipeline, both
-//! inherent to serving: similarity scales are fitted on the labeled
-//! corpus only (the pool isn't known upfront), and the label model is
-//! always the warm-startable EM model rather than the dev-anchored one.
+//! The curator starts from the batch engine's `CurationSetup`
+//! ([`crate::curation`]) — LF names, prior, and the propagation seed
+//! block, whose table becomes the online graph's vertex table — and turns
+//! its graph into the propagation LF through the same
+//! `SeedBlock::lf_from_graph`. Two deliberate divergences from the
+//! one-shot batch pipeline, both inherent to serving: similarity scales
+//! are fitted on the labeled corpus only (the pool isn't known upfront),
+//! and the label model is always the warm-startable EM model rather than
+//! the dev-anchored one.
 //!
 //! **Cost model**: an ingest costs O(batch + patterns) plus the Jacobi
 //! propagation solve. Each row's base-LF vote vector is interned once, on
@@ -38,22 +43,16 @@
 //! table into the label-matrix patterns, fits EM on those, and gathers
 //! posteriors, coverage and abstain counts back to rows by pattern id.
 
-use cm_featurespace::{
-    CmError, CmResult, ErrorKind, FeatureTable, FrozenTable, Label, SimilarityConfig,
-};
+use cm_featurespace::{CmError, CmResult, ErrorKind, FeatureTable, FrozenTable, SimilarityConfig};
 use cm_labelmodel::{
     GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns, WarmStart,
 };
 use cm_mining::mine_lfs;
 use cm_orgsim::{ModalityDataset, World};
 use cm_par::ParConfig;
-use cm_propagation::{
-    propagate, OnlineGraph, OnlineGraphDelta, OnlineGraphState, PropagationConfig,
-};
+use cm_propagation::{OnlineGraph, OnlineGraphDelta, OnlineGraphState};
 
-use crate::curation::{
-    lf_columns, prop_artifacts_from_scores, prop_split, sim_columns, CurationConfig,
-};
+use crate::curation::{lf_columns, sim_columns, CurationConfig, CurationSetup, SeedBlock};
 
 /// Configuration of the incremental curator.
 #[derive(Debug, Clone)]
@@ -205,18 +204,13 @@ impl IncrementalState {
 }
 
 struct PropScaffold {
-    /// Fitted similarity config over the propagation columns.
+    /// The batch pipeline's seed block. Every ingested pool row is
+    /// appended to its table, which is the vertex table the online graph
+    /// indexes into.
+    block: SeedBlock,
+    /// Similarity config fitted on the block's labeled rows.
     sim: SimilarityConfig,
-    /// `[seeds | dev]` rows followed by every ingested pool row — the
-    /// vertex table the online graph indexes into.
-    combined: FeatureTable,
-    /// Seed vertices `(vertex, label)` for propagation.
-    seeds: Vec<(usize, f64)>,
-    /// Dev-slice ground truth for threshold tuning.
-    dev_labels: Vec<Label>,
-    seed_len: usize,
     online: OnlineGraph,
-    prop_cfg: PropagationConfig,
 }
 
 /// The incremental curation state machine. See the module docs for the
@@ -246,9 +240,10 @@ pub struct IncrementalCurator {
 
 impl IncrementalCurator {
     /// Sets up the curator's clean-path scaffolding: mines LFs on the
-    /// labeled text corpus and, when propagation is enabled, derives the
-    /// seed/dev split, fits similarity scales on the labeled rows, and
-    /// inserts them into the online graph.
+    /// labeled text corpus and builds the batch pipeline's
+    /// `CurationSetup` from them; when propagation is enabled, fits
+    /// similarity scales on the seed block's labeled rows and inserts them
+    /// into the online graph.
     pub fn new(world: &World, text: &ModalityDataset, config: IncrementalConfig) -> Self {
         let columns = lf_columns(world.schema(), &config.curation);
         let mined = mine_lfs(
@@ -259,40 +254,18 @@ impl IncrementalCurator {
             config.curation.max_positive_lfs,
             config.curation.max_negative_lfs,
         );
-        let lfs = mined.lfs;
-        let mut lf_names: Vec<String> = lfs.iter().map(|l| l.name().to_owned()).collect();
-        let prior = text.positive_rate().clamp(1e-4, 0.5);
-
-        let prop = config
-            .curation
-            .use_label_propagation
-            .then(|| {
-                let (dev_idx, seed_idx) = prop_split(&text.labels, &config.curation);
-                let mut combined = text.table.gather(&seed_idx);
-                combined.extend_from(&text.table.gather(&dev_idx));
-                let sim = SimilarityConfig::uniform(sim_columns(world.schema(), &config.curation))
-                    .fit_scales(&combined);
-                let seeds: Vec<(usize, f64)> = seed_idx
-                    .iter()
-                    .enumerate()
-                    .map(|(v, &r)| (v, text.labels[r].as_f64()))
-                    .collect();
-                let dev_labels: Vec<Label> = dev_idx.iter().map(|&r| text.labels[r]).collect();
-                let mut online = OnlineGraph::new(config.curation.prop_k);
-                online.insert_rows(&FrozenTable::freeze(&combined), &sim);
-                let prop_cfg = PropagationConfig { max_iters: 50, tol: 1e-4, prior };
-                PropScaffold {
-                    sim,
-                    combined,
-                    seeds,
-                    dev_labels,
-                    seed_len: seed_idx.len(),
-                    online,
-                    prop_cfg,
-                }
-            })
-            // An empty seed set can't propagate; fall back to base LFs only.
-            .filter(|p| p.seed_len > 0);
+        // Serving fits EM on pool votes alone and never reads the setup's
+        // dev matrix; votes are thread-count invariant, so the small
+        // labeled corpus is applied serially.
+        let CurationSetup { lfs, mut lf_names, prior, propagation, .. } =
+            CurationSetup::new(text, mined.lfs, &config.curation, &ParConfig::serial());
+        let prop = propagation.map(|block| {
+            let sim = SimilarityConfig::uniform(sim_columns(world.schema(), &config.curation))
+                .fit_scales(&block.table);
+            let mut online = OnlineGraph::new(config.curation.prop_k);
+            online.insert_rows(&FrozenTable::freeze(&block.table), &sim);
+            PropScaffold { block, sim, online }
+        });
         if prop.is_some() {
             lf_names.push("label_propagation".to_owned());
         }
@@ -405,8 +378,8 @@ impl IncrementalCurator {
             self.push_base_row(batch_matrix.row(r));
         }
         if let Some(p) = &mut self.prop {
-            p.combined.extend_from(&batch.table);
-            p.online.insert_rows(&FrozenTable::freeze(&p.combined), &p.sim);
+            p.block.table.extend_from(&batch.table);
+            p.online.insert_rows(&FrozenTable::freeze(&p.block.table), &p.sim);
         }
 
         let folded = self.fold_patterns();
@@ -521,7 +494,7 @@ impl IncrementalCurator {
         c.warm = state.em_warm;
         c.em_iterations = state.em_iterations;
         if let (Some(p), Some(g)) = (&mut c.prop, state.graph) {
-            p.combined.extend_from(&c.pool.table);
+            p.block.table.extend_from(&c.pool.table);
             p.online = OnlineGraph::from_snapshot(c.config.curation.prop_k, g);
         }
         if c.warm.is_some() {
@@ -558,19 +531,13 @@ impl IncrementalCurator {
     /// Returns the patterns and each row's pattern id.
     fn fold_patterns(&self) -> Option<(VotePatterns, Vec<u32>)> {
         let p = self.prop.as_ref()?;
-        let scores = propagate(&p.online.graph(), &p.seeds, &p.prop_cfg);
-        let artifacts = prop_artifacts_from_scores(
-            &scores,
-            p.seed_len,
-            p.dev_labels.clone(),
-            &self.config.curation,
-        );
+        let lf = p.block.lf_from_graph(&p.online.graph(), &self.config.curation);
         let mut patterns = VotePatterns::new(self.lfs.len() + 1);
         let mut slots = vec![u32::MAX; self.base_patterns.len() * 3];
         let mut ids = Vec::with_capacity(self.base_ids.len());
         let mut dense = Vec::new();
         for (r, &base) in self.base_ids.iter().enumerate() {
-            let vote = artifacts.as_ref().map_or(0, |a| a.pool_lf.vote_row(r).as_i8());
+            let vote = lf.as_ref().map_or(0, |l| l.pool_lf.vote_row(r).as_i8());
             let slot = &mut slots[base as usize * 3 + (vote + 1) as usize];
             if *slot == u32::MAX {
                 self.base_patterns.dense_into(base as usize, &mut dense);

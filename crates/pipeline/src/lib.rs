@@ -45,7 +45,5 @@ pub use incremental::{
 };
 pub use report::{DegradationReport, LfAbstainRates, ModelEval, ScenarioReport, ServingReport};
 pub use selftrain::{self_train, SelfTrainConfig, SelfTrainOutcome};
-pub use stream::{
-    curate_streamed, curate_streamed_with, StreamStageTiming, StreamStats, StreamedCuration,
-};
+pub use stream::{curate_streamed_with, StreamStageTiming, StreamStats, StreamedCuration};
 pub use training::{FusionStrategy, LabelSource, Scenario, ScenarioRunner};

@@ -1,41 +1,43 @@
 //! Sharded out-of-core curation driver.
 //!
-//! [`curate_streamed`] runs the full curation step — LF mining, optional
-//! label propagation, LF application, and the label model — without ever
-//! materializing the unlabeled pool: `orgsim` generation is consumed in
-//! `CM_SHARD_ROWS`-sized segments under an explicit `CM_MEM_BUDGET`
-//! ([`cm_shard::MemTracker`] fails a run rather than exceed it), and every
-//! per-shard statistic merges deterministically in shard-index order.
+//! [`curate_streamed_with`] runs the full curation step — LF mining,
+//! optional label propagation, LF application, and the label model —
+//! without ever materializing the unlabeled pool: `orgsim` generation is
+//! consumed in `CM_SHARD_ROWS`-sized segments under an explicit
+//! `CM_MEM_BUDGET` ([`cm_shard::MemTracker`] fails a run rather than
+//! exceed it), and every per-shard statistic merges deterministically in
+//! shard-index order.
 //!
 //! The output is **bit-identical** to the resident driver
 //! ([`crate::curation::curate`]) over [`crate::data::TaskData::generate`]
 //! with the same `(task, seed, config)`, at any shard size and any
-//! `CM_THREADS` — durations excepted. Each stage reduces to a mergeable
-//! substrate whose resident computation is the single-segment case:
+//! `CM_THREADS` — durations excepted. Both drivers run the one curation
+//! engine of [`crate::curation`], and each stage's resident computation is
+//! the single-segment case:
 //!
-//! - **mining** — Apriori supports are popcounts over item bitsets the
-//!   [`ItemCatalogBuilder`] assembles segment by segment;
+//! - **mining** — the labeled text corpus is resident, so its catalog and
+//!   item bitsets are built in one pass over it, exactly as the resident
+//!   miner does;
 //! - **propagation** — similarity scales come from the exact
 //!   `ScaleAccumulator` pair and the k-NN graph from
 //!   [`cm_shard::build_graph_sharded`], which replays the resident anchor
 //!   plan over segment sweeps;
-//! - **LF application** — votes are pure per-row, so per-segment
-//!   [`LabelMatrix`] applications append, in offset order, into one
+//! - **LF application** — votes are pure per-row, so each pool segment's
+//!   votes (propagation column included) append, in offset order, into one
 //!   preallocated resident matrix;
 //! - **the label model** — fitted on the dev corpus (anchored) or on exact
 //!   mergeable moments (EM), both thread- and segmentation-invariant.
 //!
-//! The labeled text corpus itself stays resident: it is the small
-//! old-modality dev set every stage anchors to, orders of magnitude
-//! smaller than the pools this driver exists for.
+//! The labeled text corpus stays resident: it is the small old-modality
+//! dev set every stage anchors to, orders of magnitude smaller than the
+//! pools this driver exists for.
 
 use cm_faults::Stopwatch;
-use cm_featurespace::{CmResult, FrozenTable, Label, ModalityKind};
-use cm_labelmodel::{LabelMatrix, LfRates};
+use cm_featurespace::{CmResult, FrozenTable, ModalityKind};
 use cm_mining::{lfs_from_itemsets, mine_from_bitsets, ItemCatalogBuilder};
-use cm_orgsim::{ModalityDataset, TaskConfig, World, WorldConfig};
+use cm_orgsim::{TaskConfig, World, WorldConfig};
 use cm_par::ParConfig;
-use cm_propagation::{propagate, GraphBuilder, PropagationConfig};
+use cm_propagation::GraphBuilder;
 use cm_shard::corpus::dataset_bytes;
 use cm_shard::{
     build_graph_sharded, fit_scales_sharded, for_each_pool_segment, MemTracker, SegmentedCorpus,
@@ -43,8 +45,8 @@ use cm_shard::{
 };
 
 use crate::curation::{
-    finish_curation, lf_columns, prop_artifacts_from_scores, prop_split, sim_columns,
-    CurationConfig, CurationOutput, ModelInputs, PropagationArtifacts,
+    lf_columns, sim_columns, CurationConfig, CurationEngine, CurationOutput, CurationSetup,
+    PropagationLf, SeedBlock,
 };
 
 /// Telemetry from a streamed curation run.
@@ -62,18 +64,20 @@ pub struct StreamStats {
 
 /// Wall-clock per-stage timing of a streamed run. Out-of-band telemetry
 /// for the scale bench (locating where throughput goes as pools grow) —
-/// never part of the bit-identity contract.
+/// never part of the bit-identity contract. The stages are disjoint.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamStageTiming {
-    /// LF mining over streamed text segments (catalog, bitsets, joins).
+    /// LF mining over the resident labeled corpus (catalog, bitsets,
+    /// joins).
     pub mining: std::time::Duration,
     /// Sharded scale fit + graph build + propagation (zero when disabled).
     pub propagation: std::time::Duration,
-    /// The pool sweep: segment generation plus LF application (append
-    /// time excluded — the stages are disjoint).
+    /// Pool segment generation: the pool sweep's time outside
+    /// [`StreamStageTiming::lf_application`].
+    pub generation: std::time::Duration,
+    /// Applying the LFs to each pool segment, writing its votes into the
+    /// pool matrix.
     pub lf_application: std::time::Duration,
-    /// Appending per-segment votes into the preallocated pool matrix.
-    pub concat: std::time::Duration,
     /// Label-model fit and output assembly.
     pub model: std::time::Duration,
 }
@@ -91,20 +95,6 @@ pub struct StreamedCuration {
 
 /// Runs sharded curation for `(task, seed)` under `shard`'s segment size
 /// and memory budget. See the module docs for the equivalence contract.
-///
-/// # Errors
-/// Returns [`cm_featurespace::ErrorKind::InvalidConfig`] when a stage
-/// would have to hold more resident bytes than `shard.budget` allows.
-pub fn curate_streamed(
-    task: TaskConfig,
-    seed: u64,
-    config: &CurationConfig,
-    shard: &ShardConfig,
-) -> CmResult<StreamedCuration> {
-    curate_streamed_with(task, seed, config, shard, &ParConfig::from_env())
-}
-
-/// [`curate_streamed`] with an explicit parallel configuration.
 ///
 /// # Errors
 /// Returns [`cm_featurespace::ErrorKind::InvalidConfig`] when a stage
@@ -128,83 +118,41 @@ pub fn curate_streamed_with(
     let text = world.generate(ModalityKind::Text, n_text, ds ^ 0x1);
     tracker.charge(dataset_bytes(&text), "labeled text corpus")?;
 
-    // LF mining over streamed text segments: catalog pass, bitset-fill
-    // pass, then the candidate/join phases on the assembled bitsets.
+    // LF mining over the resident corpus, as `mine_itemsets_with` does it,
+    // with the item bitsets charged before they are allocated.
     let mining_start = Stopwatch::start();
+    let frozen = FrozenTable::freeze(&text.table);
     let columns = lf_columns(world.schema(), config);
     let mut catalog_builder =
         ItemCatalogBuilder::new(world.schema(), &columns, config.mining.numeric_bins);
-    for_each_pool_segment(
-        &world,
-        ModalityKind::Text,
-        n_text,
-        ds ^ 0x1,
-        shard.segment_rows,
-        &mut tracker,
-        &mut |_, seg, _| {
-            catalog_builder.observe(&FrozenTable::freeze(&seg.table));
-            Ok(())
-        },
-    )?;
+    catalog_builder.observe(&frozen);
     let catalog = catalog_builder.finish();
     let bitset_bytes = catalog.bitset_bytes();
     tracker.charge(bitset_bytes, "item bitsets")?;
     let mut item_bits = catalog.empty_bitsets();
-    for_each_pool_segment(
-        &world,
-        ModalityKind::Text,
-        n_text,
-        ds ^ 0x1,
-        shard.segment_rows,
-        &mut tracker,
-        &mut |offset, seg, _| {
-            catalog.fill(&FrozenTable::freeze(&seg.table), offset, &mut item_bits);
-            Ok(())
-        },
-    )?;
+    catalog.fill(&frozen, 0, &mut item_bits);
     let mined = mine_from_bitsets(&catalog, &item_bits, &text.labels, &config.mining, par);
     drop(item_bits);
     tracker.release(bitset_bytes);
     let lfs = lfs_from_itemsets(&mined, config.max_positive_lfs, config.max_negative_lfs);
-    let mining_time = mining_start.elapsed();
+    let mut timing = StreamStageTiming { mining: mining_start.elapsed(), ..Default::default() };
 
-    let dev_matrix = LabelMatrix::apply_with(&text.table, &lfs, par);
-    let prior = text.positive_rate().clamp(1e-4, 0.5);
+    let mut setup = CurationSetup::new(&text, lfs, config, par);
+    let start = Stopwatch::start();
+    let prop = match setup.propagation.take() {
+        Some(block) => block.sharded_lf(&world, n_pool, ds ^ 0x2, config, shard, &mut tracker)?,
+        None => None,
+    };
+    let propagation_time = config.use_label_propagation.then(|| start.elapsed());
+    timing.propagation = propagation_time.unwrap_or_default();
 
-    let mut timing = StreamStageTiming { mining: mining_time, ..StreamStageTiming::default() };
-
-    let mut propagation_time = None;
-    let mut prop = None;
-    if config.use_label_propagation {
-        let start = Stopwatch::start();
-        prop = propagation_streamed(&world, &text, n_pool, ds ^ 0x2, config, shard, &mut tracker)?;
-        let elapsed = start.elapsed();
-        propagation_time = Some(elapsed);
-        timing.propagation = elapsed;
-    }
-
-    let mut lf_names: Vec<String> = lfs.iter().map(|l| l.name().to_owned()).collect();
-    let mut prop_rates: Option<LfRates> = None;
-    if let Some(p) = &prop {
-        lf_names.push("label_propagation".to_owned());
-        prop_rates = Some(LfRates::estimate(&p.dev_votes, &p.dev_labels));
-    }
-
-    // LF application over streamed pool segments. Votes are pure per-row,
-    // so appending each segment's votes (in offset order) into one
-    // preallocated resident matrix is bit-identical to applying the LFs
-    // to the whole pool — and each segment matrix is dropped as soon as
-    // it is appended, so peak memory is one segment plus the final
-    // matrix, never the gather-then-copy doubling. The propagation
-    // column votes through the score-bound LF, which needs only the
-    // global row index.
-    let n_cols = lf_names.len();
+    // The pool sweep: one engine append per segment, each segment dropped
+    // as soon as its votes are in, so peak memory is one segment plus the
+    // pool matrix.
+    let mut engine = CurationEngine::new(setup, prop, n_pool);
+    tracker.charge(engine.pool_bytes(), "pool vote matrix")?;
     let mut segments = 0usize;
-    let mut pool_matrix = LabelMatrix::with_row_capacity(n_pool, lf_names.clone());
-    tracker.charge(pool_matrix.capacity_bytes(), "pool vote matrix")?;
-    let mut pool_truth: Vec<Label> = Vec::with_capacity(n_pool);
-    let mut row_buf: Vec<i8> = Vec::with_capacity(n_cols);
-    let apply_start = Stopwatch::start();
+    let sweep_start = Stopwatch::start();
     for_each_pool_segment(
         &world,
         ModalityKind::Image,
@@ -212,60 +160,18 @@ pub fn curate_streamed_with(
         ds ^ 0x2,
         shard.segment_rows,
         &mut tracker,
-        &mut |offset, seg, tracker| {
+        &mut |offset, seg, _| {
             segments += 1;
-            match &prop {
-                // The propagation column interleaves with the LF votes,
-                // so this path still applies into a segment matrix and
-                // streams its rows (plus the column) into the pool
-                // matrix — one copy, one segment resident at a time.
-                Some(p) => {
-                    let base = LabelMatrix::apply_with(&seg.table, &lfs, par);
-                    tracker.charge(base.approx_bytes(), "pool vote segment")?;
-                    let append_start = Stopwatch::start();
-                    for r in 0..base.n_rows() {
-                        row_buf.clear();
-                        row_buf.extend_from_slice(base.row(r));
-                        row_buf.push(p.pool_lf.vote_row(offset + r).as_i8());
-                        pool_matrix.push_row(&row_buf);
-                    }
-                    timing.concat += append_start.elapsed();
-                    let segment_bytes = base.approx_bytes();
-                    drop(base);
-                    tracker.release(segment_bytes);
-                }
-                // Without it the segment's votes are laid out exactly as
-                // the pool matrix stores them, so the LFs write straight
-                // into the preallocated buffer: no segment matrix, no
-                // copy, no concat stage at all.
-                None => pool_matrix.apply_append_with(&seg.table, &lfs, par),
-            }
-            pool_truth.extend_from_slice(&seg.labels);
+            let apply_start = Stopwatch::start();
+            engine.append_segment(offset, &seg.table, &seg.labels, par);
+            timing.lf_application += apply_start.elapsed();
             Ok(())
         },
     )?;
-    // The append time rides inside the pool sweep; report the stages
-    // disjoint so their sum still tracks the sweep's wall clock.
-    timing.lf_application = apply_start.elapsed().saturating_sub(timing.concat);
+    timing.generation = sweep_start.elapsed().saturating_sub(timing.lf_application);
 
     let model_start = Stopwatch::start();
-    let output = finish_curation(
-        ModelInputs {
-            dev_matrix: &dev_matrix,
-            dev_labels: &text.labels,
-            prop_dev_votes: prop.as_ref().map(|p| p.dev_votes.as_slice()),
-            prop_rates,
-            pool_matrix,
-            lf_names,
-            prior,
-            pool_truth: &pool_truth,
-            fault_summary: None,
-        },
-        config,
-        mining_time,
-        propagation_time,
-        par,
-    );
+    let output = engine.finish(config, None, timing.mining, propagation_time, par);
     timing.model = model_start.elapsed();
     let stats = StreamStats {
         segments,
@@ -276,59 +182,37 @@ pub fn curate_streamed_with(
     Ok(StreamedCuration { output, stats, timing })
 }
 
-/// The streamed counterpart of the resident propagation-LF builder: the
-/// `[seeds | dev | pool]` corpus is a [`SegmentedCorpus`] whose pool tail
-/// streams from the world, the scale fit and graph build are the sharded
-/// replays, and everything downstream (propagation, threshold tuning, the
-/// score-bound LF) is the shared resident code.
-fn propagation_streamed(
-    world: &World,
-    text: &ModalityDataset,
-    n_pool: usize,
-    pool_seed: u64,
-    config: &CurationConfig,
-    shard: &ShardConfig,
-    tracker: &mut MemTracker,
-) -> CmResult<Option<PropagationArtifacts>> {
-    let sim_cols = sim_columns(world.schema(), config);
-    let (dev_idx, seed_idx) = prop_split(&text.labels, config);
-    if seed_idx.is_empty() {
-        return Ok(None);
+impl SeedBlock {
+    /// The propagation LF over a streamed pool: the `[seeds | dev | pool]`
+    /// corpus is a [`SegmentedCorpus`] whose pool tail streams from the
+    /// world, and the scale fit and graph build are the sharded replays of
+    /// `SeedBlock::resident_lf`'s.
+    fn sharded_lf(
+        self,
+        world: &World,
+        n_pool: usize,
+        pool_seed: u64,
+        config: &CurationConfig,
+        shard: &ShardConfig,
+        tracker: &mut MemTracker,
+    ) -> CmResult<Option<PropagationLf>> {
+        let head_bytes = self.table.approx_bytes();
+        tracker.charge(head_bytes, "propagation seed/dev tables")?;
+        let mut corpus = SegmentedCorpus::new(shard.segment_rows);
+        corpus.push_head(&self.table);
+        corpus.set_stream(StreamSpec {
+            world,
+            modality: ModalityKind::Image,
+            rows: n_pool,
+            seed: pool_seed,
+        });
+        let sim = fit_scales_sharded(&corpus, &sim_columns(world.schema(), config), tracker)?;
+        let builder = GraphBuilder::approximate(config.prop_k, corpus.total_rows());
+        let graph = build_graph_sharded(&corpus, &builder, &sim, config.seed ^ 0x6EA9, tracker)?;
+        let graph_bytes = graph.approx_bytes();
+        tracker.charge(graph_bytes, "propagation graph")?;
+        let lf = self.lf_from_graph(&graph, config);
+        tracker.release(graph_bytes + head_bytes);
+        Ok(lf)
     }
-    let seed_table = text.table.gather(&seed_idx);
-    let dev_table = text.table.gather(&dev_idx);
-    let head_bytes = seed_table.approx_bytes() + dev_table.approx_bytes();
-    tracker.charge(head_bytes, "propagation seed/dev tables")?;
-
-    let mut corpus = SegmentedCorpus::new(shard.segment_rows);
-    corpus.push_head(&seed_table);
-    corpus.push_head(&dev_table);
-    corpus.set_stream(StreamSpec {
-        world,
-        modality: ModalityKind::Image,
-        rows: n_pool,
-        seed: pool_seed,
-    });
-    let n_combined = corpus.total_rows();
-
-    let sim = fit_scales_sharded(&corpus, &sim_cols, tracker)?;
-    let builder = GraphBuilder::approximate(config.prop_k, n_combined);
-    let graph = build_graph_sharded(&corpus, &builder, &sim, config.seed ^ 0x6EA9, tracker)?;
-    let graph_bytes = graph.approx_bytes();
-    tracker.charge(graph_bytes, "propagation graph")?;
-
-    let seeds: Vec<(usize, f64)> =
-        seed_idx.iter().enumerate().map(|(v, &r)| (v, text.labels[r].as_f64())).collect();
-    let prop_cfg = PropagationConfig {
-        max_iters: 50,
-        tol: 1e-4,
-        prior: text.positive_rate().clamp(1e-4, 0.5),
-    };
-    let scores = propagate(&graph, &seeds, &prop_cfg);
-    drop(graph);
-    tracker.release(graph_bytes);
-    tracker.release(head_bytes);
-
-    let dev_labels: Vec<Label> = dev_idx.iter().map(|&r| text.labels[r]).collect();
-    Ok(prop_artifacts_from_scores(&scores, seed_idx.len(), dev_labels, config))
 }

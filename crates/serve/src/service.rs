@@ -321,12 +321,8 @@ pub fn run(config: &ServeConfig, par: &ParConfig) -> CmResult<RunOutcome> {
     let world = World::build(WorldConfig::new(config.task.clone(), config.seed));
     let ds = config.seed ^ 0xD1CE;
     let text = world.generate(ModalityKind::Text, config.task.n_text_labeled, ds ^ 0x1);
-    let mut access = AccessLayer::new(
-        &config.plan,
-        config.policy.clone(),
-        &world.service_descriptors(),
-        config.seed,
-    )?;
+    let mut access =
+        AccessLayer::new(&config.plan, config.policy, &world.service_descriptors(), config.seed)?;
     let mut stream = world.stream(ModalityKind::Image, config.total_rows, ds ^ 0x2);
 
     // Arrival-dependent state: resumed from a checkpoint when one exists.

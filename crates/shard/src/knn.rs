@@ -57,7 +57,7 @@ pub fn fit_scales_sharded(
 /// Approximate heap bytes of a `Vec`-of-`Vec` nest.
 fn nested_bytes<T>(outer: &[Vec<T>]) -> usize {
     outer.iter().map(|v| v.capacity() * std::mem::size_of::<T>()).sum::<usize>()
-        + outer.len() * std::mem::size_of::<Vec<T>>()
+        + std::mem::size_of_val(outer)
 }
 
 /// Builds the k-NN graph over a segmented corpus, bit-identical to

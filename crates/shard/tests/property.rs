@@ -155,7 +155,7 @@ fn segment_offsets_are_globally_consistent() {
             &mut tracker,
             &mut |offset, seg, _| {
                 assert_eq!(offset, next, "seg_rows {seg_rows}");
-                assert!(seg.len() > 0 && seg.len() <= seg_rows);
+                assert!(!seg.is_empty() && seg.len() <= seg_rows);
                 next += seg.len();
                 Ok(())
             },

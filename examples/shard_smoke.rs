@@ -12,6 +12,7 @@
 //! ```
 
 use cross_modal::mining::MiningConfig;
+use cross_modal::par::ParConfig;
 use cross_modal::prelude::*;
 
 fn checksum(labels: &[f64]) -> u64 {
@@ -30,6 +31,7 @@ fn main() {
         ..Default::default()
     };
 
+    let par = ParConfig::from_env();
     let data = TaskData::generate(task(), seed, Some(64));
     let want = curate(&data, &config);
     let want_sum = checksum(&want.probabilistic_labels);
@@ -41,12 +43,12 @@ fn main() {
 
     let mut failures = 0usize;
     for shard_rows in [1usize, 97, 1 << 20] {
+        let shard = ShardConfig::with_segment_rows(shard_rows);
         let streamed =
-            curate_streamed(task(), seed, &config, &ShardConfig::with_segment_rows(shard_rows))
-                .unwrap_or_else(|e| {
-                    eprintln!("streamed curation failed at shard_rows={shard_rows}: {e}");
-                    std::process::exit(1);
-                });
+            curate_streamed_with(task(), seed, &config, &shard, &par).unwrap_or_else(|e| {
+                eprintln!("streamed curation failed at shard_rows={shard_rows}: {e}");
+                std::process::exit(1);
+            });
         let got = &streamed.output;
         let got_sum = checksum(&got.probabilistic_labels);
         let identical = got_sum == want_sum

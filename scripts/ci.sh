@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo clippy (layer 0: the clippy groups Cargo.toml denies)"
+cargo clippy --workspace --all-targets
+
 echo "==> xtask lint --self-test (lint engine vs seeded corpus)"
 cargo run -q -p xtask -- lint --self-test
 

@@ -80,9 +80,9 @@ pub mod prelude {
     pub use cm_models::{ModelKind, TrainConfig};
     pub use cm_orgsim::{ModalityDataset, TaskConfig, TaskId, World, WorldConfig};
     pub use cm_pipeline::{
-        curate, curate_streamed, curate_streamed_with, curate_with_lfs, expert_lfs, CurationConfig,
-        CurationOutput, DegradationReport, FusionStrategy, LabelModelKind, LabelSource, Scenario,
-        ScenarioRunner, StreamStats, StreamedCuration, TaskData,
+        curate, curate_streamed_with, curate_with_lfs, expert_lfs, CurationConfig, CurationOutput,
+        DegradationReport, FusionStrategy, LabelModelKind, LabelSource, Scenario, ScenarioRunner,
+        StreamStats, StreamedCuration, TaskData,
     };
     pub use cm_serve::{QualityGuards, QueueConfig, RunOutcome, ServeConfig, ServeReport};
     pub use cm_shard::{MemBudget, MemTracker, ShardConfig};

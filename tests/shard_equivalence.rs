@@ -8,7 +8,7 @@
 //! individual substrates (Apriori supports, similarity scales, k-NN
 //! graphs).
 
-use cross_modal::featurespace::{FrozenTable, SimilarityConfig};
+use cross_modal::featurespace::{ErrorKind, FrozenTable, SimilarityConfig};
 use cross_modal::mining::{
     mine_from_bitsets, mine_itemsets_with, ItemCatalogBuilder, MiningConfig,
 };
@@ -55,71 +55,80 @@ fn assert_outputs_match(got: &CurationOutput, want: &CurationOutput, what: &str)
     );
 }
 
-#[test]
-fn streamed_curation_matches_resident_across_shard_sizes_and_threads() {
-    let config = CurationConfig { use_label_propagation: false, ..fast_config() };
+/// Checks each label model with propagation off and on, at every shard
+/// size and thread count: the resident driver is the one-segment case of
+/// the streamed one, so every cell must match it bit for bit.
+fn assert_streamed_matches_resident(label_models: &[LabelModelKind], propagation: &[bool]) {
     let data = TaskData::generate(task(), 5, Some(64));
-    let want = curate(&data, &config);
-    for shard_rows in SHARD_SIZES {
-        for threads in [1usize, 2, 4] {
-            let got = curate_streamed_with(
-                task(),
-                5,
-                &config,
-                &ShardConfig::with_segment_rows(shard_rows),
-                &ParConfig::threads(threads),
-            )
-            .unwrap();
-            let what = format!("shard_rows={shard_rows} threads={threads}");
-            assert_outputs_match(&got.output, &want, &what);
-            assert_eq!(got.stats.pool_rows, data.pool.len(), "{what}");
-            assert_eq!(got.stats.segments, data.pool.len().div_ceil(shard_rows), "{what}");
-            assert!(got.stats.peak_bytes > 0, "{what}: nothing was ever charged");
+    for &label_model in label_models {
+        for &use_label_propagation in propagation {
+            let config = CurationConfig { label_model, use_label_propagation, ..fast_config() };
+            let want = curate(&data, &config);
+            assert_eq!(
+                want.lf_names.iter().any(|n| n == "label_propagation"),
+                use_label_propagation,
+                "fixture must exercise the propagation LF exactly when it is on"
+            );
+            for shard_rows in SHARD_SIZES {
+                for threads in [1usize, 2, 4] {
+                    let got = curate_streamed_with(
+                        task(),
+                        5,
+                        &config,
+                        &ShardConfig::with_segment_rows(shard_rows),
+                        &ParConfig::threads(threads),
+                    )
+                    .unwrap();
+                    let what = format!(
+                        "{label_model:?} propagation={use_label_propagation} \
+                         shard_rows={shard_rows} threads={threads}"
+                    );
+                    assert_outputs_match(&got.output, &want, &what);
+                    assert_eq!(got.stats.pool_rows, data.pool.len(), "{what}");
+                    assert_eq!(got.stats.segments, data.pool.len().div_ceil(shard_rows), "{what}");
+                    assert!(got.stats.peak_bytes > 0, "{what}: nothing was ever charged");
+                }
+            }
         }
     }
 }
 
 #[test]
-fn streamed_curation_matches_resident_with_propagation() {
-    let config = fast_config();
-    let data = TaskData::generate(task(), 5, Some(64));
-    let want = curate(&data, &config);
-    assert!(
-        want.lf_names.iter().any(|n| n == "label_propagation"),
-        "fixture must exercise the propagation LF"
+fn streamed_curation_matches_resident_across_shard_sizes_and_threads() {
+    assert_streamed_matches_resident(
+        &[LabelModelKind::Anchored, LabelModelKind::MajorityVote],
+        &[false],
     );
-    for (shard_rows, threads) in [(97usize, 1usize), (97, 4), (1 << 20, 1), (1 << 20, 4)] {
-        let got = curate_streamed_with(
-            task(),
-            5,
-            &config,
-            &ShardConfig::with_segment_rows(shard_rows),
-            &ParConfig::threads(threads),
-        )
-        .unwrap();
-        assert_outputs_match(&got.output, &want, &format!("prop shard_rows={shard_rows}"));
-    }
+}
+
+#[test]
+fn streamed_curation_matches_resident_with_propagation() {
+    assert_streamed_matches_resident(
+        &[LabelModelKind::Anchored, LabelModelKind::MajorityVote],
+        &[true],
+    );
 }
 
 #[test]
 fn streamed_curation_matches_resident_under_em_model() {
-    let config = CurationConfig {
-        use_label_propagation: false,
-        label_model: LabelModelKind::Em,
-        ..fast_config()
+    assert_streamed_matches_resident(&[LabelModelKind::Em], &[false, true]);
+}
+
+/// Charges are deterministic and made before use: a run's own peak is a
+/// budget it fits exactly, and one byte less fails with an error, not a
+/// panic.
+#[test]
+fn streamed_curation_fits_its_own_peak_and_fails_one_byte_under() {
+    let config = fast_config();
+    let run = |budget: usize| {
+        let shard = ShardConfig { segment_rows: 97, budget: MemBudget::bytes(budget) };
+        curate_streamed_with(task(), 5, &config, &shard, &ParConfig::threads(2))
     };
-    let want = curate(&TaskData::generate(task(), 5, Some(64)), &config);
-    for threads in [1usize, 2] {
-        let got = curate_streamed_with(
-            task(),
-            5,
-            &config,
-            &ShardConfig::with_segment_rows(64),
-            &ParConfig::threads(threads),
-        )
-        .unwrap();
-        assert_outputs_match(&got.output, &want, &format!("em threads={threads}"));
-    }
+    let peak = run(usize::MAX).unwrap().stats.peak_bytes;
+    let fitted = run(peak).unwrap();
+    assert_eq!(fitted.stats.peak_bytes, peak);
+    let err = run(peak - 1).err().expect("one byte under the peak must fail");
+    assert_eq!(err.kind, ErrorKind::InvalidConfig, "{err:?}");
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Golden-fixture regression test for the *sharded* curation driver:
-//! end-to-end probabilistic labels from `curate_streamed` pinned bit for
+//! end-to-end probabilistic labels from `curate_streamed_with` pinned bit for
 //! bit, at a deliberately awkward shard size (a prime that never divides
 //! the corpus evenly).
 //!
@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use cross_modal::json::Json;
+use cross_modal::par::ParConfig;
 use cross_modal::prelude::*;
 
 fn fixture_path() -> PathBuf {
@@ -23,8 +24,9 @@ fn fixture_path() -> PathBuf {
 
 fn sharded_labels() -> Vec<f64> {
     let task = TaskConfig::paper(TaskId::Ct2).scaled(0.03);
+    let shard = ShardConfig::with_segment_rows(257);
     let streamed =
-        curate_streamed(task, 11, &CurationConfig::default(), &ShardConfig::with_segment_rows(257))
+        curate_streamed_with(task, 11, &CurationConfig::default(), &shard, &ParConfig::from_env())
             .unwrap_or_else(|e| panic!("streamed curation failed: {e:?}"));
     streamed.output.probabilistic_labels
 }
