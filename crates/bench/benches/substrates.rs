@@ -373,14 +373,28 @@ fn bench_faults(c: &Harness) {
     group.finish();
 }
 
+/// The process's peak resident set size in bytes (`VmHWM` in
+/// `/proc/self/status`), or `None` where the OS does not report it.
+fn vm_hwm_bytes() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(kb.trim().trim_end_matches("kB").trim().parse::<usize>().ok()? * 1024)
+}
+
 /// Scale sweep for the sharded out-of-core curation driver: 10^4 -> 10^6
 /// pool rows streamed through `curate_streamed_with` under the default
-/// `CM_MEM_BUDGET`, recording rows/sec and peak resident bytes into
-/// `results/BENCH_scale.json`. Each size is one end-to-end timed run (these
-/// are full curations, not microbenchmarks). `CM_SCALE_MAX_ROWS` caps the
-/// sweep for smoke runs; `CM_SCALE_JSON` overrides the output path.
+/// `CM_MEM_BUDGET`, recording rows/sec, peak tracked bytes and the OS's
+/// peak resident set (`VmHWM`) into `results/BENCH_scale.json`. `VmHWM`
+/// is a process-wide high-water mark: sizes run in ascending order, so
+/// each row's value is the peak up to and including its size, and the
+/// config records the mark the sweep started from. Each size is one
+/// end-to-end timed run (these are full curations, not
+/// microbenchmarks). `CM_SCALE_MAX_ROWS` caps the sweep for smoke runs;
+/// `CM_SCALE_JSON` overrides the output path.
 fn bench_scale(c: &Harness) {
     let group = c.group("scale");
+    let hwm = |bytes: Option<usize>| bytes.map_or(Json::Null, |b| Json::Num(b as f64));
+    let hwm_at_start = vm_hwm_bytes();
     let max_rows = std::env::var("CM_SCALE_MAX_ROWS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -427,6 +441,7 @@ fn bench_scale(c: &Harness) {
             ("elapsed_ms", Json::Num(elapsed.as_secs_f64() * 1e3)),
             ("rows_per_sec", Json::Num(rows_per_sec)),
             ("peak_resident_bytes", Json::Num(streamed.stats.peak_bytes as f64)),
+            ("vm_hwm_bytes", hwm(vm_hwm_bytes())),
             ("mining_ms", Json::Num(stages.mining.as_secs_f64() * 1e3)),
             ("propagation_ms", Json::Num(stages.propagation.as_secs_f64() * 1e3)),
             ("generation_ms", Json::Num(stages.generation.as_secs_f64() * 1e3)),
@@ -448,6 +463,7 @@ fn bench_scale(c: &Harness) {
                 ("use_label_propagation", Json::Bool(false)),
                 ("shard_rows", Json::Num(shard.segment_rows as f64)),
                 ("mem_budget_bytes", Json::Num(shard.budget.limit() as f64)),
+                ("vm_hwm_at_start_bytes", hwm(hwm_at_start)),
             ]),
         ),
         ("results", Json::Arr(rows)),

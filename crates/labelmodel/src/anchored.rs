@@ -17,6 +17,7 @@
 use cm_featurespace::Label;
 
 use crate::matrix::LabelMatrix;
+use crate::patterns::VotePatterns;
 
 /// Class-conditional vote rates of one LF.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +59,12 @@ impl LfRates {
             pos_given_neg: smooth(counts[0][1], n_neg),
             neg_given_neg: smooth(counts[0][0], n_neg),
         }
+    }
+
+    /// `ln P(vote | y)` for every vote, `(y = 1, y = 0)` per
+    /// [`vote_slot`].
+    fn log_likelihoods(&self) -> [(f64, f64); 3] {
+        [-1, 0, 1].map(|v| (self.likelihood(v, true).ln(), self.likelihood(v, false).ln()))
     }
 
     /// `P(vote | y)` for an encoded vote.
@@ -158,7 +165,17 @@ impl RateCounts {
             .collect();
         let prior =
             class_prior.unwrap_or(self.n_pos as f64 / self.n_rows() as f64).clamp(1e-4, 1.0 - 1e-4);
-        AnchoredModel { rates, class_prior: prior }
+        AnchoredModel::new(rates, prior)
+    }
+}
+
+/// A vote's slot in [`LfRates::log_likelihoods`]; anything but `±1` is
+/// an abstain, as in [`LfRates::likelihood`].
+fn vote_slot(vote: i8) -> usize {
+    match vote {
+        -1 => 0,
+        1 => 2,
+        _ => 1,
     }
 }
 
@@ -182,6 +199,13 @@ impl RateCounts {
 pub struct AnchoredModel {
     rates: Vec<LfRates>,
     class_prior: f64,
+    /// `(ln P(y = 1), ln P(y = 0))`.
+    log_prior: (f64, f64),
+    /// Per LF, [`LfRates::log_likelihoods`]: the `ln` of every vote cell
+    /// taken once per model instead of twice per cell. `ln` is a pure
+    /// function, so a table entry is the very value a per-cell call
+    /// returns, and posteriors keep their bits.
+    log_lik: Vec<[(f64, f64); 3]>,
 }
 
 impl AnchoredModel {
@@ -205,7 +229,16 @@ impl AnchoredModel {
     /// Panics if `class_prior` is outside `(0, 1)`.
     pub fn from_rates(rates: Vec<LfRates>, class_prior: f64) -> Self {
         assert!(class_prior > 0.0 && class_prior < 1.0, "invalid class prior");
-        Self { rates, class_prior }
+        Self::new(rates, class_prior)
+    }
+
+    fn new(rates: Vec<LfRates>, class_prior: f64) -> Self {
+        Self {
+            log_prior: (class_prior.ln(), (1.0 - class_prior).ln()),
+            log_lik: rates.iter().map(LfRates::log_likelihoods).collect(),
+            rates,
+            class_prior,
+        }
     }
 
     /// The per-LF rates.
@@ -226,20 +259,39 @@ impl AnchoredModel {
     /// Panics if the LF count differs from the dev matrix.
     pub fn predict(&self, matrix: &LabelMatrix) -> Vec<f64> {
         assert_eq!(matrix.n_lfs(), self.rates.len(), "LF count mismatch");
-        (0..matrix.n_rows())
-            .map(|r| {
-                let mut log_pos = self.class_prior.ln();
-                let mut log_neg = (1.0 - self.class_prior).ln();
-                for (&v, rates) in matrix.row(r).iter().zip(&self.rates) {
-                    log_pos += rates.likelihood(v, true).ln();
-                    log_neg += rates.likelihood(v, false).ln();
-                }
-                let m = log_pos.max(log_neg);
-                let p = (log_pos - m).exp();
-                let n = (log_neg - m).exp();
-                p / (p + n)
+        (0..matrix.n_rows()).map(|r| self.posterior(matrix.row(r))).collect()
+    }
+
+    /// Probabilistic labels for folded vote patterns, one per pattern:
+    /// bit-identical to [`AnchoredModel::predict`] on any row with that
+    /// vote vector.
+    ///
+    /// # Panics
+    /// Panics if the LF count differs from the dev matrix.
+    pub fn predict_patterns(&self, patterns: &VotePatterns) -> Vec<f64> {
+        assert_eq!(patterns.n_lfs(), self.rates.len(), "LF count mismatch");
+        let mut dense = Vec::with_capacity(patterns.n_lfs());
+        (0..patterns.len())
+            .map(|p| {
+                patterns.dense_into(p, &mut dense);
+                self.posterior(&dense)
             })
             .collect()
+    }
+
+    /// `P(y = 1 | votes)` for one dense vote vector. Abstains carry
+    /// evidence here, so every LF is summed, in LF order.
+    fn posterior(&self, votes: &[i8]) -> f64 {
+        let (mut log_pos, mut log_neg) = self.log_prior;
+        for (&v, lik) in votes.iter().zip(&self.log_lik) {
+            let (pos, neg) = lik[vote_slot(v)];
+            log_pos += pos;
+            log_neg += neg;
+        }
+        let m = log_pos.max(log_neg);
+        let p = (log_pos - m).exp();
+        let n = (log_neg - m).exp();
+        p / (p + n)
     }
 }
 
@@ -370,6 +422,61 @@ mod tests {
         rev.merge(&a);
         rev.merge(&b);
         assert_eq!(fwd, rev);
+    }
+
+    /// The per-cell formula the log table replaces.
+    fn predict_per_cell(model: &AnchoredModel, matrix: &LabelMatrix) -> Vec<f64> {
+        (0..matrix.n_rows())
+            .map(|r| {
+                let mut log_pos = model.class_prior.ln();
+                let mut log_neg = (1.0 - model.class_prior).ln();
+                for (&v, rates) in matrix.row(r).iter().zip(&model.rates) {
+                    log_pos += rates.likelihood(v, true).ln();
+                    log_neg += rates.likelihood(v, false).ln();
+                }
+                let m = log_pos.max(log_neg);
+                let p = (log_pos - m).exp();
+                let n = (log_neg - m).exp();
+                p / (p + n)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn log_table_predict_is_bit_equal_to_per_cell_ln() {
+        use cm_linalg::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..20 {
+            let n_lfs = 1 + case % 9 * 7;
+            let n_rows = 300;
+            let votes: Vec<i8> = (0..n_rows * n_lfs)
+                .map(|_| match rng.gen_range(0..5usize) {
+                    0 => 1,
+                    1 => -1,
+                    _ => 0,
+                })
+                .collect();
+            let names = (0..n_lfs).map(|j| format!("lf{j}")).collect();
+            let target = LabelMatrix::from_votes(n_rows, n_lfs, votes, names);
+            // Rates from a random dev matrix of the same width.
+            let dev_votes: Vec<i8> =
+                (0..200 * n_lfs).map(|_| [1, -1, 0, 0][rng.gen_range(0..4usize)]).collect();
+            let dev = LabelMatrix::from_votes(200, n_lfs, dev_votes, target.names().to_vec());
+            let labels: Vec<Label> = (0..200)
+                .map(|i| if i % 7 == 0 { Label::Positive } else { Label::Negative })
+                .collect();
+            let prior = [None, Some(0.03), Some(0.4)][case % 3];
+            let model = AnchoredModel::fit(&dev, &labels, prior);
+            let want = predict_per_cell(&model, &target);
+            let got = model.predict(&target);
+            let by_pattern = model.predict_patterns(&VotePatterns::of_segments(&[&target]));
+            let mut ids = VotePatterns::new(n_lfs);
+            for r in 0..n_rows {
+                assert_eq!(got[r].to_bits(), want[r].to_bits(), "case {case}, row {r}");
+                let p = ids.observe(target.row(r));
+                assert_eq!(by_pattern[p].to_bits(), want[r].to_bits(), "case {case}, row {r}");
+            }
+        }
     }
 
     #[test]

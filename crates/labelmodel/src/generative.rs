@@ -441,23 +441,29 @@ impl LogParams {
 /// Majority-vote baseline: mean of non-abstain votes mapped to `[0, 1]`;
 /// rows with no votes get 0.5.
 pub fn majority_vote(matrix: &LabelMatrix) -> Vec<f64> {
-    (0..matrix.n_rows())
-        .map(|r| {
-            let row = matrix.row(r);
-            let n = row.iter().filter(|&&v| v != 0).count();
-            if n == 0 {
-                return 0.5;
-            }
-            let sum: i32 = row.iter().map(|&v| i32::from(v)).sum();
-            if sum > 0 {
-                1.0
-            } else if sum < 0 {
-                0.0
-            } else {
-                0.5
-            }
-        })
-        .collect()
+    (0..matrix.n_rows()).map(|r| majority(matrix.row(r).iter().copied())).collect()
+}
+
+/// [`majority_vote`] for folded vote patterns, one label per pattern:
+/// equal to [`majority_vote`] on any row with that vote vector.
+pub fn majority_vote_patterns(patterns: &VotePatterns) -> Vec<f64> {
+    (0..patterns.len()).map(|p| majority(patterns.cells(p).iter().map(|&(_, v)| v))).collect()
+}
+
+/// One row's majority vote; abstains (`0`) count for neither side.
+fn majority(votes: impl Iterator<Item = i8>) -> f64 {
+    let (mut n, mut sum) = (0usize, 0i32);
+    for v in votes.filter(|&v| v != 0) {
+        n += 1;
+        sum += i32::from(v);
+    }
+    if n == 0 || sum == 0 {
+        0.5
+    } else if sum > 0 {
+        1.0
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]
@@ -764,6 +770,7 @@ mod tests {
             LabelMatrix::from_votes(3, 2, vec![1, -1, 1, 0, 0, 0], vec!["a".into(), "b".into()]);
         let mv = majority_vote(&m);
         assert_eq!(mv, vec![0.5, 1.0, 0.5]);
+        assert_eq!(majority_vote_patterns(&VotePatterns::of_segments(&[&m])), mv);
     }
 
     #[test]

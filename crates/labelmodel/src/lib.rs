@@ -17,7 +17,9 @@ pub mod patterns;
 
 pub use anchored::{AnchoredModel, LfRates, RateCounts};
 pub use diagnostics::{evaluate_lfs, filter_lfs, LfReport, LfSummary};
-pub use generative::{majority_vote, EmMoments, GenerativeConfig, GenerativeModel, WarmStart};
+pub use generative::{
+    majority_vote, majority_vote_patterns, EmMoments, GenerativeConfig, GenerativeModel, WarmStart,
+};
 pub use lf::{
     BoundScoreLf, CategoricalContainsLf, ConjunctionLf, LabelingFunction, NumericThresholdLf,
     Predicate, ThresholdDirection, Vote,

@@ -309,16 +309,9 @@ impl LabelMatrix {
     /// ignored). Used to excise degraded LFs before the label model fits,
     /// since an all-abstain column still shifts generative posteriors.
     pub fn without_columns(&self, drop: &[usize]) -> LabelMatrix {
-        // A boolean mask makes the column filter O(n_lfs + |drop|) instead
-        // of O(n_lfs * |drop|), and gives the kept count up front so the
-        // vote buffer allocates its exact final capacity.
-        let mut dropped = vec![false; self.n_lfs];
-        for &i in drop {
-            if i < self.n_lfs {
-                dropped[i] = true;
-            }
-        }
-        let keep: Vec<usize> = (0..self.n_lfs).filter(|&i| !dropped[i]).collect();
+        // The kept count is known up front, so the vote buffer allocates
+        // its exact final capacity.
+        let keep = kept_columns(self.n_lfs, drop);
         let mut votes = Vec::with_capacity(self.n_rows * keep.len());
         for r in 0..self.n_rows {
             let row = self.row(r);
@@ -343,6 +336,13 @@ impl LabelMatrix {
         LabelMatrix { n_rows: 0, n_lfs, votes: Vec::with_capacity(n_rows * n_lfs), names }
     }
 
+    /// Removes every row, keeping the columns and the vote buffer's
+    /// capacity: a segment buffer reused across appends.
+    pub fn clear(&mut self) {
+        self.votes.clear();
+        self.n_rows = 0;
+    }
+
     /// Approximate resident size in bytes (vote buffer dominates); used by
     /// the sharded driver's memory accounting.
     pub fn approx_bytes(&self) -> usize {
@@ -350,15 +350,19 @@ impl LabelMatrix {
             + self.names.iter().map(|n| n.len() + std::mem::size_of::<String>()).sum::<usize>()
             + std::mem::size_of::<Self>()
     }
+}
 
-    /// Resident bytes counting reserved-but-unfilled vote capacity — what
-    /// a memory tracker should charge for a preallocated streaming target
-    /// the moment it is created.
-    pub fn capacity_bytes(&self) -> usize {
-        self.votes.capacity() * std::mem::size_of::<i8>()
-            + self.names.iter().map(|n| n.len() + std::mem::size_of::<String>()).sum::<usize>()
-            + std::mem::size_of::<Self>()
+/// The columns of `0..n_lfs` not in `drop` (duplicates and out-of-range
+/// indices ignored), in order. A boolean mask makes this O(n_lfs +
+/// |drop|) instead of O(n_lfs * |drop|).
+pub(crate) fn kept_columns(n_lfs: usize, drop: &[usize]) -> Vec<usize> {
+    let mut dropped = vec![false; n_lfs];
+    for &i in drop {
+        if i < n_lfs {
+            dropped[i] = true;
+        }
     }
+    (0..n_lfs).filter(|&i| !dropped[i]).collect()
 }
 
 /// The one vote-fill path every application goes through: `votes` holds

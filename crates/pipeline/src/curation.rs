@@ -10,8 +10,10 @@
 //! Every driver runs one engine. `CurationSetup` holds what the labeled
 //! corpus yields (LFs, dev votes, prior, propagation seed block);
 //! `CurationEngine::append_segment` writes pool votes, propagation column
-//! included, into one preallocated matrix; and `CurationEngine::finish`
-//! fits the label model. Resident curation is
+//! included, into a reused segment buffer and interns each row's vote
+//! vector, keeping a 4-byte pattern id per row; and
+//! `CurationEngine::finish` fits and predicts once per distinct vote
+//! vector, then gathers by pattern id. Resident curation is
 //! the one-segment case of the streamed driver (`crate::stream`), and the
 //! incremental curator (`crate::incremental`) starts from the same setup.
 //! Only the propagation graph's construction differs by driver: the
@@ -25,8 +27,8 @@ use cm_featurespace::{
     FeatureSchema, FeatureSet, FeatureTable, Label, ServingMode, SimilarityConfig,
 };
 use cm_labelmodel::{
-    majority_vote, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel, LabelMatrix,
-    LabelingFunction, LfRates,
+    majority_vote_patterns, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel,
+    LabelMatrix, LabelingFunction, LfRates, VotePatterns, VoteStats,
 };
 use cm_linalg::rng::SliceRandom;
 use cm_linalg::rng::StdRng;
@@ -348,42 +350,67 @@ pub(crate) struct PropagationLf {
 }
 
 /// The batch curation engine: the shared setup, the propagation LF it
-/// yielded, and one pool sweep that writes each segment's base votes and
-/// propagation vote straight into a preallocated pool matrix. Resident
-/// curation appends the whole pool as one segment, streamed curation one
-/// segment at a time; votes are pure per-row values, so both assemble the
-/// same matrix bit for bit.
+/// yielded, and one pool sweep that writes each segment's votes
+/// (propagation column included) into a reused segment buffer, interns
+/// every row's vote vector into a [`VotePatterns`] table, and keeps only
+/// the row's pattern id. Resident curation appends the whole pool as one
+/// segment, streamed curation one segment at a time; votes are pure
+/// per-row values, so both intern the same patterns in the same order.
+/// [`CurationEngine::finish`] computes every output once per distinct
+/// vote vector and gathers it by pattern id.
 pub(crate) struct CurationEngine {
     setup: CurationSetup,
     prop: Option<PropagationLf>,
-    pool_matrix: LabelMatrix,
+    /// The current segment's votes; one buffer reused across appends.
+    segment: LabelMatrix,
+    /// The distinct pool vote vectors with their row counts.
+    patterns: VotePatterns,
+    /// Each pool row's pattern id, in offset order.
+    pattern_ids: Vec<u32>,
     pool_truth: Vec<Label>,
 }
 
 impl CurationEngine {
-    /// An engine over `n_pool` pool rows, with the pool matrix (base LFs,
-    /// then the propagation LF when present) preallocated.
+    /// An engine over `n_pool` pool rows whose columns are the base LFs,
+    /// then the propagation LF when present; the pattern ids are
+    /// preallocated.
     pub fn new(setup: CurationSetup, prop: Option<PropagationLf>, n_pool: usize) -> Self {
         let mut names = setup.lf_names.clone();
         if let Some(p) = &prop {
             names.push(p.pool_lf.name().to_owned());
         }
         Self {
-            pool_matrix: LabelMatrix::with_row_capacity(n_pool, names),
+            patterns: VotePatterns::new(names.len()),
+            segment: LabelMatrix::with_row_capacity(0, names),
+            pattern_ids: Vec::with_capacity(n_pool),
             pool_truth: Vec::with_capacity(n_pool),
             setup,
             prop,
         }
     }
 
-    /// Resident bytes of the preallocated pool matrix.
+    /// Resident bytes of the preallocated pattern ids: 4 per pool row.
     pub fn pool_bytes(&self) -> usize {
-        self.pool_matrix.capacity_bytes()
+        self.pattern_ids.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Appends pool rows `offset..offset + table.len()`: every row's votes
-    /// land in the pool matrix in one pass, the propagation column
-    /// included.
+    /// The most an append of `rows` rows holds beyond
+    /// [`CurationEngine::pool_bytes`] and
+    /// [`CurationEngine::pattern_bytes`] while it runs: the segment's
+    /// votes, plus the pattern table's growth if every row is a new
+    /// pattern.
+    pub fn append_bound(&self, rows: usize) -> usize {
+        rows * self.patterns.n_lfs() + self.patterns.growth_bound(rows)
+    }
+
+    /// Resident bytes of the pattern table.
+    pub fn pattern_bytes(&self) -> usize {
+        self.patterns.approx_bytes()
+    }
+
+    /// Appends pool rows `offset..offset + table.len()`: every row's votes,
+    /// the propagation column included, are written in one pass and
+    /// interned.
     ///
     /// # Panics
     /// Panics unless segments arrive in offset order.
@@ -394,19 +421,24 @@ impl CurationEngine {
         labels: &[Label],
         par: &ParConfig,
     ) {
-        assert_eq!(offset, self.pool_matrix.n_rows(), "pool segments must arrive in order");
+        assert_eq!(offset, self.pattern_ids.len(), "pool segments must arrive in order");
         let lfs = &self.setup.lfs;
+        self.segment.clear();
         match &self.prop {
-            Some(p) => {
-                self.pool_matrix.apply_append_bound_with(table, lfs, &p.pool_lf, offset, par);
-            }
-            None => self.pool_matrix.apply_append_with(table, lfs, par),
+            Some(p) => self.segment.apply_append_bound_with(table, lfs, &p.pool_lf, offset, par),
+            None => self.segment.apply_append_with(table, lfs, par),
+        }
+        for r in 0..self.segment.n_rows() {
+            self.pattern_ids.push(self.patterns.observe(self.segment.row(r)) as u32);
         }
         self.pool_truth.extend_from_slice(labels);
     }
 
     /// The model-fitting tail: abstain telemetry, degradation drops,
-    /// label-model fit/predict, and the quality report. Thread-count
+    /// label-model fit/predict, and the quality report, each computed
+    /// once per distinct vote vector. Every count is an exact integer and
+    /// every posterior a pure function of the vote vector, so the output
+    /// equals the row-by-row computation bit for bit. Thread-count
     /// invariant (every parallel substrate it calls is).
     pub fn finish(
         self,
@@ -416,11 +448,11 @@ impl CurationEngine {
         propagation_time: Option<Duration>,
         par: &ParConfig,
     ) -> CurationOutput {
-        let CurationEngine { setup, prop, pool_matrix, pool_truth } = self;
+        let CurationEngine { setup, prop, segment, patterns, pattern_ids, pool_truth } = self;
         let CurationSetup { dev_matrix, dev_labels, prior, .. } = setup;
-        let lf_names = pool_matrix.names().to_vec();
-        let n_rows = pool_matrix.n_rows();
-        let n_lfs = pool_matrix.n_lfs();
+        let lf_names = segment.names().to_vec();
+        let n_rows = pattern_ids.len();
+        let n_lfs = patterns.n_lfs();
 
         // Abstain-rate telemetry: dev rates over the evidence the LF weights
         // are estimated on (whole corpus for base LFs, the propagation dev
@@ -435,11 +467,10 @@ impl CurationEngine {
             dev_abstain
                 .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
         }
-        let pool_abstain: Vec<f64> = (0..n_lfs)
-            .map(|c| {
-                (0..n_rows).filter(|&r| pool_matrix.row(r)[c] == 0).count() as f64
-                    / n_rows.max(1) as f64
-            })
+        let pool_abstain: Vec<f64> = patterns
+            .votes_per_lf()
+            .iter()
+            .map(|&voting| (n_rows as u64 - voting) as f64 / n_rows.max(1) as f64)
             .collect();
 
         // Graceful degradation: a column that abstains on every dev row has no
@@ -455,19 +486,18 @@ impl CurationEngine {
             .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
             .collect();
         let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
-        let active_matrix = if dropped_idx.is_empty() {
-            pool_matrix
+        // Dropping columns projects the patterns, merging those that differ
+        // only in dropped columns; `remap` takes a pool pattern id to its
+        // active one.
+        let (active, remap) = if dropped_idx.is_empty() {
+            let identity = (0..patterns.len() as u32).collect();
+            (patterns, identity)
         } else {
-            pool_matrix.without_columns(&dropped_idx)
+            patterns.without_columns(&dropped_idx)
         };
 
-        // Coverage is invariant to dropping all-abstain columns, so clean runs
-        // see exactly the pre-degradation semantics.
-        let covered: Vec<bool> =
-            (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
-
-        let probabilistic_labels = if active_matrix.n_lfs() == 0 {
-            vec![prior; n_rows]
+        let pattern_labels = if active.n_lfs() == 0 {
+            vec![prior; active.len()]
         } else {
             match config.label_model {
                 LabelModelKind::Anchored => {
@@ -484,17 +514,27 @@ impl CurationEngine {
                         .filter(|&(c, _)| !dropped_idx.contains(&c))
                         .map(|(_, r)| r)
                         .collect();
-                    AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
+                    AnchoredModel::from_rates(rates, prior).predict_patterns(&active)
                 }
                 LabelModelKind::Em => {
                     let gen_cfg =
                         GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
-                    GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
-                        .predict_with(&active_matrix, par)
+                    GenerativeModel::fit_patterns(&active, &gen_cfg, None, par)
+                        .predict_patterns(&active)
                 }
-                LabelModelKind::MajorityVote => majority_vote(&active_matrix),
+                LabelModelKind::MajorityVote => majority_vote_patterns(&active),
             }
         };
+
+        // Coverage is invariant to dropping all-abstain columns, so clean runs
+        // see exactly the pre-degradation semantics.
+        let (probabilistic_labels, covered): (Vec<f64>, Vec<bool>) = pattern_ids
+            .iter()
+            .map(|&p| {
+                let q = remap[p as usize] as usize;
+                (pattern_labels[q], active.covers(q))
+            })
+            .unzip();
 
         let pool_coverage =
             covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
@@ -526,7 +566,7 @@ impl CurationEngine {
             ws_quality,
             mining_time,
             propagation_time,
-            conflict: active_matrix.conflict(),
+            conflict: VoteStats::from_counts(active.vote_counts()).conflict,
             degradation,
         }
     }
@@ -591,9 +631,272 @@ fn ws_quality(probs: &[f64], covered: &[bool], truth: &[Label]) -> WsQuality {
 
 #[cfg(test)]
 mod tests {
+    use cm_labelmodel::{majority_vote, NumericThresholdLf, ThresholdDirection, Vote};
     use cm_orgsim::{TaskConfig, TaskId};
 
     use super::*;
+
+    /// The row-wise model tail `CurationEngine::finish` replaced, kept as
+    /// its oracle: every output computed over the dense pool matrix.
+    fn finish_rowwise(
+        setup: CurationSetup,
+        prop: Option<PropagationLf>,
+        pool_matrix: LabelMatrix,
+        pool_truth: &[Label],
+        config: &CurationConfig,
+        fault_summary: Option<&FaultSummary>,
+        par: &ParConfig,
+    ) -> CurationOutput {
+        let CurationSetup { dev_matrix, dev_labels, prior, .. } = setup;
+        let lf_names = pool_matrix.names().to_vec();
+        let n_rows = pool_matrix.n_rows();
+        let n_lfs = pool_matrix.n_lfs();
+        let mut dev_abstain: Vec<f64> = (0..dev_matrix.n_lfs())
+            .map(|c| {
+                (0..dev_matrix.n_rows()).filter(|&r| dev_matrix.row(r)[c] == 0).count() as f64
+                    / dev_matrix.n_rows().max(1) as f64
+            })
+            .collect();
+        if let Some(votes) = prop.as_ref().map(|p| &p.dev_votes) {
+            dev_abstain
+                .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
+        }
+        let pool_abstain: Vec<f64> = (0..n_lfs)
+            .map(|c| {
+                (0..n_rows).filter(|&r| pool_matrix.row(r)[c] == 0).count() as f64
+                    / n_rows.max(1) as f64
+            })
+            .collect();
+        let fault_aware = fault_summary.is_some();
+        let dropped_idx: Vec<usize> = (0..n_lfs)
+            .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
+            .collect();
+        let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
+        let active_matrix = pool_matrix.without_columns(&dropped_idx);
+        let covered: Vec<bool> =
+            (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
+        let probabilistic_labels = if active_matrix.n_lfs() == 0 {
+            vec![prior; n_rows]
+        } else {
+            match config.label_model {
+                LabelModelKind::Anchored => {
+                    let mut rates =
+                        AnchoredModel::fit(&dev_matrix, &dev_labels, Some(prior)).rates().to_vec();
+                    if let Some(p) = &prop {
+                        rates.push(p.rates);
+                    }
+                    let rates: Vec<LfRates> = rates
+                        .into_iter()
+                        .enumerate()
+                        .filter(|&(c, _)| !dropped_idx.contains(&c))
+                        .map(|(_, r)| r)
+                        .collect();
+                    AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
+                }
+                LabelModelKind::Em => {
+                    let gen_cfg =
+                        GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
+                    GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
+                        .predict_with(&active_matrix, par)
+                }
+                LabelModelKind::MajorityVote => majority_vote(&active_matrix),
+            }
+        };
+        let pool_coverage =
+            covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
+        let lf_abstain = lf_names
+            .iter()
+            .enumerate()
+            .map(|(c, name)| LfAbstainRates {
+                name: name.clone(),
+                dev_abstain_rate: dev_abstain[c],
+                pool_abstain_rate: pool_abstain[c],
+                dropped: dropped_idx.contains(&c),
+            })
+            .collect();
+        let degradation = DegradationReport {
+            fault_seed: fault_summary.map_or(0, |s| s.seed),
+            tripped_services: fault_summary.map_or_else(Vec::new, FaultSummary::tripped_services),
+            dropped_lfs,
+            pool_coverage,
+            lf_abstain,
+            faults: fault_summary.cloned(),
+            serving: None,
+        };
+        let ws_quality = ws_quality(&probabilistic_labels, &covered, pool_truth);
+        CurationOutput {
+            probabilistic_labels,
+            covered,
+            lf_names,
+            ws_quality,
+            mining_time: Duration::ZERO,
+            propagation_time: None,
+            conflict: active_matrix.vote_stats_with(par).conflict,
+            degradation,
+        }
+    }
+
+    /// Mined LFs plus two that exercise the degradation drops: one on an
+    /// image-only feature (silent on every dev row, voting in the pool)
+    /// and one on a text-only feature (voting on dev, silent on every
+    /// pool row).
+    fn degradation_lfs(d: &TaskData, cfg: &CurationConfig) -> Vec<Box<dyn LabelingFunction>> {
+        let schema = d.world.schema();
+        let mined = mine_itemsets_with(
+            &d.text.table,
+            &d.text.labels,
+            &lf_columns(schema, cfg),
+            &cfg.mining,
+            &ParConfig::serial(),
+        );
+        let mut lfs = lfs_from_itemsets(&mined, cfg.max_positive_lfs, cfg.max_negative_lfs);
+        let img = schema.column("img_quality").unwrap();
+        let values: Vec<f64> =
+            (0..d.pool.len()).filter_map(|r| d.pool.table.numeric(r, img)).collect();
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
+        lfs.push(Box::new(NumericThresholdLf::new(
+            img,
+            mean,
+            ThresholdDirection::Above,
+            Vote::Positive,
+        )));
+        let words = schema.column("word_count").unwrap();
+        lfs.push(Box::new(NumericThresholdLf::new(
+            words,
+            f64::MIN,
+            ThresholdDirection::Above,
+            Vote::Negative,
+        )));
+        lfs
+    }
+
+    /// The setup and propagation LF the resident driver would build.
+    fn setup_for(
+        d: &TaskData,
+        cfg: &CurationConfig,
+        par: &ParConfig,
+    ) -> (CurationSetup, Option<PropagationLf>) {
+        let mut setup = CurationSetup::new(&d.text, degradation_lfs(d, cfg), cfg, par);
+        let prop = setup.propagation.take().and_then(|b| b.resident_lf(&d.pool.table, cfg, par));
+        (setup, prop)
+    }
+
+    fn assert_same_output(got: &CurationOutput, want: &CurationOutput, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.probabilistic_labels), bits(&want.probabilistic_labels), "{what}");
+        assert_eq!(got.covered, want.covered, "{what}");
+        assert_eq!(got.conflict.to_bits(), want.conflict.to_bits(), "{what}");
+        assert_eq!(got.lf_names, want.lf_names, "{what}");
+        let (g, w) = (&got.degradation, &want.degradation);
+        assert_eq!(g.dropped_lfs, w.dropped_lfs, "{what}");
+        assert_eq!(g.pool_coverage.to_bits(), w.pool_coverage.to_bits(), "{what}");
+        assert_eq!(g.lf_abstain.len(), w.lf_abstain.len(), "{what}");
+        for (a, b) in g.lf_abstain.iter().zip(&w.lf_abstain) {
+            assert_eq!(a.name, b.name, "{what}");
+            assert_eq!(a.dev_abstain_rate.to_bits(), b.dev_abstain_rate.to_bits(), "{what}");
+            assert_eq!(a.pool_abstain_rate.to_bits(), b.pool_abstain_rate.to_bits(), "{what}");
+            assert_eq!(a.dropped, b.dropped, "{what}");
+        }
+        let q = |w: &WsQuality| [w.precision, w.recall, w.f1, w.coverage].map(f64::to_bits);
+        assert_eq!(q(&got.ws_quality), q(&want.ws_quality), "{what}");
+    }
+
+    #[test]
+    fn pattern_engine_matches_the_rowwise_oracle() {
+        let d = data();
+        let par = ParConfig::serial();
+        let faults = FaultSummary::default();
+        let kinds = [LabelModelKind::Anchored, LabelModelKind::Em, LabelModelKind::MajorityVote];
+        for (kind, propagation) in kinds.map(|k| (k, false)).into_iter().chain([(kinds[0], true)]) {
+            let cfg = CurationConfig {
+                use_label_propagation: propagation,
+                label_model: kind,
+                ..fast_config()
+            };
+            for fault_summary in [None, Some(&faults)] {
+                let what = format!("{kind:?}, propagation {propagation}, {fault_summary:?}");
+                // The engine, fed in two segments.
+                let (setup, prop) = setup_for(&d, &cfg, &par);
+                let mut engine = CurationEngine::new(setup, prop, d.pool.len());
+                let cut = d.pool.len() / 3;
+                let (head, tail): (Vec<usize>, Vec<usize>) =
+                    (0..d.pool.len()).partition(|&r| r < cut);
+                for (offset, rows) in [(0, head), (cut, tail)] {
+                    let labels: Vec<Label> = rows.iter().map(|&r| d.pool.labels[r]).collect();
+                    engine.append_segment(offset, &d.pool.table.gather(&rows), &labels, &par);
+                }
+                let got = engine.finish(&cfg, fault_summary, Duration::ZERO, None, &par);
+
+                // The oracle, over the dense pool matrix.
+                let (setup, prop) = setup_for(&d, &cfg, &par);
+                let mut names = setup.lf_names.clone();
+                names.extend(prop.as_ref().map(|p| p.pool_lf.name().to_owned()));
+                let mut pool = LabelMatrix::with_row_capacity(d.pool.len(), names);
+                match &prop {
+                    Some(p) => {
+                        pool.apply_append_bound_with(
+                            &d.pool.table,
+                            &setup.lfs,
+                            &p.pool_lf,
+                            0,
+                            &par,
+                        );
+                    }
+                    None => pool.apply_append_with(&d.pool.table, &setup.lfs, &par),
+                }
+                assert_eq!(prop.is_some(), propagation, "{what}");
+
+                // The pool exercises both drops, and dropping the dev-silent
+                // column merges patterns.
+                let n = pool.n_lfs() - usize::from(propagation);
+                let (img, words) = (n - 2, n - 1);
+                assert!((0..pool.n_rows()).any(|r| pool.row(r)[img] != 0), "{what}");
+                assert!((0..pool.n_rows()).all(|r| pool.row(r)[words] == 0), "{what}");
+                let patterns = VotePatterns::of_segments(&[&pool]);
+                assert!(patterns.without_columns(&[img]).0.len() < patterns.len(), "{what}");
+                let dropped = |c: usize| got.degradation.dropped_lfs.contains(&pool.names()[c]);
+                assert!(dropped(img), "{what}");
+                assert_eq!(dropped(words), fault_summary.is_some(), "{what}");
+
+                let want =
+                    finish_rowwise(setup, prop, pool, &d.pool.labels, &cfg, fault_summary, &par);
+                assert_same_output(&got, &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn append_bound_covers_an_all_distinct_segment() {
+        // Twelve base LFs whose votes spell each row's index in binary, so
+        // every row is a new pattern on which every LF votes.
+        let d = data();
+        let par = ParConfig::serial();
+        let n = d.pool.len().min(1 << 12);
+        let lfs: Vec<Box<dyn LabelingFunction>> = (0..12)
+            .map(|j| {
+                let scores = (0..d.text.len().max(n)).map(|r| (r >> j & 1) as f64).collect();
+                Box::new(BoundScoreLf::new(format!("bit{j}"), scores, 1.0, 0.0))
+                    as Box<dyn LabelingFunction>
+            })
+            .collect();
+        let cfg = CurationConfig { use_label_propagation: false, ..fast_config() };
+        let setup = CurationSetup::new(&d.text, lfs, &cfg, &par);
+        let mut engine = CurationEngine::new(setup, None, n);
+        assert_eq!(engine.pool_bytes(), 4 * n);
+        let rows: Vec<usize> = (0..n).collect();
+        let charged = engine.append_bound(n);
+        let before = engine.pattern_bytes();
+        engine.append_segment(0, &d.pool.table.gather(&rows), &d.pool.labels[..n], &par);
+        assert_eq!(engine.patterns.len(), n, "every row is a new pattern");
+        let grown = engine.pattern_bytes() - before;
+        let segment_votes = n * 12;
+        assert!(
+            charged >= segment_votes + grown,
+            "charged {charged}, votes {segment_votes}, grown {grown}"
+        );
+        // Full-width distinct rows are the case the bound is priced at.
+        assert_eq!(charged, segment_votes + grown);
+    }
 
     fn data() -> TaskData {
         TaskData::generate(TaskConfig::paper(TaskId::Ct2).scaled(0.04), 5, Some(64))

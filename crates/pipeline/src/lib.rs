@@ -28,7 +28,6 @@ pub mod data;
 pub mod expert;
 pub mod incremental;
 pub mod report;
-pub mod selftrain;
 pub mod stream;
 pub mod training;
 
@@ -44,6 +43,5 @@ pub use incremental::{
     IncrementalDelta, IncrementalState,
 };
 pub use report::{DegradationReport, LfAbstainRates, ModelEval, ScenarioReport, ServingReport};
-pub use selftrain::{self_train, SelfTrainConfig, SelfTrainOutcome};
 pub use stream::{curate_streamed_with, StreamStageTiming, StreamStats, StreamedCuration};
 pub use training::{FusionStrategy, LabelSource, Scenario, ScenarioRunner};

@@ -23,10 +23,11 @@
 //!   [`cm_shard::build_graph_sharded`], which replays the resident anchor
 //!   plan over segment sweeps;
 //! - **LF application** — votes are pure per-row, so each pool segment's
-//!   votes (propagation column included) append, in offset order, into one
-//!   preallocated resident matrix;
+//!   vote vectors (propagation column included) intern, in offset order,
+//!   into one pattern table, the same table a whole-pool append builds;
 //! - **the label model** — fitted on the dev corpus (anchored) or on exact
-//!   mergeable moments (EM), both thread- and segmentation-invariant.
+//!   mergeable moments over the patterns (EM), and evaluated once per
+//!   pattern, both thread- and segmentation-invariant.
 //!
 //! The labeled text corpus stays resident: it is the small old-modality
 //! dev set every stage anchors to, orders of magnitude smaller than the
@@ -75,8 +76,8 @@ pub struct StreamStageTiming {
     /// Pool segment generation: the pool sweep's time outside
     /// [`StreamStageTiming::lf_application`].
     pub generation: std::time::Duration,
-    /// Applying the LFs to each pool segment, writing its votes into the
-    /// pool matrix.
+    /// Applying the LFs to each pool segment and interning its vote
+    /// vectors.
     pub lf_application: std::time::Duration,
     /// Label-model fit and output assembly.
     pub model: std::time::Duration,
@@ -147,10 +148,12 @@ pub fn curate_streamed_with(
     timing.propagation = propagation_time.unwrap_or_default();
 
     // The pool sweep: one engine append per segment, each segment dropped
-    // as soon as its votes are in, so peak memory is one segment plus the
-    // pool matrix.
+    // as soon as its votes are interned, so peak memory is one segment,
+    // its votes, the pattern ids and the pattern table. Each append is
+    // charged its worst case (every row a new pattern) before it runs,
+    // and what the table did not grow by is released after.
     let mut engine = CurationEngine::new(setup, prop, n_pool);
-    tracker.charge(engine.pool_bytes(), "pool vote matrix")?;
+    tracker.charge(engine.pool_bytes(), "pool pattern ids")?;
     let mut segments = 0usize;
     let sweep_start = Stopwatch::start();
     for_each_pool_segment(
@@ -160,11 +163,15 @@ pub fn curate_streamed_with(
         ds ^ 0x2,
         shard.segment_rows,
         &mut tracker,
-        &mut |offset, seg, _| {
+        &mut |offset, seg, tracker| {
             segments += 1;
+            let bound = engine.append_bound(seg.len());
+            tracker.charge(bound, "segment votes and pattern growth")?;
+            let table_bytes = engine.pattern_bytes();
             let apply_start = Stopwatch::start();
             engine.append_segment(offset, &seg.table, &seg.labels, par);
             timing.lf_application += apply_start.elapsed();
+            tracker.release(bound - (engine.pattern_bytes() - table_bytes));
             Ok(())
         },
     )?;

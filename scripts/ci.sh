@@ -50,8 +50,9 @@ diff /tmp/cm_fault_drill_t1.out /tmp/cm_fault_drill_t4.out
 echo "    fault drill output identical across thread counts"
 
 echo "==> shard smoke: streamed curation must be bit-identical to resident"
-# Three shard sizes (1 row, a prime, whole-corpus) at two thread counts;
-# the example exits non-zero on the first divergence.
+# The anchored model at three shard sizes (1 row, a prime, whole-corpus),
+# EM and majority vote at the prime and whole-corpus, each at two thread
+# counts; the example exits non-zero if any pair diverged.
 CM_THREADS=1 cargo run -q --release --example shard_smoke
 CM_THREADS=4 cargo run -q --release --example shard_smoke
 
