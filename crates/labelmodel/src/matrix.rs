@@ -5,7 +5,7 @@
 use cm_featurespace::{FeatureTable, FrozenTable};
 use cm_par::ParConfig;
 
-use crate::lf::{BoundScoreLf, LabelingFunction, Vote};
+use crate::lf::{LabelingFunction, Vote};
 
 /// `n_rows * n_lfs` work above which LF application and vote statistics
 /// fan out across `cm-par`. The paper applies LFs with MapReduce for the
@@ -118,7 +118,7 @@ impl LabelMatrix {
         let n_lfs = lfs.len();
         let names = lfs.iter().map(|lf| lf.name().to_owned()).collect();
         let mut votes = vec![0i8; n_rows * n_lfs];
-        apply_into(table, lfs, None, &mut votes, par);
+        apply_into(table, lfs, &mut votes, par);
         Self { n_rows, n_lfs, votes, names }
     }
 
@@ -137,42 +137,12 @@ impl LabelMatrix {
         lfs: &[Box<dyn LabelingFunction>],
         par: &ParConfig,
     ) {
-        self.append_votes(table, lfs, None, par);
-    }
-
-    /// [`LabelMatrix::apply_append_with`] for a matrix one column wider
-    /// than `lfs`: the last column of appended row `r` is `bound`'s vote
-    /// on row `row_offset + r` of the table its scores are bound to (the
-    /// propagation LF, which needs no feature table).
-    ///
-    /// # Panics
-    /// Panics unless `lfs` followed by `bound` matches this matrix's
-    /// columns; re-raises a worker panic like [`LabelMatrix::apply_with`].
-    pub fn apply_append_bound_with(
-        &mut self,
-        table: &FeatureTable,
-        lfs: &[Box<dyn LabelingFunction>],
-        bound: &BoundScoreLf,
-        row_offset: usize,
-        par: &ParConfig,
-    ) {
-        self.append_votes(table, lfs, Some((bound, row_offset)), par);
-    }
-
-    fn append_votes(
-        &mut self,
-        table: &FeatureTable,
-        lfs: &[Box<dyn LabelingFunction>],
-        bound: Option<(&BoundScoreLf, usize)>,
-        par: &ParConfig,
-    ) {
-        let names = lfs.iter().map(|lf| lf.name()).chain(bound.map(|(b, _)| b.name()));
+        let names = lfs.iter().map(|lf| lf.name());
         assert!(names.eq(self.names.iter().map(String::as_str)), "segment LF column mismatch");
-        let n_rows = table.len();
         let base = self.votes.len();
-        self.votes.resize(base + n_rows * self.n_lfs, 0);
-        apply_into(table, lfs, bound, &mut self.votes[base..], par);
-        self.n_rows += n_rows;
+        self.votes.resize(base + table.len() * self.n_lfs, 0);
+        apply_into(table, lfs, &mut self.votes[base..], par);
+        self.n_rows += table.len();
     }
 
     /// Builds a matrix from raw encodings (row-major).
@@ -211,6 +181,11 @@ impl LabelMatrix {
     #[inline]
     pub fn row(&self, row: usize) -> &[i8] {
         &self.votes[row * self.n_lfs..(row + 1) * self.n_lfs]
+    }
+
+    /// Non-abstain votes over the whole matrix.
+    pub fn n_votes_cast(&self) -> usize {
+        self.votes.iter().map(|&v| usize::from(v != 0)).sum()
     }
 
     /// Fraction of rows where at least one LF does not abstain.
@@ -298,12 +273,6 @@ impl LabelMatrix {
         (0..self.n_rows).filter(|&r| self.row(r).iter().any(|&v| v != 0)).collect()
     }
 
-    /// Columns that abstain on every row — the degenerate LFs a tripped
-    /// service leaves behind.
-    pub fn all_abstain_columns(&self) -> Vec<usize> {
-        (0..self.n_lfs).filter(|&lf| (0..self.n_rows).all(|r| self.row(r)[lf] == 0)).collect()
-    }
-
     /// A copy of the matrix with the `drop` columns removed (indices into
     /// the current column order; duplicates and out-of-range indices are
     /// ignored). Used to excise degraded LFs before the label model fits,
@@ -327,8 +296,7 @@ impl LabelMatrix {
 
     /// An empty matrix over `names` with buffer space for `n_rows` rows
     /// reserved up front — the destination for segment appends
-    /// ([`LabelMatrix::apply_append_with`],
-    /// [`LabelMatrix::apply_append_bound_with`]), which then fill one
+    /// ([`LabelMatrix::apply_append_with`]), which then fill one
     /// allocation in place instead of gathering per-segment matrices and
     /// copying them all again at the end.
     pub fn with_row_capacity(n_rows: usize, names: Vec<String>) -> LabelMatrix {
@@ -366,19 +334,17 @@ pub(crate) fn kept_columns(n_lfs: usize, drop: &[usize]) -> Vec<usize> {
 }
 
 /// The one vote-fill path every application goes through: `votes` holds
-/// exactly `table.len()` rows of `lfs.len()` votes, plus `bound`'s column
-/// when present (a fresh buffer or the tail of a preallocated one — the
-/// chunking sees only the slice, so the bits cannot differ between
-/// callers).
+/// exactly `table.len()` rows of `lfs.len()` votes (a fresh buffer or the
+/// tail of a preallocated one — the chunking sees only the slice, so the
+/// bits cannot differ between callers).
 fn apply_into(
     table: &FeatureTable,
     lfs: &[Box<dyn LabelingFunction>],
-    bound: Option<(&BoundScoreLf, usize)>,
     votes: &mut [i8],
     par: &ParConfig,
 ) {
     let n_rows = table.len();
-    let width = lfs.len() + usize::from(bound.is_some());
+    let width = lfs.len();
     if width == 0 {
         return;
     }
@@ -387,11 +353,11 @@ fn apply_into(
     let frozen = FrozenTable::freeze(table);
     let work = n_rows.saturating_mul(lfs.len());
     if work < PAR_THRESHOLD || n_rows < 2 {
-        fill_votes(&frozen, lfs, bound, votes, 0);
+        fill_votes(&frozen, lfs, votes, 0);
     } else {
         let par = par.clone().with_min_chunk(MIN_ROWS_PER_CHUNK);
         if let Err(e) = cm_par::par_chunks_mut(&par, votes, width, |start, chunk| {
-            fill_votes(&frozen, lfs, bound, chunk, start);
+            fill_votes(&frozen, lfs, chunk, start);
         }) {
             e.resume();
         }
@@ -404,18 +370,12 @@ fn apply_into(
 fn fill_votes(
     frozen: &FrozenTable<'_>,
     lfs: &[Box<dyn LabelingFunction>],
-    bound: Option<(&BoundScoreLf, usize)>,
     chunk: &mut [i8],
     start: usize,
 ) {
-    let n_lfs = lfs.len();
-    let width = n_lfs + usize::from(bound.is_some());
-    for (i, rec) in chunk.chunks_exact_mut(width).enumerate() {
+    for (i, rec) in chunk.chunks_exact_mut(lfs.len()).enumerate() {
         for (j, lf) in lfs.iter().enumerate() {
             rec[j] = lf.vote_frozen(frozen, start + i).as_i8();
-        }
-        if let Some((b, offset)) = bound {
-            rec[n_lfs] = b.vote_row(offset + start + i).as_i8();
         }
     }
 }
@@ -491,7 +451,7 @@ mod tests {
         let t = table(30_000);
         let serial = {
             let mut votes = vec![0i8; 30_000 * 2];
-            fill_votes(&FrozenTable::freeze(&t), &lfs(), None, &mut votes, 0);
+            fill_votes(&FrozenTable::freeze(&t), &lfs(), &mut votes, 0);
             LabelMatrix::from_votes(30_000, 2, votes, vec!["a".into(), "b".into()])
         };
         for threads in [1usize, 2, 4, 8] {
@@ -551,14 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn all_abstain_columns_and_without_columns() {
+    fn without_columns_keeps_the_rest_in_order() {
         let m = LabelMatrix::from_votes(
             3,
             3,
             vec![1, 0, -1, 0, 0, 1, 1, 0, 0],
             vec!["a".into(), "b".into(), "c".into()],
         );
-        assert_eq!(m.all_abstain_columns(), vec![1]);
         let reduced = m.without_columns(&[1]);
         assert_eq!(reduced.n_lfs(), 2);
         assert_eq!(reduced.names(), &["a".to_owned(), "c".to_owned()]);
@@ -606,38 +565,21 @@ mod tests {
     }
 
     /// Votes are pure per-row values, so appending segment by segment into
-    /// one preallocated buffer equals applying to the whole table — with
-    /// and without a bound propagation column, on the serial path (100
-    /// rows) and across the parallel threshold (30k rows).
+    /// one preallocated buffer equals applying to the whole table, on the
+    /// serial path (100 rows) and across the parallel threshold (30k rows).
     #[test]
     fn segment_appends_match_whole_apply() {
-        let bound = BoundScoreLf::new(
-            "label_propagation",
-            (0..30_000).map(|r| (r % 5) as f64 / 4.0).collect(),
-            0.75,
-            0.25,
-        );
-        let plain = lfs();
-        let mut with_bound = lfs();
-        with_bound.push(Box::new(bound.clone()));
         for (n, cuts) in [(100usize, [1usize, 37]), (30_000, [1, 9973])] {
             let t = table(n);
             let par = ParConfig::threads(4);
-            for bind in [false, true] {
-                let whole_lfs = if bind { &with_bound } else { &plain };
-                let whole = LabelMatrix::apply_with(&t, whole_lfs, &par);
-                let mut appended =
-                    LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
-                for (start, end) in [(0, cuts[0]), (cuts[0], cuts[1]), (cuts[1], n)] {
-                    let seg = t.gather(&(start..end).collect::<Vec<_>>());
-                    if bind {
-                        appended.apply_append_bound_with(&seg, &plain, &bound, start, &par);
-                    } else {
-                        appended.apply_append_with(&seg, &plain, &par);
-                    }
-                }
-                assert_eq!(appended, whole, "n = {n}, bound column = {bind}");
+            let whole = LabelMatrix::apply_with(&t, &lfs(), &par);
+            let mut appended =
+                LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
+            for (start, end) in [(0, cuts[0]), (cuts[0], cuts[1]), (cuts[1], n)] {
+                let seg = t.gather(&(start..end).collect::<Vec<_>>());
+                appended.apply_append_with(&seg, &lfs(), &par);
             }
+            assert_eq!(appended, whole, "n = {n}");
         }
     }
 

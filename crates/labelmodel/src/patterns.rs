@@ -203,15 +203,14 @@ impl VotePatterns {
     }
 
     /// The most [`VotePatterns::approx_bytes`] can grow by when `rows`
-    /// more rows are observed: every row a new pattern on which every LF
-    /// votes.
-    pub fn growth_bound(&self, rows: usize) -> usize {
+    /// more rows holding `cells` non-abstain votes between them are
+    /// observed: every row a new pattern.
+    pub fn growth_bound(&self, rows: usize, cells: usize) -> usize {
         let per_pattern = std::mem::size_of::<usize>()
-            + self.n_lfs * std::mem::size_of::<(u32, i8)>()
             + std::mem::size_of::<u64>()
             + std::mem::size_of::<(Box<[i8]>, u32)>()
             + self.n_lfs;
-        rows * per_pattern
+        rows * per_pattern + cells * std::mem::size_of::<(u32, i8)>()
     }
 }
 
@@ -282,18 +281,25 @@ mod tests {
 
     #[test]
     fn growth_bound_covers_all_distinct_rows() {
-        // Eight LFs, every row a new pattern on which every LF votes: the
-        // worst case the bound is priced at.
+        // Eight LFs, every row a new pattern: the worst case the bound is
+        // priced at, exact whatever the rows' abstains.
         let n_lfs = 8;
         let mut p = VotePatterns::new(n_lfs);
         p.observe(&[1; 8]);
         let before = p.approx_bytes();
         let rows = 200;
-        let bound = p.growth_bound(rows);
-        for r in 0..rows {
-            let votes: Vec<i8> =
-                (0..n_lfs).map(|j| if (r + 1) >> j & 1 == 1 { -1 } else { 1 }).collect();
-            p.observe(&votes);
+        let votes: Vec<Vec<i8>> = (0..rows)
+            .map(|r| {
+                (0..n_lfs)
+                    .map(|j| ((r + 1) >> j & 1) as i8 * if j % 3 == 0 { -1 } else { 1 })
+                    .collect()
+            })
+            .collect();
+        let cells = votes.iter().flatten().filter(|&&v| v != 0).count();
+        assert!(cells < rows * n_lfs);
+        let bound = p.growth_bound(rows, cells);
+        for v in &votes {
+            p.observe(v);
         }
         assert_eq!(p.len(), rows + 1);
         assert_eq!(p.approx_bytes() - before, bound);

@@ -9,17 +9,19 @@
 //!
 //! Every driver runs one engine. `CurationSetup` holds what the labeled
 //! corpus yields (LFs, dev votes, prior, propagation seed block);
-//! `CurationEngine::append_segment` writes pool votes, propagation column
-//! included, into a reused segment buffer and interns each row's vote
-//! vector, keeping a 4-byte pattern id per row; and
+//! `CurationEngine::append_segment` writes a segment's base-LF votes into
+//! a reused buffer and interns each row's vote vector, keeping a 4-byte
+//! pattern id per row; `CurationEngine::fold` joins the propagation
+//! column to those patterns at labelling time; and
 //! `CurationEngine::finish` fits and predicts once per distinct vote
-//! vector, then gathers by pattern id. Resident curation is
-//! the one-segment case of the streamed driver (`crate::stream`), and the
-//! incremental curator (`crate::incremental`) starts from the same setup.
-//! Only the propagation graph's construction differs by driver: the
-//! row-parallel builders over a resident pool, the sharded replays over a
-//! streamed one, an online graph under serving.
+//! vector, then gathers by pattern id. Resident curation is the
+//! one-segment case of the streamed driver (`crate::stream`), and the
+//! incremental curator (`crate::incremental`) appends one arrival batch
+//! per tick to the same engine. Only the propagation graph's construction
+//! differs by driver: the row-parallel builders over a resident pool, the
+//! sharded replays over a streamed one, an online graph under serving.
 
+use std::borrow::Cow;
 use std::time::Duration;
 
 use cm_faults::{FaultSummary, Stopwatch};
@@ -148,11 +150,21 @@ pub struct CurationOutput {
 pub fn curate(data: &TaskData, config: &CurationConfig) -> CurationOutput {
     let par = ParConfig::from_env();
     let mining_start = Stopwatch::start();
-    let columns = lf_columns(data.world.schema(), config);
-    let mined =
-        mine_itemsets_with(&data.text.table, &data.text.labels, &columns, &config.mining, &par);
-    let lfs = lfs_from_itemsets(&mined, config.max_positive_lfs, config.max_negative_lfs);
+    let lfs = mine_text_lfs(data.world.schema(), &data.text, config, &par);
     curate_resident(data, config, lfs, mining_start.elapsed(), &par)
+}
+
+/// LF mining over the labeled corpus `text` (§4.3): the itemsets of the
+/// configured LF columns, capped as the config says, turned into LFs.
+pub(crate) fn mine_text_lfs(
+    schema: &FeatureSchema,
+    text: &ModalityDataset,
+    config: &CurationConfig,
+    par: &ParConfig,
+) -> Vec<Box<dyn LabelingFunction>> {
+    let columns = lf_columns(schema, config);
+    let mined = mine_itemsets_with(&text.table, &text.labels, &columns, &config.mining, par);
+    lfs_from_itemsets(&mined, config.max_positive_lfs, config.max_negative_lfs)
 }
 
 /// Runs curation with a caller-provided LF suite (e.g. the hand-written
@@ -178,9 +190,10 @@ fn curate_resident(
     let start = Stopwatch::start();
     let prop = setup.propagation.take().and_then(|b| b.resident_lf(&data.pool.table, config, par));
     let propagation_time = config.use_label_propagation.then(|| start.elapsed());
-    let mut engine = CurationEngine::new(setup, prop, data.pool.len());
+    let mut engine = CurationEngine::new(setup, data.pool.len());
     engine.append_segment(0, &data.pool.table, &data.pool.labels, par);
-    engine.finish(config, data.fault_summary.as_ref(), mining_time, propagation_time, par)
+    let faults = data.fault_summary.as_ref();
+    engine.finish(prop.as_ref(), config, faults, mining_time, propagation_time, par)
 }
 
 /// What every curation driver (resident, streamed, incremental) builds
@@ -188,8 +201,6 @@ fn curate_resident(
 pub(crate) struct CurationSetup {
     /// The base LFs, mined or provided.
     pub lfs: Vec<Box<dyn LabelingFunction>>,
-    /// Base-LF names, in column order.
-    pub lf_names: Vec<String>,
     /// Class prior: the labeled corpus's positive rate, clamped.
     pub prior: f64,
     /// Base-LF votes over the whole labeled corpus (§4.2's dev set).
@@ -211,7 +222,6 @@ impl CurationSetup {
     ) -> Self {
         let prior = text.positive_rate().clamp(1e-4, 0.5);
         Self {
-            lf_names: lfs.iter().map(|l| l.name().to_owned()).collect(),
             dev_matrix: LabelMatrix::apply_with(&text.table, &lfs, par),
             dev_labels: text.labels.clone(),
             propagation: config
@@ -349,44 +359,63 @@ pub(crate) struct PropagationLf {
     pub rates: LfRates,
 }
 
-/// The batch curation engine: the shared setup, the propagation LF it
-/// yielded, and one pool sweep that writes each segment's votes
-/// (propagation column included) into a reused segment buffer, interns
-/// every row's vote vector into a [`VotePatterns`] table, and keeps only
-/// the row's pattern id. Resident curation appends the whole pool as one
-/// segment, streamed curation one segment at a time; votes are pure
-/// per-row values, so both intern the same patterns in the same order.
-/// [`CurationEngine::finish`] computes every output once per distinct
-/// vote vector and gathers it by pattern id.
+/// The curation engine every driver runs: the shared setup and one pool
+/// sweep that writes each segment's base-LF votes into a reused segment
+/// buffer, interns every row's vote vector into a [`VotePatterns`] table,
+/// and keeps only the row's pattern id. Resident curation appends the
+/// whole pool as one segment, streamed curation one segment at a time,
+/// and serving one arrival batch per tick; votes are pure per-row values,
+/// so all of them intern the same patterns in the same order.
+///
+/// The propagation column depends on the whole pool, so it joins at
+/// labelling time: [`CurationEngine::fold`] maps each row's
+/// `(base pattern, vote)` pair to a pattern of the full label matrix. The
+/// model runs once per distinct pattern and [`PoolPatterns::gather`]
+/// takes its outputs back to rows.
 pub(crate) struct CurationEngine {
     setup: CurationSetup,
-    prop: Option<PropagationLf>,
-    /// The current segment's votes; one buffer reused across appends.
+    /// The current segment's base-LF votes; one buffer reused across
+    /// appends.
     segment: LabelMatrix,
-    /// The distinct pool vote vectors with their row counts.
+    /// The distinct base-LF vote vectors of the pool with their row counts.
     patterns: VotePatterns,
     /// Each pool row's pattern id, in offset order.
     pattern_ids: Vec<u32>,
     pool_truth: Vec<Label>,
 }
 
+/// The pool's label matrix as vote patterns: the distinct vote vectors
+/// with their row counts, and each row's pattern id.
+pub(crate) struct PoolPatterns<'a> {
+    pub patterns: Cow<'a, VotePatterns>,
+    pub ids: Cow<'a, [u32]>,
+}
+
+impl PoolPatterns<'_> {
+    /// Each row's label and coverage, gathered by pattern id from
+    /// `per_pattern`.
+    pub fn gather(&self, per_pattern: impl Fn(usize) -> (f64, bool)) -> (Vec<f64>, Vec<bool>) {
+        self.ids.iter().map(|&p| per_pattern(p as usize)).unzip()
+    }
+}
+
 impl CurationEngine {
-    /// An engine over `n_pool` pool rows whose columns are the base LFs,
-    /// then the propagation LF when present; the pattern ids are
-    /// preallocated.
-    pub fn new(setup: CurationSetup, prop: Option<PropagationLf>, n_pool: usize) -> Self {
-        let mut names = setup.lf_names.clone();
-        if let Some(p) = &prop {
-            names.push(p.pool_lf.name().to_owned());
-        }
+    /// An engine over the setup's base LFs, with pattern ids preallocated
+    /// for `n_pool` rows.
+    pub fn new(setup: CurationSetup, n_pool: usize) -> Self {
+        let lf_names = setup.lfs.iter().map(|l| l.name().to_owned()).collect();
         Self {
-            patterns: VotePatterns::new(names.len()),
-            segment: LabelMatrix::with_row_capacity(0, names),
+            patterns: VotePatterns::new(setup.lfs.len()),
+            segment: LabelMatrix::with_row_capacity(0, lf_names),
             pattern_ids: Vec::with_capacity(n_pool),
             pool_truth: Vec::with_capacity(n_pool),
             setup,
-            prop,
         }
+    }
+
+    /// The setup the engine was built from.
+    pub fn setup(&self) -> &CurationSetup {
+        &self.setup
     }
 
     /// Resident bytes of the preallocated pattern ids: 4 per pool row.
@@ -394,26 +423,40 @@ impl CurationEngine {
         self.pattern_ids.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// The most an append of `rows` rows holds beyond
-    /// [`CurationEngine::pool_bytes`] and
-    /// [`CurationEngine::pattern_bytes`] while it runs: the segment's
-    /// votes, plus the pattern table's growth if every row is a new
-    /// pattern.
-    pub fn append_bound(&self, rows: usize) -> usize {
-        rows * self.patterns.n_lfs() + self.patterns.growth_bound(rows)
-    }
-
     /// Resident bytes of the pattern table.
     pub fn pattern_bytes(&self) -> usize {
         self.patterns.approx_bytes()
     }
 
-    /// Appends pool rows `offset..offset + table.len()`: every row's votes,
-    /// the propagation column included, are written in one pass and
-    /// interned.
+    /// Writes the base-LF votes of `table`'s rows into the segment buffer,
+    /// replacing the last segment's.
+    pub fn apply_segment(&mut self, table: &FeatureTable, par: &ParConfig) {
+        self.segment.clear();
+        self.segment.apply_append_with(table, &self.setup.lfs, par);
+    }
+
+    /// The most interning the buffered segment can grow the pattern table
+    /// by: every row a new pattern, holding the segment's actual
+    /// non-abstain votes.
+    pub fn growth_bound(&self) -> usize {
+        self.patterns.growth_bound(self.segment.n_rows(), self.segment.n_votes_cast())
+    }
+
+    /// Interns the buffered segment as pool rows `offset..`, whose ground
+    /// truth is `labels`.
     ///
     /// # Panics
     /// Panics unless segments arrive in offset order.
+    pub fn intern_segment(&mut self, offset: usize, labels: &[Label]) {
+        assert_eq!(offset, self.pattern_ids.len(), "pool segments must arrive in order");
+        for r in 0..self.segment.n_rows() {
+            self.pattern_ids.push(self.patterns.observe(self.segment.row(r)) as u32);
+        }
+        self.pool_truth.extend_from_slice(labels);
+    }
+
+    /// Appends pool rows `offset..offset + table.len()`: applies the base
+    /// LFs and interns the votes.
     pub fn append_segment(
         &mut self,
         offset: usize,
@@ -421,38 +464,105 @@ impl CurationEngine {
         labels: &[Label],
         par: &ParConfig,
     ) {
-        assert_eq!(offset, self.pattern_ids.len(), "pool segments must arrive in order");
-        let lfs = &self.setup.lfs;
-        self.segment.clear();
-        match &self.prop {
-            Some(p) => self.segment.apply_append_bound_with(table, lfs, &p.pool_lf, offset, par),
-            None => self.segment.apply_append_with(table, lfs, par),
-        }
-        for r in 0..self.segment.n_rows() {
-            self.pattern_ids.push(self.patterns.observe(self.segment.row(r)) as u32);
-        }
-        self.pool_truth.extend_from_slice(labels);
+        self.apply_segment(table, par);
+        self.intern_segment(offset, labels);
     }
 
-    /// The model-fitting tail: abstain telemetry, degradation drops,
-    /// label-model fit/predict, and the quality report, each computed
-    /// once per distinct vote vector. Every count is an exact integer and
-    /// every posterior a pure function of the vote vector, so the output
-    /// equals the row-by-row computation bit for bit. Thread-count
-    /// invariant (every parallel substrate it calls is).
+    /// Appends pool rows `offset..offset + rows` whose base-LF votes are
+    /// given, `rows` rows of one per LF row-major (a checkpoint's), through
+    /// the same intern step; the segment buffer is left as it was.
+    ///
+    /// # Panics
+    /// Panics unless `votes` holds `rows` rows of valid votes, or if the
+    /// rows arrive out of offset order.
+    pub fn append_votes(&mut self, offset: usize, rows: usize, votes: Vec<i8>, labels: &[Label]) {
+        let names = self.segment.names().to_vec();
+        let loaded = LabelMatrix::from_votes(rows, names.len(), votes, names);
+        let buffer = std::mem::replace(&mut self.segment, loaded);
+        self.intern_segment(offset, labels);
+        self.segment = buffer;
+    }
+
+    /// Rows `rows`' base-LF votes, row-major, rebuilt from their patterns.
+    pub fn base_votes(&self, rows: std::ops::Range<usize>) -> Vec<i8> {
+        let mut votes = Vec::with_capacity(rows.len() * self.patterns.n_lfs());
+        let mut dense = Vec::new();
+        for &p in &self.pattern_ids[rows] {
+            self.patterns.dense_into(p as usize, &mut dense);
+            votes.extend_from_slice(&dense);
+        }
+        votes
+    }
+
+    /// The pool's label matrix as vote patterns: the interned base votes,
+    /// joined when `column` is given by one more LF whose vote on pool row
+    /// `r` is `column(r)`. The join walks the rows in order, mapping each
+    /// `(base pattern, vote)` pair through a dense three-slot table, so
+    /// only a pair's first row pays a lookup; pairs are numbered in order
+    /// of first occurrence, as interning the full vote vectors would
+    /// number them.
+    pub fn fold(&self, column: Option<impl Fn(usize) -> i8>) -> PoolPatterns<'_> {
+        let Some(column) = column else {
+            return PoolPatterns {
+                patterns: Cow::Borrowed(&self.patterns),
+                ids: Cow::Borrowed(&self.pattern_ids),
+            };
+        };
+        let mut patterns = VotePatterns::new(self.patterns.n_lfs() + 1);
+        let mut slots = vec![u32::MAX; self.patterns.len() * 3];
+        let mut dense = Vec::new();
+        let ids = (self.pattern_ids.iter().enumerate())
+            .map(|(r, &base)| {
+                let vote = column(r);
+                let slot = &mut slots[base as usize * 3 + (vote + 1) as usize];
+                if *slot == u32::MAX {
+                    self.patterns.dense_into(base as usize, &mut dense);
+                    dense.push(vote);
+                    *slot = patterns.observe(&dense) as u32;
+                } else {
+                    patterns.add_rows(*slot as usize, 1);
+                }
+                *slot
+            })
+            .collect();
+        PoolPatterns { patterns: Cow::Owned(patterns), ids: Cow::Owned(ids) }
+    }
+
+    /// The most a joining [`CurationEngine::fold`] holds while it runs:
+    /// its three slots per base pattern, a pattern id per row, and the
+    /// joined table if every base pattern splits three ways with the new
+    /// column voting.
+    pub fn fold_bound(&self) -> usize {
+        let base = &self.patterns;
+        let joined = VotePatterns::new(base.n_lfs() + 1);
+        (3 * base.len() + self.pattern_ids.len()) * std::mem::size_of::<u32>()
+            + joined.approx_bytes()
+            + joined.growth_bound(3 * base.len(), 3 * (base.n_cells() + base.len()))
+    }
+
+    /// The model-fitting tail: the propagation column `prop` folded in,
+    /// abstain telemetry, degradation drops, label-model fit/predict, and
+    /// the quality report, each computed once per distinct vote vector.
+    /// Every count is an exact integer and every posterior a pure function
+    /// of the vote vector, so the output equals the row-by-row computation
+    /// bit for bit. Thread-count invariant (every parallel substrate it
+    /// calls is).
     pub fn finish(
         self,
+        prop: Option<&PropagationLf>,
         config: &CurationConfig,
         fault_summary: Option<&FaultSummary>,
         mining_time: Duration,
         propagation_time: Option<Duration>,
         par: &ParConfig,
     ) -> CurationOutput {
-        let CurationEngine { setup, prop, segment, patterns, pattern_ids, pool_truth } = self;
-        let CurationSetup { dev_matrix, dev_labels, prior, .. } = setup;
-        let lf_names = segment.names().to_vec();
-        let n_rows = pattern_ids.len();
-        let n_lfs = patterns.n_lfs();
+        let pool = self.fold(prop.map(|p| |r| p.pool_lf.vote_row(r).as_i8()));
+        let CurationSetup { dev_matrix, dev_labels, prior, .. } = &self.setup;
+        let prior = *prior;
+        let mut lf_names = self.segment.names().to_vec();
+        lf_names.extend(prop.map(|p| p.pool_lf.name().to_owned()));
+        let n_rows = pool.ids.len();
+        let n_lfs = pool.patterns.n_lfs();
 
         // Abstain-rate telemetry: dev rates over the evidence the LF weights
         // are estimated on (whole corpus for base LFs, the propagation dev
@@ -463,13 +573,11 @@ impl CurationEngine {
                     / dev_matrix.n_rows().max(1) as f64
             })
             .collect();
-        if let Some(votes) = prop.as_ref().map(|p| &p.dev_votes) {
+        if let Some(votes) = prop.map(|p| &p.dev_votes) {
             dev_abstain
                 .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
         }
-        let pool_abstain: Vec<f64> = patterns
-            .votes_per_lf()
-            .iter()
+        let pool_abstain: Vec<f64> = (pool.patterns.votes_per_lf().iter())
             .map(|&voting| (n_rows as u64 - voting) as f64 / n_rows.max(1) as f64)
             .collect();
 
@@ -490,10 +598,11 @@ impl CurationEngine {
         // only in dropped columns; `remap` takes a pool pattern id to its
         // active one.
         let (active, remap) = if dropped_idx.is_empty() {
-            let identity = (0..patterns.len() as u32).collect();
-            (patterns, identity)
+            let identity = (0..pool.patterns.len() as u32).collect();
+            (Cow::Borrowed(&*pool.patterns), identity)
         } else {
-            patterns.without_columns(&dropped_idx)
+            let (active, remap) = pool.patterns.without_columns(&dropped_idx);
+            (Cow::Owned(active), remap)
         };
 
         let pattern_labels = if active.n_lfs() == 0 {
@@ -502,8 +611,8 @@ impl CurationEngine {
             match config.label_model {
                 LabelModelKind::Anchored => {
                     let mut rates =
-                        AnchoredModel::fit(&dev_matrix, &dev_labels, Some(prior)).rates().to_vec();
-                    if let Some(p) = &prop {
+                        AnchoredModel::fit(dev_matrix, dev_labels, Some(prior)).rates().to_vec();
+                    if let Some(p) = prop {
                         rates.push(p.rates);
                     }
                     // Fitting is per-column independent, so dropping rate
@@ -528,13 +637,10 @@ impl CurationEngine {
 
         // Coverage is invariant to dropping all-abstain columns, so clean runs
         // see exactly the pre-degradation semantics.
-        let (probabilistic_labels, covered): (Vec<f64>, Vec<bool>) = pattern_ids
-            .iter()
-            .map(|&p| {
-                let q = remap[p as usize] as usize;
-                (pattern_labels[q], active.covers(q))
-            })
-            .unzip();
+        let (probabilistic_labels, covered) = pool.gather(|p| {
+            let q = remap[p] as usize;
+            (pattern_labels[q], active.covers(q))
+        });
 
         let pool_coverage =
             covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
@@ -558,7 +664,7 @@ impl CurationEngine {
             serving: None,
         };
 
-        let ws_quality = ws_quality(&probabilistic_labels, &covered, &pool_truth);
+        let ws_quality = ws_quality(&probabilistic_labels, &covered, &self.pool_truth);
         CurationOutput {
             probabilistic_labels,
             covered,
@@ -636,120 +742,13 @@ mod tests {
 
     use super::*;
 
-    /// The row-wise model tail `CurationEngine::finish` replaced, kept as
-    /// its oracle: every output computed over the dense pool matrix.
-    fn finish_rowwise(
-        setup: CurationSetup,
-        prop: Option<PropagationLf>,
-        pool_matrix: LabelMatrix,
-        pool_truth: &[Label],
-        config: &CurationConfig,
-        fault_summary: Option<&FaultSummary>,
-        par: &ParConfig,
-    ) -> CurationOutput {
-        let CurationSetup { dev_matrix, dev_labels, prior, .. } = setup;
-        let lf_names = pool_matrix.names().to_vec();
-        let n_rows = pool_matrix.n_rows();
-        let n_lfs = pool_matrix.n_lfs();
-        let mut dev_abstain: Vec<f64> = (0..dev_matrix.n_lfs())
-            .map(|c| {
-                (0..dev_matrix.n_rows()).filter(|&r| dev_matrix.row(r)[c] == 0).count() as f64
-                    / dev_matrix.n_rows().max(1) as f64
-            })
-            .collect();
-        if let Some(votes) = prop.as_ref().map(|p| &p.dev_votes) {
-            dev_abstain
-                .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
-        }
-        let pool_abstain: Vec<f64> = (0..n_lfs)
-            .map(|c| {
-                (0..n_rows).filter(|&r| pool_matrix.row(r)[c] == 0).count() as f64
-                    / n_rows.max(1) as f64
-            })
-            .collect();
-        let fault_aware = fault_summary.is_some();
-        let dropped_idx: Vec<usize> = (0..n_lfs)
-            .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
-            .collect();
-        let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
-        let active_matrix = pool_matrix.without_columns(&dropped_idx);
-        let covered: Vec<bool> =
-            (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
-        let probabilistic_labels = if active_matrix.n_lfs() == 0 {
-            vec![prior; n_rows]
-        } else {
-            match config.label_model {
-                LabelModelKind::Anchored => {
-                    let mut rates =
-                        AnchoredModel::fit(&dev_matrix, &dev_labels, Some(prior)).rates().to_vec();
-                    if let Some(p) = &prop {
-                        rates.push(p.rates);
-                    }
-                    let rates: Vec<LfRates> = rates
-                        .into_iter()
-                        .enumerate()
-                        .filter(|&(c, _)| !dropped_idx.contains(&c))
-                        .map(|(_, r)| r)
-                        .collect();
-                    AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
-                }
-                LabelModelKind::Em => {
-                    let gen_cfg =
-                        GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
-                    GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
-                        .predict_with(&active_matrix, par)
-                }
-                LabelModelKind::MajorityVote => majority_vote(&active_matrix),
-            }
-        };
-        let pool_coverage =
-            covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
-        let lf_abstain = lf_names
-            .iter()
-            .enumerate()
-            .map(|(c, name)| LfAbstainRates {
-                name: name.clone(),
-                dev_abstain_rate: dev_abstain[c],
-                pool_abstain_rate: pool_abstain[c],
-                dropped: dropped_idx.contains(&c),
-            })
-            .collect();
-        let degradation = DegradationReport {
-            fault_seed: fault_summary.map_or(0, |s| s.seed),
-            tripped_services: fault_summary.map_or_else(Vec::new, FaultSummary::tripped_services),
-            dropped_lfs,
-            pool_coverage,
-            lf_abstain,
-            faults: fault_summary.cloned(),
-            serving: None,
-        };
-        let ws_quality = ws_quality(&probabilistic_labels, &covered, pool_truth);
-        CurationOutput {
-            probabilistic_labels,
-            covered,
-            lf_names,
-            ws_quality,
-            mining_time: Duration::ZERO,
-            propagation_time: None,
-            conflict: active_matrix.vote_stats_with(par).conflict,
-            degradation,
-        }
-    }
-
     /// Mined LFs plus two that exercise the degradation drops: one on an
     /// image-only feature (silent on every dev row, voting in the pool)
     /// and one on a text-only feature (voting on dev, silent on every
     /// pool row).
     fn degradation_lfs(d: &TaskData, cfg: &CurationConfig) -> Vec<Box<dyn LabelingFunction>> {
         let schema = d.world.schema();
-        let mined = mine_itemsets_with(
-            &d.text.table,
-            &d.text.labels,
-            &lf_columns(schema, cfg),
-            &cfg.mining,
-            &ParConfig::serial(),
-        );
-        let mut lfs = lfs_from_itemsets(&mined, cfg.max_positive_lfs, cfg.max_negative_lfs);
+        let mut lfs = mine_text_lfs(schema, &d.text, cfg, &ParConfig::serial());
         let img = schema.column("img_quality").unwrap();
         let values: Vec<f64> =
             (0..d.pool.len()).filter_map(|r| d.pool.table.numeric(r, img)).collect();
@@ -781,24 +780,107 @@ mod tests {
         (setup, prop)
     }
 
-    fn assert_same_output(got: &CurationOutput, want: &CurationOutput, what: &str) {
+    /// Asserts `got` equals the row-wise model tail `CurationEngine::finish`
+    /// replaced, kept as its oracle: every output computed over the dense
+    /// `[base | propagation]` pool matrix of the setup `setup_for` builds.
+    fn assert_matches_rowwise(
+        got: &CurationOutput,
+        d: &TaskData,
+        cfg: &CurationConfig,
+        fault_summary: Option<&FaultSummary>,
+        what: &str,
+    ) {
+        let par = ParConfig::serial();
+        let (setup, prop) = setup_for(d, cfg, &par);
+        // The base votes, then the propagation vote spliced onto each row.
+        let base = LabelMatrix::apply_with(&d.pool.table, &setup.lfs, &par);
+        let mut names = base.names().to_vec();
+        names.extend(prop.as_ref().map(|p| p.pool_lf.name().to_owned()));
+        let mut votes = Vec::with_capacity(d.pool.len() * names.len());
+        for r in 0..base.n_rows() {
+            votes.extend_from_slice(base.row(r));
+            votes.extend(prop.as_ref().map(|p| p.pool_lf.vote_row(r).as_i8()));
+        }
+        let pool = LabelMatrix::from_votes(base.n_rows(), names.len(), votes, names);
+        let (n_rows, n_lfs) = (pool.n_rows(), pool.n_lfs());
+        let abstains =
+            |m: &LabelMatrix, c: usize| (0..m.n_rows()).filter(|&r| m.row(r)[c] == 0).count();
+        let rate = |count: usize, n: usize| count as f64 / n.max(1) as f64;
+
+        let CurationSetup { dev_matrix, dev_labels, prior, .. } = setup;
+        let mut dev_abstain: Vec<f64> = (0..dev_matrix.n_lfs())
+            .map(|c| rate(abstains(&dev_matrix, c), dev_matrix.n_rows()))
+            .collect();
+        if let Some(votes) = prop.as_ref().map(|p| &p.dev_votes) {
+            dev_abstain.push(rate(votes.iter().filter(|&&v| v == 0).count(), votes.len()));
+        }
+        let pool_abstain: Vec<f64> = (0..n_lfs).map(|c| rate(abstains(&pool, c), n_rows)).collect();
+        let dropped: Vec<usize> = (0..n_lfs)
+            .filter(|&c| {
+                dev_abstain[c] >= 1.0 || (fault_summary.is_some() && pool_abstain[c] >= 1.0)
+            })
+            .collect();
+        let active = pool.without_columns(&dropped);
+        let covered: Vec<bool> =
+            (0..n_rows).map(|r| active.row(r).iter().any(|&v| v != 0)).collect();
+        let labels = if active.n_lfs() == 0 {
+            vec![prior; n_rows]
+        } else {
+            match cfg.label_model {
+                LabelModelKind::Anchored => {
+                    let mut rates =
+                        AnchoredModel::fit(&dev_matrix, &dev_labels, Some(prior)).rates().to_vec();
+                    rates.extend(prop.as_ref().map(|p| p.rates));
+                    let rates = (rates.into_iter().enumerate())
+                        .filter_map(|(c, r)| (!dropped.contains(&c)).then_some(r))
+                        .collect();
+                    AnchoredModel::from_rates(rates, prior).predict(&active)
+                }
+                LabelModelKind::Em => {
+                    let gen_cfg =
+                        GenerativeConfig { class_prior: Some(prior), ..cfg.generative.clone() };
+                    GenerativeModel::fit_with(&active, &gen_cfg, &par).predict_with(&active, &par)
+                }
+                LabelModelKind::MajorityVote => majority_vote(&active),
+            }
+        };
+
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.probabilistic_labels), bits(&want.probabilistic_labels), "{what}");
-        assert_eq!(got.covered, want.covered, "{what}");
-        assert_eq!(got.conflict.to_bits(), want.conflict.to_bits(), "{what}");
-        assert_eq!(got.lf_names, want.lf_names, "{what}");
-        let (g, w) = (&got.degradation, &want.degradation);
-        assert_eq!(g.dropped_lfs, w.dropped_lfs, "{what}");
-        assert_eq!(g.pool_coverage.to_bits(), w.pool_coverage.to_bits(), "{what}");
-        assert_eq!(g.lf_abstain.len(), w.lf_abstain.len(), "{what}");
-        for (a, b) in g.lf_abstain.iter().zip(&w.lf_abstain) {
-            assert_eq!(a.name, b.name, "{what}");
-            assert_eq!(a.dev_abstain_rate.to_bits(), b.dev_abstain_rate.to_bits(), "{what}");
-            assert_eq!(a.pool_abstain_rate.to_bits(), b.pool_abstain_rate.to_bits(), "{what}");
-            assert_eq!(a.dropped, b.dropped, "{what}");
+        assert_eq!(bits(&got.probabilistic_labels), bits(&labels), "{what}");
+        assert_eq!(got.covered, covered, "{what}");
+        assert_eq!(
+            got.conflict.to_bits(),
+            active.vote_stats_with(&par).conflict.to_bits(),
+            "{what}"
+        );
+        assert_eq!(got.lf_names, pool.names(), "{what}");
+        let g = &got.degradation;
+        let dropped_lfs: Vec<String> = dropped.iter().map(|&c| pool.names()[c].clone()).collect();
+        assert_eq!(g.dropped_lfs, dropped_lfs, "{what}");
+        let coverage = rate(covered.iter().filter(|&&c| c).count(), n_rows);
+        assert_eq!(g.pool_coverage.to_bits(), coverage.to_bits(), "{what}");
+        assert_eq!(g.lf_abstain.len(), n_lfs, "{what}");
+        for (c, a) in g.lf_abstain.iter().enumerate() {
+            assert_eq!(a.name, pool.names()[c], "{what}");
+            assert_eq!(a.dev_abstain_rate.to_bits(), dev_abstain[c].to_bits(), "{what}");
+            assert_eq!(a.pool_abstain_rate.to_bits(), pool_abstain[c].to_bits(), "{what}");
+            assert_eq!(a.dropped, dropped.contains(&c), "{what}");
         }
         let q = |w: &WsQuality| [w.precision, w.recall, w.f1, w.coverage].map(f64::to_bits);
-        assert_eq!(q(&got.ws_quality), q(&want.ws_quality), "{what}");
+        let want = ws_quality(&labels, &covered, &d.pool.labels);
+        assert_eq!(q(&got.ws_quality), q(&want), "{what}");
+
+        // The pool exercises both drops, dropping the dev-silent column
+        // merges patterns, and the propagation column votes.
+        let n = n_lfs - usize::from(prop.is_some());
+        let (img, words) = (n - 2, n - 1);
+        let voting = |c: usize| abstains(&pool, c) < n_rows;
+        assert!(voting(img) && !voting(words), "{what}");
+        assert!(prop.is_none() || voting(n), "{what}");
+        let patterns = VotePatterns::of_segments(&[&pool]);
+        assert!(patterns.without_columns(&[img]).0.len() < patterns.len(), "{what}");
+        assert!(dropped.contains(&img), "{what}");
+        assert_eq!(dropped.contains(&words), fault_summary.is_some(), "{what}");
     }
 
     #[test]
@@ -807,7 +889,7 @@ mod tests {
         let par = ParConfig::serial();
         let faults = FaultSummary::default();
         let kinds = [LabelModelKind::Anchored, LabelModelKind::Em, LabelModelKind::MajorityVote];
-        for (kind, propagation) in kinds.map(|k| (k, false)).into_iter().chain([(kinds[0], true)]) {
+        for (kind, propagation) in kinds.into_iter().flat_map(|k| [(k, false), (k, true)]) {
             let cfg = CurationConfig {
                 use_label_propagation: propagation,
                 label_model: kind,
@@ -817,7 +899,8 @@ mod tests {
                 let what = format!("{kind:?}, propagation {propagation}, {fault_summary:?}");
                 // The engine, fed in two segments.
                 let (setup, prop) = setup_for(&d, &cfg, &par);
-                let mut engine = CurationEngine::new(setup, prop, d.pool.len());
+                assert_eq!(prop.is_some(), propagation, "{what}");
+                let mut engine = CurationEngine::new(setup, d.pool.len());
                 let cut = d.pool.len() / 3;
                 let (head, tail): (Vec<usize>, Vec<usize>) =
                     (0..d.pool.len()).partition(|&r| r < cut);
@@ -825,48 +908,15 @@ mod tests {
                     let labels: Vec<Label> = rows.iter().map(|&r| d.pool.labels[r]).collect();
                     engine.append_segment(offset, &d.pool.table.gather(&rows), &labels, &par);
                 }
-                let got = engine.finish(&cfg, fault_summary, Duration::ZERO, None, &par);
-
-                // The oracle, over the dense pool matrix.
-                let (setup, prop) = setup_for(&d, &cfg, &par);
-                let mut names = setup.lf_names.clone();
-                names.extend(prop.as_ref().map(|p| p.pool_lf.name().to_owned()));
-                let mut pool = LabelMatrix::with_row_capacity(d.pool.len(), names);
-                match &prop {
-                    Some(p) => {
-                        pool.apply_append_bound_with(
-                            &d.pool.table,
-                            &setup.lfs,
-                            &p.pool_lf,
-                            0,
-                            &par,
-                        );
-                    }
-                    None => pool.apply_append_with(&d.pool.table, &setup.lfs, &par),
-                }
-                assert_eq!(prop.is_some(), propagation, "{what}");
-
-                // The pool exercises both drops, and dropping the dev-silent
-                // column merges patterns.
-                let n = pool.n_lfs() - usize::from(propagation);
-                let (img, words) = (n - 2, n - 1);
-                assert!((0..pool.n_rows()).any(|r| pool.row(r)[img] != 0), "{what}");
-                assert!((0..pool.n_rows()).all(|r| pool.row(r)[words] == 0), "{what}");
-                let patterns = VotePatterns::of_segments(&[&pool]);
-                assert!(patterns.without_columns(&[img]).0.len() < patterns.len(), "{what}");
-                let dropped = |c: usize| got.degradation.dropped_lfs.contains(&pool.names()[c]);
-                assert!(dropped(img), "{what}");
-                assert_eq!(dropped(words), fault_summary.is_some(), "{what}");
-
-                let want =
-                    finish_rowwise(setup, prop, pool, &d.pool.labels, &cfg, fault_summary, &par);
-                assert_same_output(&got, &want, &what);
+                let got =
+                    engine.finish(prop.as_ref(), &cfg, fault_summary, Duration::ZERO, None, &par);
+                assert_matches_rowwise(&got, &d, &cfg, fault_summary, &what);
             }
         }
     }
 
     #[test]
-    fn append_bound_covers_an_all_distinct_segment() {
+    fn charges_cover_an_all_distinct_segment_and_its_fold() {
         // Twelve base LFs whose votes spell each row's index in binary, so
         // every row is a new pattern on which every LF votes.
         let d = data();
@@ -881,21 +931,24 @@ mod tests {
             .collect();
         let cfg = CurationConfig { use_label_propagation: false, ..fast_config() };
         let setup = CurationSetup::new(&d.text, lfs, &cfg, &par);
-        let mut engine = CurationEngine::new(setup, None, n);
+        let mut engine = CurationEngine::new(setup, n);
         assert_eq!(engine.pool_bytes(), 4 * n);
         let rows: Vec<usize> = (0..n).collect();
-        let charged = engine.append_bound(n);
+        engine.apply_segment(&d.pool.table.gather(&rows), &par);
+        let charged = engine.growth_bound();
         let before = engine.pattern_bytes();
-        engine.append_segment(0, &d.pool.table.gather(&rows), &d.pool.labels[..n], &par);
+        engine.intern_segment(0, &d.pool.labels[..n]);
         assert_eq!(engine.patterns.len(), n, "every row is a new pattern");
-        let grown = engine.pattern_bytes() - before;
-        let segment_votes = n * 12;
-        assert!(
-            charged >= segment_votes + grown,
-            "charged {charged}, votes {segment_votes}, grown {grown}"
-        );
-        // Full-width distinct rows are the case the bound is priced at.
-        assert_eq!(charged, segment_votes + grown);
+        // Distinct rows are the case the bound is priced at.
+        assert_eq!(charged, engine.pattern_bytes() - before);
+
+        // A column voting 1, -1, 0 in turn splits no pattern; the fold
+        // holds its slots, the joined ids and the joined table.
+        let bound = engine.fold_bound();
+        let pool = engine.fold(Some(|r: usize| (r % 3) as i8 - 1));
+        assert_eq!(pool.patterns.len(), n);
+        let held = (3 * n + pool.ids.len()) * 4 + pool.patterns.approx_bytes();
+        assert!(held <= bound, "held {held}, charged {bound}");
     }
 
     fn data() -> TaskData {

@@ -6,8 +6,8 @@
 //! The division of labor with `cm-serve`:
 //!
 //! - This module owns the *curation state machine*: LFs are mined once on
-//!   the labeled text corpus, each arrival batch's votes append to the
-//!   accumulated pool votes and vote patterns, the EM label model refits
+//!   the labeled text corpus, each arrival batch appends to the batch
+//!   curation engine as one segment, the EM label model refits
 //!   warm-started from the previous fit ([`cm_labelmodel::WarmStart`]),
 //!   and the propagation graph grows by online anchor insertion
 //!   ([`cm_propagation::OnlineGraph`]) instead of full rebuilds.
@@ -26,33 +26,36 @@
 //! faulty arrival history (pool rows, EM parameters, graph routing) rides
 //! in [`IncrementalState`].
 //!
-//! The curator starts from the batch engine's `CurationSetup`
-//! ([`crate::curation`]) — LF names, prior, and the propagation seed
-//! block, whose table becomes the online graph's vertex table — and turns
-//! its graph into the propagation LF through the same
-//! `SeedBlock::lf_from_graph`. Two deliberate divergences from the
-//! one-shot batch pipeline, both inherent to serving: similarity scales
-//! are fitted on the labeled corpus only (the pool isn't known upfront),
-//! and the label model is always the warm-startable EM model rather than
-//! the dev-anchored one.
+//! The curator runs the batch pipeline's curation engine
+//! ([`crate::curation`]): it builds the same `CurationSetup`, whose seed
+//! block's table becomes the online graph's vertex table, appends each
+//! batch with `CurationEngine::append_segment`, turns its graph into the
+//! propagation LF through the same `SeedBlock::lf_from_graph`, joins that
+//! column with `CurationEngine::fold`, and gathers by pattern id. Three
+//! deliberate divergences from the one-shot batch pipeline, all inherent
+//! to serving: similarity scales are fitted on the labeled corpus only
+//! (the pool isn't known upfront), the label model is always the
+//! warm-startable EM model rather than the dev-anchored one, and the graph
+//! is the online one.
 //!
-//! **Cost model**: an ingest costs O(batch + patterns) plus the Jacobi
-//! propagation solve. Each row's base-LF vote vector is interned once, on
-//! arrival, into a [`VotePatterns`] table; a tick then folds every row's
+//! **Cost model**: LF application, interning and the EM fit cost
+//! O(batch + patterns) per ingest; what is pool-sized is the Jacobi
+//! propagation solve and linear passes: the fold and the gathers. Each row's base-LF vote vector
+//! is interned once, on arrival; a tick then folds every row's
 //! `(base pattern, propagation vote)` pair through a dense three-slot
 //! table into the label-matrix patterns, fits EM on those, and gathers
 //! posteriors, coverage and abstain counts back to rows by pattern id.
 
 use cm_featurespace::{CmError, CmResult, ErrorKind, FeatureTable, FrozenTable, SimilarityConfig};
-use cm_labelmodel::{
-    GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns, WarmStart,
-};
-use cm_mining::mine_lfs;
+use cm_labelmodel::{GenerativeConfig, GenerativeModel, LabelMatrix, WarmStart};
 use cm_orgsim::{ModalityDataset, World};
 use cm_par::ParConfig;
 use cm_propagation::{OnlineGraph, OnlineGraphDelta, OnlineGraphState};
 
-use crate::curation::{lf_columns, sim_columns, CurationConfig, CurationSetup, SeedBlock};
+use crate::curation::{
+    mine_text_lfs, sim_columns, CurationConfig, CurationEngine, CurationSetup, PoolPatterns,
+    PropagationLf, SeedBlock,
+};
 
 /// Configuration of the incremental curator.
 #[derive(Debug, Clone)]
@@ -217,76 +220,49 @@ struct PropScaffold {
 /// serving contract.
 pub struct IncrementalCurator {
     config: IncrementalConfig,
-    lfs: Vec<Box<dyn LabelingFunction>>,
-    lf_names: Vec<String>,
-    prior: f64,
+    /// The batch curation engine; each ingested batch is one segment.
+    engine: CurationEngine,
     prop: Option<PropScaffold>,
     pool: ModalityDataset,
-    /// Base-LF votes over the pool, row-major `n_rows x n_base_lfs`.
-    base_votes: Vec<i8>,
-    /// Distinct base-LF vote vectors of the pool, with row counts.
-    base_patterns: VotePatterns,
-    /// Each pool row's pattern id in `base_patterns`.
-    base_ids: Vec<u32>,
     warm: Option<WarmStart>,
     em_iterations: usize,
     posteriors: Vec<f64>,
     covered: Vec<bool>,
     n_batches: usize,
     /// Pool rows already covered by the last durable export (state or
-    /// delta); the vote mark is `mark_rows * lfs.len()` by construction.
+    /// delta).
     mark_rows: usize,
 }
 
 impl IncrementalCurator {
     /// Sets up the curator's clean-path scaffolding: mines LFs on the
     /// labeled text corpus and builds the batch pipeline's
-    /// `CurationSetup` from them; when propagation is enabled, fits
-    /// similarity scales on the seed block's labeled rows and inserts them
-    /// into the online graph.
+    /// `CurationSetup` and engine from them; when propagation is enabled,
+    /// fits similarity scales on the seed block's labeled rows and inserts
+    /// them into the online graph. Reads `CM_THREADS` once, for mining
+    /// and the setup's dev votes.
     pub fn new(world: &World, text: &ModalityDataset, config: IncrementalConfig) -> Self {
-        let columns = lf_columns(world.schema(), &config.curation);
-        let mined = mine_lfs(
-            &text.table,
-            &text.labels,
-            &columns,
-            &config.curation.mining,
-            config.curation.max_positive_lfs,
-            config.curation.max_negative_lfs,
-        );
-        // Serving fits EM on pool votes alone and never reads the setup's
-        // dev matrix; votes are thread-count invariant, so the small
-        // labeled corpus is applied serially.
-        let CurationSetup { lfs, mut lf_names, prior, propagation, .. } =
-            CurationSetup::new(text, mined.lfs, &config.curation, &ParConfig::serial());
-        let prop = propagation.map(|block| {
+        let par = ParConfig::from_env();
+        let lfs = mine_text_lfs(world.schema(), text, &config.curation, &par);
+        let mut setup = CurationSetup::new(text, lfs, &config.curation, &par);
+        let prop = setup.propagation.take().map(|block| {
             let sim = SimilarityConfig::uniform(sim_columns(world.schema(), &config.curation))
                 .fit_scales(&block.table);
             let mut online = OnlineGraph::new(config.curation.prop_k);
             online.insert_rows(&FrozenTable::freeze(&block.table), &sim);
             PropScaffold { block, sim, online }
         });
-        if prop.is_some() {
-            lf_names.push("label_propagation".to_owned());
-        }
-
         let pool = ModalityDataset {
             modality: cm_featurespace::ModalityKind::Image,
             table: FeatureTable::new(world.schema().clone()),
             labels: Vec::new(),
             borderline: Vec::new(),
         };
-        let base_patterns = VotePatterns::new(lfs.len());
         IncrementalCurator {
             config,
-            lfs,
-            lf_names,
-            prior,
+            engine: CurationEngine::new(setup, 0),
             prop,
             pool,
-            base_votes: Vec::new(),
-            base_patterns,
-            base_ids: Vec::new(),
             warm: None,
             em_iterations: 0,
             posteriors: Vec::new(),
@@ -311,11 +287,6 @@ impl IncrementalCurator {
         &self.pool
     }
 
-    /// LF names, one per label-matrix column (propagation last, if on).
-    pub fn lf_names(&self) -> &[String] {
-        &self.lf_names
-    }
-
     /// Current posteriors over the accumulated pool.
     pub fn posteriors(&self) -> &[f64] {
         &self.posteriors
@@ -326,33 +297,22 @@ impl IncrementalCurator {
         &self.covered
     }
 
-    /// Class prior (clamped text positive rate) pinned in every fit.
-    pub fn prior(&self) -> f64 {
-        self.prior
-    }
-
     /// Guard inputs for a candidate batch, without mutating any state.
     pub fn preview_batch(&self, batch: &ModalityDataset, par: &ParConfig) -> BatchPreview {
-        let matrix = LabelMatrix::apply_with(&batch.table, &self.lfs, par);
+        let matrix = LabelMatrix::apply_with(&batch.table, &self.engine.setup().lfs, par);
         let n = matrix.n_rows();
         let n_lfs = matrix.n_lfs();
         let covered = (0..n).filter(|&r| matrix.row(r).iter().any(|&v| v != 0)).count();
         let abstains: usize =
             (0..n).map(|r| matrix.row(r).iter().filter(|&&v| v == 0).count()).sum();
-        let mean_entropy = self.warm.as_ref().map(|_| {
+        let mean_entropy = self.warm.as_ref().map(|warm| {
             // Preview under the current model with the propagation column
-            // abstaining (its votes are unknown until ingest).
-            let model = self.current_model();
-            let mut votes = Vec::with_capacity(n * self.lf_names.len());
-            for r in 0..n {
-                votes.extend_from_slice(matrix.row(r));
-                if self.prop.is_some() {
-                    votes.push(0);
-                }
-            }
-            let full =
-                LabelMatrix::from_votes(n, self.lf_names.len(), votes, self.lf_names.clone());
-            mean_entropy(&model.predict_with(&full, par))
+            // abstaining (its votes are unknown until ingest). An abstain
+            // adds nothing to a posterior, so the base LFs' parameters
+            // give the same bits.
+            let base = warm.accuracies[..n_lfs].to_vec();
+            let model = GenerativeModel::from_params(base, warm.class_prior, self.em_iterations);
+            mean_entropy(&model.predict_with(&matrix, par))
         });
         BatchPreview {
             coverage: covered as f64 / n.max(1) as f64,
@@ -361,31 +321,28 @@ impl IncrementalCurator {
         }
     }
 
-    /// Ingests one arrival batch: appends its rows and votes, grows the
-    /// propagation graph, refits the label model (warm-started after the
-    /// first batch) on the folded vote patterns, and refreshes the pool
-    /// posteriors.
+    /// Ingests one arrival batch: appends it to the engine as one segment,
+    /// grows the propagation graph, refits the label model (warm-started
+    /// after the first batch) on the folded vote patterns, and refreshes
+    /// the pool posteriors.
     ///
     /// # Panics
     /// Panics if the batch's schema disagrees with the world's.
     pub fn ingest_batch(&mut self, batch: &ModalityDataset, par: &ParConfig) -> BatchStats {
         let batch_rows = batch.len();
+        let start = self.pool.len();
         self.pool.table.extend_from(&batch.table);
         self.pool.labels.extend_from_slice(&batch.labels);
         self.pool.borderline.extend_from_slice(&batch.borderline);
-        let batch_matrix = LabelMatrix::apply_with(&batch.table, &self.lfs, par);
-        for r in 0..batch_rows {
-            self.push_base_row(batch_matrix.row(r));
-        }
+        self.engine.append_segment(start, &batch.table, &batch.labels, par);
         if let Some(p) = &mut self.prop {
             p.block.table.extend_from(&batch.table);
             p.online.insert_rows(&FrozenTable::freeze(&p.block.table), &p.sim);
         }
 
-        let folded = self.fold_patterns();
-        let (patterns, ids) = self.patterns_view(&folded);
+        let pool = self.label_patterns();
         let gen_cfg = GenerativeConfig {
-            class_prior: Some(self.prior),
+            class_prior: Some(self.engine.setup().prior),
             max_iters: if self.warm.is_some() {
                 self.config.refit_max_iters
             } else {
@@ -393,14 +350,12 @@ impl IncrementalCurator {
             },
             ..self.config.curation.generative.clone()
         };
-        let model = GenerativeModel::fit_patterns(patterns, &gen_cfg, self.warm.as_ref(), par);
-        let n = self.pool.len();
-        let start = n - batch_rows;
-        let abstains: usize = ids[start..].iter().map(|&p| patterns.abstains(p as usize)).sum();
-        let n_lfs = patterns.n_lfs();
-        let (posteriors, covered) = gather_outputs(&model, patterns, ids);
-        self.posteriors = posteriors;
-        self.covered = covered;
+        let model =
+            GenerativeModel::fit_patterns(&pool.patterns, &gen_cfg, self.warm.as_ref(), par);
+        let abstains: usize =
+            pool.ids[start..].iter().map(|&p| pool.patterns.abstains(p as usize)).sum();
+        let n_lfs = pool.patterns.n_lfs();
+        (self.posteriors, self.covered) = gather(&model, &pool);
         self.warm = Some(model.warm_start());
         self.em_iterations = model.iterations();
         self.n_batches += 1;
@@ -409,7 +364,7 @@ impl IncrementalCurator {
         BatchStats {
             batch_index: self.n_batches - 1,
             rows: batch_rows,
-            total_rows: n,
+            total_rows: self.pool.len(),
             coverage: covered_in_batch as f64 / batch_rows.max(1) as f64,
             abstain_rate: abstains as f64 / (batch_rows * n_lfs).max(1) as f64,
             mean_entropy: mean_entropy(&self.posteriors[start..]),
@@ -425,7 +380,7 @@ impl IncrementalCurator {
         IncrementalState {
             n_batches: self.n_batches,
             pool: self.pool.clone(),
-            votes: self.base_votes.clone(),
+            votes: self.engine.base_votes(0..self.pool.len()),
             em_warm: self.warm.clone(),
             em_iterations: self.em_iterations,
             graph: self.prop.as_mut().map(|p| {
@@ -441,7 +396,7 @@ impl IncrementalCurator {
     pub fn export_delta(&mut self) -> IncrementalDelta {
         let idx: Vec<usize> = (self.mark_rows..self.pool.len()).collect();
         let new_rows = self.pool.gather(&idx);
-        let new_votes = self.base_votes[self.mark_rows * self.lfs.len()..].to_vec();
+        let new_votes = self.engine.base_votes(self.mark_rows..self.pool.len());
         self.mark_rows = self.pool.len();
         IncrementalDelta {
             n_batches: self.n_batches,
@@ -459,13 +414,14 @@ impl IncrementalCurator {
     /// restored, after which behavior is bit-identical to the exporting
     /// curator's.
     ///
-    /// `_par` is unused: checkpointed votes are taken verbatim, so nothing
-    /// is re-applied. It stays for callers of the earlier signature.
+    /// `_par` is unused: checkpointed votes are interned verbatim, so
+    /// nothing is re-applied. It stays for callers of the earlier
+    /// signature.
     ///
     /// # Panics
     /// Panics if the state disagrees with the configuration: a graph
     /// snapshot with propagation disabled (or vice versa), or votes that
-    /// are not one per mined LF for every pool row.
+    /// are not one valid vote per mined LF for every pool row.
     pub fn restore(
         world: &World,
         text: &ModalityDataset,
@@ -479,16 +435,13 @@ impl IncrementalCurator {
             state.graph.is_some(),
             "checkpointed graph state disagrees with the propagation setting"
         );
-        let n_base = c.lfs.len();
         assert_eq!(
             state.votes.len(),
-            state.pool.len() * n_base,
+            state.pool.len() * c.engine.setup().lfs.len(),
             "checkpointed votes are not one per mined LF for every pool row"
         );
         c.pool = state.pool;
-        for r in 0..c.pool.len() {
-            c.push_base_row(&state.votes[r * n_base..(r + 1) * n_base]);
-        }
+        c.engine.append_votes(0, c.pool.len(), state.votes, &c.pool.labels);
         c.n_batches = state.n_batches;
         c.mark_rows = c.pool.len();
         c.warm = state.em_warm;
@@ -497,85 +450,33 @@ impl IncrementalCurator {
             p.block.table.extend_from(&c.pool.table);
             p.online = OnlineGraph::from_snapshot(c.config.curation.prop_k, g);
         }
-        if c.warm.is_some() {
-            let folded = c.fold_patterns();
-            let (patterns, ids) = c.patterns_view(&folded);
-            let (posteriors, covered) = gather_outputs(&c.current_model(), patterns, ids);
-            c.posteriors = posteriors;
-            c.covered = covered;
+        if let Some(warm) = &c.warm {
+            let model = GenerativeModel::from_params(
+                warm.accuracies.clone(),
+                warm.class_prior,
+                c.em_iterations,
+            );
+            (c.posteriors, c.covered) = gather(&model, &c.label_patterns());
         }
         c
     }
 
-    /// The model implied by the current warm-start parameters.
-    ///
-    /// # Panics
-    /// Panics before the first fit.
-    fn current_model(&self) -> GenerativeModel {
-        // lint: allow(expect) — documented panic: callers gate on `warm.is_some()`
-        let warm = self.warm.as_ref().expect("no model fitted yet");
-        GenerativeModel::from_params(warm.accuracies.clone(), warm.class_prior, self.em_iterations)
-    }
-
-    /// Appends one pool row's base-LF votes and interns its pattern.
-    fn push_base_row(&mut self, votes: &[i8]) {
-        self.base_votes.extend_from_slice(votes);
-        self.base_ids.push(self.base_patterns.observe(votes) as u32);
-    }
-
-    /// The pool label matrix as vote patterns. Without propagation that is
-    /// the base-pattern table itself (`None`). With it, a freshly
-    /// propagated-and-tuned column (all abstain when tuning clears no
-    /// threshold) is folded in: `(base pattern, vote)` pairs map through
-    /// a dense three-slot table, so only a pair's first row pays a lookup.
-    /// Returns the patterns and each row's pattern id.
-    fn fold_patterns(&self) -> Option<(VotePatterns, Vec<u32>)> {
-        let p = self.prop.as_ref()?;
-        let lf = p.block.lf_from_graph(&p.online.graph(), &self.config.curation);
-        let mut patterns = VotePatterns::new(self.lfs.len() + 1);
-        let mut slots = vec![u32::MAX; self.base_patterns.len() * 3];
-        let mut ids = Vec::with_capacity(self.base_ids.len());
-        let mut dense = Vec::new();
-        for (r, &base) in self.base_ids.iter().enumerate() {
-            let vote = lf.as_ref().map_or(0, |l| l.pool_lf.vote_row(r).as_i8());
-            let slot = &mut slots[base as usize * 3 + (vote + 1) as usize];
-            if *slot == u32::MAX {
-                self.base_patterns.dense_into(base as usize, &mut dense);
-                dense.push(vote);
-                *slot = patterns.observe(&dense) as u32;
-            } else {
-                patterns.add_rows(*slot as usize, 1);
-            }
-            ids.push(*slot);
-        }
-        Some((patterns, ids))
-    }
-
-    /// The patterns and row ids [`IncrementalCurator::fold_patterns`]
-    /// produced, or the base ones when it folded nothing in.
-    fn patterns_view<'a>(
-        &'a self,
-        folded: &'a Option<(VotePatterns, Vec<u32>)>,
-    ) -> (&'a VotePatterns, &'a [u32]) {
-        match folded {
-            Some((patterns, ids)) => (patterns, ids),
-            None => (&self.base_patterns, &self.base_ids),
-        }
+    /// The pool's label matrix as vote patterns: the engine's, joined with
+    /// propagation on by a freshly propagated-and-tuned column (all
+    /// abstain when tuning clears no threshold).
+    fn label_patterns(&self) -> PoolPatterns<'_> {
+        let lf = (self.prop.as_ref())
+            .map(|p| p.block.lf_from_graph(&p.online.graph(), &self.config.curation));
+        self.engine.fold(lf.as_ref().map(|lf: &Option<PropagationLf>| {
+            move |r| lf.as_ref().map_or(0, |l| l.pool_lf.vote_row(r).as_i8())
+        }))
     }
 }
 
-/// Row posteriors and coverage, gathered from per-pattern values.
-fn gather_outputs(
-    model: &GenerativeModel,
-    patterns: &VotePatterns,
-    ids: &[u32],
-) -> (Vec<f64>, Vec<bool>) {
-    let by_pattern = model.predict_patterns(patterns);
-    let covers: Vec<bool> = (0..patterns.len()).map(|p| patterns.covers(p)).collect();
-    (
-        ids.iter().map(|&p| by_pattern[p as usize]).collect(),
-        ids.iter().map(|&p| covers[p as usize]).collect(),
-    )
+/// Row posteriors and coverage under `model`, gathered by pattern id.
+fn gather(model: &GenerativeModel, pool: &PoolPatterns<'_>) -> (Vec<f64>, Vec<bool>) {
+    let by_pattern = model.predict_patterns(&pool.patterns);
+    pool.gather(|p| (by_pattern[p], pool.patterns.covers(p)))
 }
 
 /// Mean binary entropy (nats) of a posterior slice; `0.0` when empty.
@@ -595,6 +496,7 @@ pub fn mean_entropy(posteriors: &[f64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use cm_labelmodel::VotePatterns;
     use cm_orgsim::{TaskConfig, TaskId, WorldConfig};
 
     use super::*;
@@ -661,6 +563,66 @@ mod tests {
         }
         let precision = tp as f64 / (tp + fp).max(1) as f64;
         assert!(precision > 0.5, "precision {precision} (tp {tp}, fp {fp})");
+    }
+
+    /// Every tick's fold and gather against the dense `[base | propagation]`
+    /// pool matrix: EM fitted on its folded rows from the previous tick's
+    /// parameters, posteriors predicted row by row.
+    #[test]
+    fn serve_ticks_match_a_dense_reference() {
+        let (world, text, pool) = fixture();
+        let par = ParConfig::serial();
+        for propagation in [true, false] {
+            let mut cfg = fast_config();
+            cfg.curation.use_label_propagation = propagation;
+            let (full, refit) = (cfg.curation.generative.max_iters, cfg.refit_max_iters);
+            let mut cur = IncrementalCurator::new(&world, &text, cfg.clone());
+            let (mut warm, mut column_voted) = (None::<WarmStart>, false);
+            for b in batches(&pool, 60) {
+                let start = cur.n_rows();
+                let stats = cur.ingest_batch(&b, &par);
+                let (setup, n) = (cur.engine.setup(), cur.n_rows());
+                let base = LabelMatrix::apply_with(&cur.pool.table, &setup.lfs, &par);
+                let prop = cur.prop.as_ref();
+                let lf = prop.map(|p| p.block.lf_from_graph(&p.online.graph(), &cfg.curation));
+                let mut votes = Vec::new();
+                for r in 0..n {
+                    votes.extend_from_slice(base.row(r));
+                    votes.extend(
+                        lf.as_ref()
+                            .map(|lf| lf.as_ref().map_or(0, |l| l.pool_lf.vote_row(r).as_i8())),
+                    );
+                }
+                let width = base.n_lfs() + usize::from(lf.is_some());
+                let dense = LabelMatrix::from_votes(n, width, votes, vec![String::new(); width]);
+                column_voted |= lf.is_some() && (0..n).any(|r| dense.row(r)[width - 1] != 0);
+                let gen_cfg = GenerativeConfig {
+                    class_prior: Some(setup.prior),
+                    max_iters: if warm.is_some() { refit } else { full },
+                    ..cfg.curation.generative.clone()
+                };
+                let patterns = VotePatterns::of_segments(&[&dense]);
+                let model = GenerativeModel::fit_patterns(&patterns, &gen_cfg, warm.as_ref(), &par);
+
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let want = model.predict_with(&dense, &par);
+                assert_eq!(bits(cur.posteriors()), bits(&want), "tick {}", stats.batch_index);
+                let covered: Vec<bool> =
+                    (0..n).map(|r| dense.row(r).iter().any(|&v| v != 0)).collect();
+                assert_eq!(cur.covered(), &covered[..]);
+                let batch_covered = covered[start..].iter().filter(|&&c| c).count();
+                let abstains: usize =
+                    (start..n).map(|r| dense.row(r).iter().filter(|&&v| v == 0).count()).sum();
+                let rate = |k: usize, of: usize| (k as f64 / of.max(1) as f64).to_bits();
+                assert_eq!(
+                    [stats.coverage.to_bits(), stats.abstain_rate.to_bits()],
+                    [rate(batch_covered, n - start), rate(abstains, (n - start) * width)]
+                );
+                assert_eq!(stats.em_iterations, model.iterations());
+                warm = Some(model.warm_start());
+            }
+            assert_eq!(column_voted, propagation, "the propagation column must vote");
+        }
     }
 
     #[test]

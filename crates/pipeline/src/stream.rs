@@ -23,8 +23,9 @@
 //!   [`cm_shard::build_graph_sharded`], which replays the resident anchor
 //!   plan over segment sweeps;
 //! - **LF application** — votes are pure per-row, so each pool segment's
-//!   vote vectors (propagation column included) intern, in offset order,
-//!   into one pattern table, the same table a whole-pool append builds;
+//!   base-LF vote vectors intern, in offset order, into one pattern
+//!   table, the same table a whole-pool append builds; the propagation
+//!   column joins those patterns at labelling time, as in every driver;
 //! - **the label model** — fitted on the dev corpus (anchored) or on exact
 //!   mergeable moments over the patterns (EM), and evaluated once per
 //!   pattern, both thread- and segmentation-invariant.
@@ -149,10 +150,12 @@ pub fn curate_streamed_with(
 
     // The pool sweep: one engine append per segment, each segment dropped
     // as soon as its votes are interned, so peak memory is one segment,
-    // its votes, the pattern ids and the pattern table. Each append is
-    // charged its worst case (every row a new pattern) before it runs,
-    // and what the table did not grow by is released after.
-    let mut engine = CurationEngine::new(setup, prop, n_pool);
+    // its votes, the pattern ids and the pattern table. An append is
+    // charged in two steps, each before its allocation: the segment's
+    // votes, then the pattern table's growth if every row were a new
+    // pattern, priced from the votes' actual non-abstain count. The votes
+    // and what the table did not grow by are released after.
+    let mut engine = CurationEngine::new(setup, n_pool);
     tracker.charge(engine.pool_bytes(), "pool pattern ids")?;
     let mut segments = 0usize;
     let sweep_start = Stopwatch::start();
@@ -165,20 +168,28 @@ pub fn curate_streamed_with(
         &mut tracker,
         &mut |offset, seg, tracker| {
             segments += 1;
-            let bound = engine.append_bound(seg.len());
-            tracker.charge(bound, "segment votes and pattern growth")?;
-            let table_bytes = engine.pattern_bytes();
+            let votes = seg.len() * engine.setup().lfs.len();
+            tracker.charge(votes, "segment votes")?;
             let apply_start = Stopwatch::start();
-            engine.append_segment(offset, &seg.table, &seg.labels, par);
+            engine.apply_segment(&seg.table, par);
+            let growth = engine.growth_bound();
+            tracker.charge(growth, "pattern table growth")?;
+            let table_bytes = engine.pattern_bytes();
+            engine.intern_segment(offset, &seg.labels);
             timing.lf_application += apply_start.elapsed();
-            tracker.release(bound - (engine.pattern_bytes() - table_bytes));
+            tracker.release(votes + growth - (engine.pattern_bytes() - table_bytes));
             Ok(())
         },
     )?;
     timing.generation = sweep_start.elapsed().saturating_sub(timing.lf_application);
 
+    // Labelling joins the propagation column to the patterns; that fold is
+    // charged its worst case before it runs.
     let model_start = Stopwatch::start();
-    let output = engine.finish(config, None, timing.mining, propagation_time, par);
+    let fold = if prop.is_some() { engine.fold_bound() } else { 0 };
+    tracker.charge(fold, "propagation fold")?;
+    let output = engine.finish(prop.as_ref(), config, None, timing.mining, propagation_time, par);
+    tracker.release(fold);
     timing.model = model_start.elapsed();
     let stats = StreamStats {
         segments,

@@ -641,14 +641,18 @@ fn enc_votes(w: &mut Writer, votes: &[i8]) {
 }
 
 /// Decodes the row-major votes of `rows` pool rows, rejecting a vector
-/// that is not a whole number of votes per row.
+/// that is not a whole number of votes per row or holds a value other
+/// than -1, 0 or 1.
 fn dec_votes(r: &mut Reader<'_>, rows: usize) -> CmResult<Vec<i8>> {
     let n = r.usizev().map_err(wire_err)?;
     if n != 0 && n.checked_rem(rows) != Some(0) {
         return Err(bad_wire(format!("{n} votes do not split evenly over {rows} rows")));
     }
-    let raw = r.take(n).map_err(wire_err)?;
-    Ok(raw.iter().map(|&b| b as i8).collect())
+    let votes: Vec<i8> = r.take(n).map_err(wire_err)?.iter().map(|&b| b as i8).collect();
+    match votes.iter().find(|v| !(-1..=1).contains(*v)) {
+        Some(v) => Err(bad_wire(format!("vote {v} is not -1, 0 or 1"))),
+        None => Ok(votes),
+    }
 }
 
 fn enc_incremental_state(w: &mut Writer, s: &IncrementalState) {
@@ -1405,7 +1409,7 @@ mod tests {
         assert!(open_bytes("well_formed.ckpt", &base).expect("well-formed log").is_some());
 
         type Corrupt<T> = (&'static str, fn(&mut T));
-        let bad_bases: [Corrupt<IncrementalState>; 5] = [
+        let bad_bases: [Corrupt<IncrementalState>; 6] = [
             ("edge endpoint", |s| s.graph.as_mut().expect("g").edges.push((5, 0, 0.5))),
             ("anchor id", |s| s.graph.as_mut().expect("g").anchors[1] = 9),
             ("member id", |s| s.graph.as_mut().expect("g").anchor_members[0].push(5)),
@@ -1415,6 +1419,7 @@ mod tests {
             ("dropped vote", |s| {
                 s.votes.pop();
             }),
+            ("vote value", |s| s.votes[0] = 2),
         ];
         for (what, corrupt) in bad_bases {
             let mut bad = fixture();
@@ -1423,7 +1428,7 @@ mod tests {
             assert!(err.is_err(), "base with a bad {what} must not open");
         }
 
-        let bad_deltas: [Corrupt<TickDelta>; 7] = [
+        let bad_deltas: [Corrupt<TickDelta>; 8] = [
             ("edge endpoint", |d| d.curator.graph.as_mut().expect("g").new_edges.push((7, 0, 0.5))),
             ("new anchor", |d| d.curator.graph.as_mut().expect("g").new_anchors[0].0 = 8),
             ("anchor index", |d| {
@@ -1443,6 +1448,7 @@ mod tests {
             }),
             // Whole, but two votes per row against the base's three.
             ("vote width", |d| d.curator.new_votes.truncate(4)),
+            ("vote value", |d| d.curator.new_votes[1] = -3),
         ];
         for (what, corrupt) in bad_deltas {
             let mut delta = delta_fixture(&cp);

@@ -31,6 +31,9 @@ cargo run -q -p xtask -- validate --seeded-negatives
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo check perfbench (the benchmark package builds against the library API)"
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml --all-targets
+
 echo "==> cargo test (CM_THREADS=1)"
 CM_THREADS=1 cargo test -q --workspace
 
