@@ -302,9 +302,12 @@ enum ColKernel<'a> {
     /// Small-vocabulary categorical column: each row's sorted id set packed
     /// into one `u64`. Intersection and union sizes come from popcounts —
     /// the same integers the sorted-slice merge produces, feeding the same
-    /// final division.
+    /// final division. The CSR ids stay borrowed for pairs against a
+    /// segment whose column compiled to `CatSlice`.
     CatMask {
         masks: Vec<u64>,
+        offsets: &'a [u32],
+        ids: &'a [u32],
     },
     /// General categorical column: sorted-slice Jaccard over the CSR ids.
     CatSlice {
@@ -374,7 +377,7 @@ impl<'a> PairKernel<'a> {
                                 *mask |= 1u64 << id;
                             }
                         }
-                        plan.push(ColKernel::CatMask { masks });
+                        plan.push(ColKernel::CatMask { masks, offsets, ids });
                     } else {
                         plan.push(ColKernel::CatSlice { offsets, ids });
                     }
@@ -411,13 +414,18 @@ impl<'a> PairKernel<'a> {
         Self { plan, presence, present }
     }
 
-    /// The contribution of plan column `c` for rows both present in it.
-    #[inline]
-    fn col_weight(&self, c: usize, i: usize, j: usize) -> f64 {
-        match &self.plan[c] {
-            ColKernel::Numeric { values, scale } => (-(values[i] - values[j]).abs() / scale).exp(),
-            ColKernel::CatMask { masks } => {
-                let (ma, mb) = (masks[i], masks[j]);
+    /// The contribution of plan column `c` for row `i` here and row `j` of
+    /// `other`, both present in it. Forced inline: the two-sided match
+    /// otherwise stays out of the pair loop, about 10 % slower on the
+    /// 3k-row k-NN bench.
+    #[inline(always)]
+    fn col_weight(&self, c: usize, i: usize, other: &PairKernel<'_>, j: usize) -> f64 {
+        match (&self.plan[c], &other.plan[c]) {
+            (ColKernel::Numeric { values: a, scale }, ColKernel::Numeric { values: b, .. }) => {
+                (-(a[i] - b[j]).abs() / scale).exp()
+            }
+            (ColKernel::CatMask { masks: a, .. }, ColKernel::CatMask { masks: b, .. }) => {
+                let (ma, mb) = (a[i], b[j]);
                 let inter = (ma & mb).count_ones() as usize;
                 let union = ma.count_ones() as usize + mb.count_ones() as usize - inter;
                 if union == 0 {
@@ -426,26 +434,43 @@ impl<'a> PairKernel<'a> {
                     inter as f64 / union as f64
                 }
             }
-            ColKernel::CatSlice { offsets, ids } => {
-                let x = &ids[offsets[i] as usize..offsets[i + 1] as usize];
-                let y = &ids[offsets[j] as usize..offsets[j + 1] as usize];
-                jaccard_ids(x, y)
+            (
+                ColKernel::Embedding { dim, data: a, norms: na },
+                ColKernel::Embedding { data: b, norms: nb, .. },
+            ) => {
+                let x = &a[i * dim..(i + 1) * dim];
+                let y = &b[j * dim..(j + 1) * dim];
+                0.5 * (cosine_prenorm(x, y, na[i], nb[j]) + 1.0)
             }
-            ColKernel::Embedding { dim, data, norms } => {
-                let x = &data[i * dim..(i + 1) * dim];
-                let y = &data[j * dim..(j + 1) * dim];
-                0.5 * (cosine_prenorm(x, y, norms[i], norms[j]) + 1.0)
-            }
+            // Any other pairing is a categorical column that compiled to a
+            // slice on at least one side: the sorted-slice Jaccard counts
+            // the same integers the masks would.
+            (a, b) => jaccard_ids(a.cat_ids(i), b.cat_ids(j)),
         }
     }
 
     /// The pair weight between rows `i` and `j` of the frozen table —
     /// bit-identical to `normalized_similarity((t, i), (t, j), config)`.
     pub fn pair(&self, i: usize, j: usize) -> f64 {
+        self.pair_across(i, self, j)
+    }
+
+    /// The pair weight between row `i` of this kernel's table and row `j`
+    /// of `other`'s — bit-identical to
+    /// `normalized_similarity((t, i), (u, j), config)`. `other` must be
+    /// compiled from the same `config` over a table of the same schema, so
+    /// the plans line up column for column; only a categorical column's
+    /// mask-or-slice choice may differ between the two.
+    pub fn pair_across(&self, i: usize, other: &PairKernel<'_>, j: usize) -> f64 {
+        debug_assert_eq!(
+            self.plan.len(),
+            other.plan.len(),
+            "kernels compiled from different plans"
+        );
         if self.presence.is_empty() {
-            return self.pair_wide(i, j);
+            return self.pair_wide(i, other, j);
         }
-        let shared = self.presence[i] & self.presence[j];
+        let shared = self.presence[i] & other.presence[j];
         let count = shared.count_ones() as usize;
         if count == 0 {
             return 0.0;
@@ -455,18 +480,18 @@ impl<'a> PairKernel<'a> {
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            total += self.col_weight(c, i, j);
+            total += self.col_weight(c, i, other, j);
         }
         total / count as f64
     }
 
     /// Per-column gated path for plans wider than one presence word.
-    fn pair_wide(&self, i: usize, j: usize) -> f64 {
+    fn pair_wide(&self, i: usize, other: &PairKernel<'_>, j: usize) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
-        for (c, p) in self.present.iter().enumerate() {
-            if p.get(i) && p.get(j) {
-                total += self.col_weight(c, i, j);
+        for (c, (p, q)) in self.present.iter().zip(&other.present).enumerate() {
+            if p.get(i) && q.get(j) {
+                total += self.col_weight(c, i, other, j);
                 count += 1;
             }
         }
@@ -474,6 +499,23 @@ impl<'a> PairKernel<'a> {
             0.0
         } else {
             total / count as f64
+        }
+    }
+}
+
+impl ColKernel<'_> {
+    /// Row `r`'s sorted category ids in a categorical column.
+    ///
+    /// # Panics
+    /// Panics on a non-categorical column: two kernels over one schema and
+    /// config never pair a categorical column with another kind.
+    #[inline(always)]
+    fn cat_ids(&self, r: usize) -> &[u32] {
+        match self {
+            ColKernel::CatMask { offsets, ids, .. } | ColKernel::CatSlice { offsets, ids } => {
+                &ids[offsets[r] as usize..offsets[r + 1] as usize]
+            }
+            _ => unreachable!("kernels compiled from different schemas"),
         }
     }
 }

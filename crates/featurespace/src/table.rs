@@ -339,6 +339,26 @@ impl FeatureTable {
         bytes
     }
 
+    /// [`FeatureTable::approx_bytes`] of `self.gather(rows)`, computed
+    /// without gathering, so a budgeted caller can charge a gather before
+    /// it allocates.
+    pub fn gather_bytes(&self, rows: &[usize]) -> usize {
+        let n = rows.len();
+        let mut bytes = std::mem::size_of::<Self>();
+        for col in &self.columns {
+            bytes += n + match col {
+                Column::Numeric { .. } => n * std::mem::size_of::<f64>(),
+                Column::Categorical { offsets, .. } => {
+                    let ids: usize =
+                        rows.iter().map(|&r| (offsets[r + 1] - offsets[r]) as usize).sum();
+                    (n + 1 + ids) * std::mem::size_of::<u32>()
+                }
+                Column::Embedding { dim, .. } => n * dim * std::mem::size_of::<f32>(),
+            };
+        }
+        bytes
+    }
+
     /// Fraction of present values in a column.
     pub fn column_coverage(&self, col: usize) -> f64 {
         if self.len == 0 {
@@ -431,6 +451,14 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert_eq!(g.numeric(0, 0), Some(-1.5));
         assert_eq!(g.numeric(1, 0), Some(2.0));
+    }
+
+    #[test]
+    fn gather_bytes_prices_the_gather() {
+        let t = sample_table();
+        for rows in [vec![], vec![1], vec![2, 0], vec![0, 1, 2, 2]] {
+            assert_eq!(t.gather_bytes(&rows), t.gather(&rows).approx_bytes(), "rows {rows:?}");
+        }
     }
 
     #[test]

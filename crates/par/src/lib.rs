@@ -59,12 +59,6 @@ pub struct ParConfig {
     min_chunk: usize,
 }
 
-impl Default for ParConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl ParConfig {
     /// Configuration from the environment: `CM_THREADS` if set and valid
     /// (clamped to `1..=64`), otherwise the machine's available

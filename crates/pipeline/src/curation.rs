@@ -17,17 +17,15 @@
 //! vector, then gathers by pattern id. Resident curation is the
 //! one-segment case of the streamed driver (`crate::stream`), and the
 //! incremental curator (`crate::incremental`) appends one arrival batch
-//! per tick to the same engine. Only the propagation graph's construction
-//! differs by driver: the row-parallel builders over a resident pool, the
-//! sharded replays over a streamed one, an online graph under serving.
+//! per tick to the same engine. Batch drivers build the propagation graph
+//! with one k-NN sweep over `[seeds | dev | pool]` (`SeedBlock::propagation_lf`),
+//! the pool lent whole or streamed; serving grows an online graph instead.
 
 use std::borrow::Cow;
 use std::time::Duration;
 
 use cm_faults::{FaultSummary, Stopwatch};
-use cm_featurespace::{
-    FeatureSchema, FeatureSet, FeatureTable, Label, ServingMode, SimilarityConfig,
-};
+use cm_featurespace::{CmResult, FeatureSchema, FeatureSet, FeatureTable, Label, ServingMode};
 use cm_labelmodel::{
     majority_vote_patterns, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel,
     LabelMatrix, LabelingFunction, LfRates, VotePatterns, VoteStats,
@@ -39,6 +37,9 @@ use cm_orgsim::ModalityDataset;
 use cm_par::ParConfig;
 use cm_propagation::{
     propagate, tune_score_thresholds, GraphBuilder, PropagationConfig, SparseGraph,
+};
+use cm_shard::{
+    build_graph_sharded, fit_scales_sharded, MemBudget, MemTracker, SegmentedCorpus, StreamSpec,
 };
 
 use crate::data::TaskData;
@@ -188,7 +189,15 @@ fn curate_resident(
 ) -> CurationOutput {
     let mut setup = CurationSetup::new(&data.text, lfs, config, par);
     let start = Stopwatch::start();
-    let prop = setup.propagation.take().and_then(|b| b.resident_lf(&data.pool.table, config, par));
+    let prop = setup.propagation.take().and_then(|block| {
+        let mut unbudgeted = MemTracker::new(MemBudget::bytes(usize::MAX));
+        let pool = PoolRows::Resident(&data.pool.table);
+        match block.propagation_lf(pool, usize::MAX, config, par, &mut unbudgeted) {
+            Ok(lf) => lf,
+            // Nothing is budgeted, and two lent heads always tile the corpus.
+            Err(e) => unreachable!("resident propagation failed: {e}"),
+        }
+    });
     let propagation_time = config.use_label_propagation.then(|| start.elapsed());
     let mut engine = CurationEngine::new(setup, data.pool.len());
     engine.append_segment(0, &data.pool.table, &data.pool.labels, par);
@@ -286,24 +295,37 @@ impl SeedBlock {
         })
     }
 
-    /// The propagation LF over a resident pool: scales and the k-NN graph
-    /// come from the row-parallel builders over `[seeds | dev | pool]`.
-    pub fn resident_lf(
-        mut self,
-        pool: &FeatureTable,
+    /// The propagation LF over `[seeds | dev | pool]`: a
+    /// [`SegmentedCorpus`] of `segment_rows`-row segments with this block
+    /// as its head and `pool` after it. The scales come from the segmented
+    /// fit and the graph from the k-NN sweep, both charged to `tracker`,
+    /// so a resident pool (lent whole) and a streamed one build the same
+    /// graph.
+    pub fn propagation_lf(
+        &self,
+        pool: PoolRows<'_>,
+        segment_rows: usize,
         config: &CurationConfig,
         par: &ParConfig,
-    ) -> Option<PropagationLf> {
-        self.table.extend_from(pool);
-        let sim = SimilarityConfig::uniform(sim_columns(self.table.schema(), config))
-            .fit_scales(&self.table);
-        let graph = GraphBuilder::approximate(config.prop_k, self.table.len()).build_with(
-            &self.table,
-            &sim,
-            config.seed ^ 0x6EA9,
-            par,
-        );
-        self.lf_from_graph(&graph, config)
+        tracker: &mut MemTracker,
+    ) -> CmResult<Option<PropagationLf>> {
+        let head_bytes = self.table.approx_bytes();
+        tracker.charge(head_bytes, "propagation seed/dev tables")?;
+        let mut corpus = SegmentedCorpus::new(segment_rows);
+        corpus.push_head(&self.table);
+        match pool {
+            PoolRows::Resident(table) => corpus.push_head(table),
+            PoolRows::Streamed(spec) => corpus.set_stream(spec),
+        }
+        let sim = fit_scales_sharded(&corpus, &sim_columns(self.table.schema(), config), tracker)?;
+        let builder = GraphBuilder::approximate(config.prop_k, corpus.total_rows());
+        let seed = config.seed ^ 0x6EA9;
+        let graph = build_graph_sharded(&corpus, &builder, &sim, seed, par, tracker)?;
+        let graph_bytes = graph.approx_bytes();
+        tracker.charge(graph_bytes, "propagation graph")?;
+        let lf = self.lf_from_graph(&graph, config);
+        tracker.release(graph_bytes + head_bytes);
+        Ok(lf)
     }
 
     /// Propagates the seed labels over `graph` (whose first vertices are
@@ -347,6 +369,14 @@ impl SeedBlock {
             dev_votes,
         })
     }
+}
+
+/// Where the propagation corpus's pool rows come from.
+pub(crate) enum PoolRows<'a> {
+    /// A resident table, lent to the sweep whole.
+    Resident(&'a FeatureTable),
+    /// A generation stream, regenerated a segment at a time on every pass.
+    Streamed(StreamSpec<'a>),
 }
 
 /// The label-propagation LF (§4.4), tuned on the seed block's dev slice.
@@ -776,7 +806,11 @@ mod tests {
         par: &ParConfig,
     ) -> (CurationSetup, Option<PropagationLf>) {
         let mut setup = CurationSetup::new(&d.text, degradation_lfs(d, cfg), cfg, par);
-        let prop = setup.propagation.take().and_then(|b| b.resident_lf(&d.pool.table, cfg, par));
+        let prop = setup.propagation.take().and_then(|block| {
+            let mut unbudgeted = MemTracker::new(MemBudget::bytes(usize::MAX));
+            let pool = PoolRows::Resident(&d.pool.table);
+            block.propagation_lf(pool, usize::MAX, cfg, par, &mut unbudgeted).unwrap()
+        });
         (setup, prop)
     }
 

@@ -18,10 +18,10 @@
 //! - **mining** — the labeled text corpus is resident, so its catalog and
 //!   item bitsets are built in one pass over it, exactly as the resident
 //!   miner does;
-//! - **propagation** — similarity scales come from the exact
-//!   `ScaleAccumulator` pair and the k-NN graph from
-//!   [`cm_shard::build_graph_sharded`], which replays the resident anchor
-//!   plan over segment sweeps;
+//! - **propagation** — the seed block's one path
+//!   (`SeedBlock::propagation_lf`): similarity scales from the exact
+//!   `ScaleAccumulator` pair and the k-NN graph from the segment sweep,
+//!   with the pool streamed instead of lent whole;
 //! - **LF application** — votes are pure per-row, so each pool segment's
 //!   base-LF vote vectors intern, in offset order, into one pattern
 //!   table, the same table a whole-pool append builds; the propagation
@@ -39,16 +39,11 @@ use cm_featurespace::{CmResult, FrozenTable, ModalityKind};
 use cm_mining::{lfs_from_itemsets, mine_from_bitsets, ItemCatalogBuilder};
 use cm_orgsim::{TaskConfig, World, WorldConfig};
 use cm_par::ParConfig;
-use cm_propagation::GraphBuilder;
 use cm_shard::corpus::dataset_bytes;
-use cm_shard::{
-    build_graph_sharded, fit_scales_sharded, for_each_pool_segment, MemTracker, SegmentedCorpus,
-    ShardConfig, StreamSpec,
-};
+use cm_shard::{for_each_pool_segment, MemTracker, ShardConfig, StreamSpec};
 
 use crate::curation::{
-    lf_columns, sim_columns, CurationConfig, CurationEngine, CurationOutput, CurationSetup,
-    PropagationLf, SeedBlock,
+    lf_columns, CurationConfig, CurationEngine, CurationOutput, CurationSetup, PoolRows,
 };
 
 /// Telemetry from a streamed curation run.
@@ -142,7 +137,16 @@ pub fn curate_streamed_with(
     let mut setup = CurationSetup::new(&text, lfs, config, par);
     let start = Stopwatch::start();
     let prop = match setup.propagation.take() {
-        Some(block) => block.sharded_lf(&world, n_pool, ds ^ 0x2, config, shard, &mut tracker)?,
+        Some(block) => {
+            let spec = StreamSpec {
+                world: &world,
+                modality: ModalityKind::Image,
+                rows: n_pool,
+                seed: ds ^ 0x2,
+            };
+            let pool = PoolRows::Streamed(spec);
+            block.propagation_lf(pool, shard.segment_rows, config, par, &mut tracker)?
+        }
         None => None,
     };
     let propagation_time = config.use_label_propagation.then(|| start.elapsed());
@@ -198,39 +202,4 @@ pub fn curate_streamed_with(
         pool_rows: n_pool,
     };
     Ok(StreamedCuration { output, stats, timing })
-}
-
-impl SeedBlock {
-    /// The propagation LF over a streamed pool: the `[seeds | dev | pool]`
-    /// corpus is a [`SegmentedCorpus`] whose pool tail streams from the
-    /// world, and the scale fit and graph build are the sharded replays of
-    /// `SeedBlock::resident_lf`'s.
-    fn sharded_lf(
-        self,
-        world: &World,
-        n_pool: usize,
-        pool_seed: u64,
-        config: &CurationConfig,
-        shard: &ShardConfig,
-        tracker: &mut MemTracker,
-    ) -> CmResult<Option<PropagationLf>> {
-        let head_bytes = self.table.approx_bytes();
-        tracker.charge(head_bytes, "propagation seed/dev tables")?;
-        let mut corpus = SegmentedCorpus::new(shard.segment_rows);
-        corpus.push_head(&self.table);
-        corpus.set_stream(StreamSpec {
-            world,
-            modality: ModalityKind::Image,
-            rows: n_pool,
-            seed: pool_seed,
-        });
-        let sim = fit_scales_sharded(&corpus, &sim_columns(world.schema(), config), tracker)?;
-        let builder = GraphBuilder::approximate(config.prop_k, corpus.total_rows());
-        let graph = build_graph_sharded(&corpus, &builder, &sim, config.seed ^ 0x6EA9, tracker)?;
-        let graph_bytes = graph.approx_bytes();
-        tracker.charge(graph_bytes, "propagation graph")?;
-        let lf = self.lf_from_graph(&graph, config);
-        tracker.release(graph_bytes + head_bytes);
-        Ok(lf)
-    }
 }

@@ -1,6 +1,29 @@
-//! k-NN similarity-graph construction.
+//! k-NN similarity-graph construction: one segment sweep.
+//!
+//! [`GraphBuilder::sweep`] builds the graph over any row source it can
+//! read in [`Segments`], re-reading it once per pass below, and charges
+//! what it holds to the source's [`MemLedger`] before allocating it. A
+//! resident table is the one-segment case ([`GraphBuilder::build_with`]:
+//! the table is lent as it is, with nothing budgeted); `cm-shard` sweeps a
+//! segmented corpus under its memory budget. Segmentation and thread
+//! count never change an edge:
+//!
+//! 1. *Routing* (anchor method only): one pass gathers the sampled anchor
+//!    rows into a small table, a second routes every row to its `probes`
+//!    most-similar anchors, and the routes invert into per-anchor member
+//!    lists, ascending by row.
+//! 2. *Scan*: for each query segment, one pass over every candidate
+//!    segment in offset order. Query rows split across `cm-par` chunks;
+//!    each row's candidates — every other row, or the strided union of its
+//!    anchors' members — are scored with the [`PairKernel`] and offered to
+//!    its [`TopK`] in ascending global order, so ties break the same way
+//!    wherever the segment cuts fall.
 
-use cm_featurespace::{FeatureTable, FrozenTable, PairKernel, SimilarityConfig};
+use std::ops::Range;
+
+use cm_featurespace::{
+    CmError, CmResult, ErrorKind, FeatureTable, FrozenTable, PairKernel, SimilarityConfig,
+};
 use cm_linalg::rng::SliceRandom;
 use cm_linalg::rng::StdRng;
 use cm_par::ParConfig;
@@ -29,6 +52,63 @@ pub enum KnnMethod {
         /// Cap on exact comparisons per row.
         max_candidates: usize,
     },
+}
+
+/// Memory accounting for [`GraphBuilder::sweep`]: each buffer the sweep
+/// holds is charged before it is allocated and released once dropped.
+pub trait MemLedger {
+    /// Charges `bytes` held for `what`; an error aborts the sweep.
+    fn charge(&mut self, bytes: usize, what: &str) -> CmResult<()>;
+    /// Releases `bytes` previously charged.
+    fn release(&mut self, bytes: usize);
+}
+
+/// One segment visit of a [`Segments`] pass: `f(offset, segment, ledger)`.
+pub type SegmentFn<'f, L> = dyn FnMut(usize, &FeatureTable, &mut L) -> CmResult<()> + 'f;
+
+/// A row source [`GraphBuilder::sweep`] reads in segments. Every pass
+/// emits the same segments at the same global offsets, in ascending
+/// order, tiling `0..total_rows()`.
+pub trait Segments {
+    /// The memory ledger each pass threads through.
+    type Ledger: MemLedger;
+
+    /// Rows across all segments.
+    fn total_rows(&self) -> usize;
+
+    /// One pass: `f(offset, segment, ledger)` for each segment in order.
+    /// The first error aborts the pass.
+    fn for_each(
+        &self,
+        ledger: &mut Self::Ledger,
+        f: &mut SegmentFn<'_, Self::Ledger>,
+    ) -> CmResult<()>;
+}
+
+/// A resident table: one borrowed segment.
+struct Resident<'a>(&'a FeatureTable);
+
+/// The ledger of a resident build: nothing is budgeted.
+struct Unbudgeted;
+
+impl MemLedger for Unbudgeted {
+    fn charge(&mut self, _bytes: usize, _what: &str) -> CmResult<()> {
+        Ok(())
+    }
+
+    fn release(&mut self, _bytes: usize) {}
+}
+
+impl Segments for Resident<'_> {
+    type Ledger = Unbudgeted;
+
+    fn total_rows(&self) -> usize {
+        self.0.len()
+    }
+
+    fn for_each(&self, ledger: &mut Unbudgeted, f: &mut SegmentFn<'_, Unbudgeted>) -> CmResult<()> {
+        f(0, self.0, ledger)
+    }
 }
 
 /// Builds k-NN graphs over a feature table.
@@ -63,14 +143,9 @@ impl GraphBuilder {
         self.build_with(table, config, seed, &ParConfig::from_env())
     }
 
-    /// [`GraphBuilder::build`] with an explicit parallel configuration.
-    ///
-    /// Freezes the table and compiles the similarity configuration into a
-    /// [`PairKernel`] once, then scans with it. Row chunks scan for
-    /// neighbors independently and their edge lists concatenate in chunk
-    /// index order, so the graph is identical for any thread count; the
-    /// kernel performs the reference arithmetic in the reference order, so
-    /// the weights are bit-identical to the pre-kernel builder.
+    /// [`GraphBuilder::build`] with an explicit parallel configuration:
+    /// the sweep over `table` as its one segment, identical at any thread
+    /// count.
     pub fn build_with(
         &self,
         table: &FeatureTable,
@@ -78,14 +153,15 @@ impl GraphBuilder {
         seed: u64,
         par: &ParConfig,
     ) -> SparseGraph {
-        let frozen = FrozenTable::freeze(table);
-        self.build_frozen_with(&frozen, config, seed, par)
+        match self.sweep(&Resident(table), config, seed, par, &mut Unbudgeted) {
+            Ok(graph) => graph,
+            // Nothing is budgeted, and the one segment holds every anchor.
+            Err(e) => unreachable!("one-segment k-NN sweep failed: {e}"),
+        }
     }
 
     /// Whether a corpus of `n` rows takes the exact all-pairs path (either
-    /// by method choice or the small-input fallback). Sharded builds must
-    /// make the same choice from the same `n`, so this is the one place
-    /// the decision lives.
+    /// by method choice or the small-input fallback).
     pub fn uses_exact(&self, n: usize) -> bool {
         match self.method {
             KnnMethod::Exact => true,
@@ -94,119 +170,328 @@ impl GraphBuilder {
         }
     }
 
-    /// [`GraphBuilder::build_with`] over an existing frozen view, for
-    /// callers that already hold one.
-    pub fn build_frozen_with(
+    /// Builds the graph over the rows `rows` emits (see the module docs).
+    /// Every charge to `ledger` is a deterministic function of the rows,
+    /// the segmentation and `self`, made before its allocation, and all are
+    /// released by the time the graph returns.
+    ///
+    /// # Errors
+    /// The first failed charge, or [`ErrorKind::OutOfBounds`] when a pass
+    /// does not tile `0..rows.total_rows()`.
+    pub fn sweep<S: Segments>(
         &self,
-        frozen: &FrozenTable<'_>,
+        rows: &S,
         config: &SimilarityConfig,
         seed: u64,
         par: &ParConfig,
-    ) -> SparseGraph {
-        let n = frozen.len();
-        let kernel = PairKernel::compile(frozen, config);
+        ledger: &mut S::Ledger,
+    ) -> CmResult<SparseGraph> {
+        let n = rows.total_rows();
+        if n == 0 {
+            return Ok(SparseGraph::from_edges(0, &[]));
+        }
         let par = par.clone().with_min_chunk(KNN_MIN_ROWS_PER_CHUNK);
-        let edges = if self.uses_exact(n) {
-            self.build_exact(n, &kernel, &par)
-        } else {
-            let KnnMethod::Anchors { n_anchors, probes, max_candidates } = self.method else {
-                unreachable!("non-exact path implies the anchor method")
-            };
-            self.build_anchors(n, &kernel, n_anchors, probes, max_candidates, seed, &par)
-        };
-        SparseGraph::from_edges(n, &edges)
-    }
-
-    fn build_exact(
-        &self,
-        n: usize,
-        kernel: &PairKernel<'_>,
-        par: &ParConfig,
-    ) -> Vec<(u32, u32, f32)> {
-        let chunks = cm_par::par_map_chunks(par, n, |range| {
-            let mut edges = Vec::new();
-            for i in range {
-                let mut top = TopK::new(self.k);
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let s = kernel.pair(i, j);
-                    if s >= self.min_weight {
-                        top.push(j as u32, s as f32);
-                    }
-                }
-                top.drain_into(i as u32, &mut edges);
+        let candidates = match self.method {
+            KnnMethod::Anchors { n_anchors, probes, max_candidates } if !self.uses_exact(n) => {
+                let anchors = anchor_plan(n, n_anchors, seed);
+                Candidates::route(rows, config, &anchors, probes, max_candidates, &par, ledger)?
             }
-            edges
-        })
-        .unwrap_or_else(|e| e.resume());
-        chunks.into_iter().flatten().collect()
+            _ => Candidates::All,
+        };
+        let edges = self.scan(rows, config, &candidates, &par, ledger)?;
+        let edge_bytes = n * self.k * std::mem::size_of::<(u32, u32, f32)>();
+        // `from_edges` lists both directions of every edge per vertex, then
+        // packs the lists into CSR.
+        let pairs = 2 * edges.len();
+        let adjacency =
+            n * std::mem::size_of::<Vec<(u32, f32)>>() + pairs * std::mem::size_of::<(u32, f32)>();
+        let csr = (n + 1) * std::mem::size_of::<usize>()
+            + pairs * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>());
+        ledger.charge(adjacency + csr, "k-NN graph")?;
+        let graph = SparseGraph::from_edges(n, &edges);
+        ledger.release(adjacency + csr + edge_bytes + candidates.bytes());
+        Ok(graph)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_anchors(
+    /// Pass 2: per query segment, one sweep of every candidate segment.
+    /// Returns the edges, best first per row in row order, with `k` edges
+    /// per row left charged.
+    fn scan<S: Segments>(
         &self,
-        n: usize,
-        kernel: &PairKernel<'_>,
-        n_anchors: usize,
+        rows: &S,
+        config: &SimilarityConfig,
+        candidates: &Candidates,
+        par: &ParConfig,
+        ledger: &mut S::Ledger,
+    ) -> CmResult<Vec<(u32, u32, f32)>> {
+        let mut edges = Vec::new();
+        rows.for_each(ledger, &mut |off_a, seg_a, ledger| {
+            let frozen_a = FrozenTable::freeze(seg_a);
+            let kernel_a = PairKernel::compile(&frozen_a, config);
+            let scan_bytes = seg_a.len()
+                * (std::mem::size_of::<RowScan>()
+                    + (self.k + 1) * std::mem::size_of::<(u32, f32)>());
+            ledger.charge(scan_bytes, "k-NN row scans")?;
+            let mut scans: Vec<RowScan> = (0..seg_a.len()).map(|_| RowScan::new(self.k)).collect();
+            rows.for_each(ledger, &mut |off_b, seg_b, _| {
+                let span = off_b..off_b + seg_b.len();
+                if !candidates.reach(off_a..off_a + seg_a.len(), &span) {
+                    return Ok(());
+                }
+                let (frozen_b, compiled);
+                let kernel_b = if off_b == off_a {
+                    &kernel_a
+                } else {
+                    frozen_b = FrozenTable::freeze(seg_b);
+                    compiled = PairKernel::compile(&frozen_b, config);
+                    &compiled
+                };
+                cm_par::par_chunks_mut(par, &mut scans, 1, |start, chunk| {
+                    let mut scratch = Vec::new();
+                    for (ra, scan) in (start..).zip(chunk) {
+                        candidates.visit(off_a + ra, span.clone(), scan, &mut scratch, |j| {
+                            let s = kernel_a.pair_across(ra, kernel_b, j - off_b);
+                            (s >= self.min_weight).then_some(s as f32)
+                        });
+                    }
+                })
+                .unwrap_or_else(|e| e.resume());
+                Ok(())
+            })?;
+            let bytes = seg_a.len() * self.k * std::mem::size_of::<(u32, u32, f32)>();
+            ledger.charge(bytes, "k-NN edges")?;
+            for (ra, scan) in scans.into_iter().enumerate() {
+                scan.top.drain_into((off_a + ra) as u32, &mut edges);
+            }
+            ledger.release(scan_bytes);
+            Ok(())
+        })?;
+        Ok(edges)
+    }
+}
+
+/// One query row's state across a scan's candidate segments.
+struct RowScan {
+    top: TopK,
+    /// Candidate stride; 0 until the row's first visit sets it.
+    stride: usize,
+    /// Routed candidates to pass over before the next one is scored.
+    skip: usize,
+}
+
+impl RowScan {
+    fn new(k: usize) -> Self {
+        Self { top: TopK::new(k), stride: 0, skip: 0 }
+    }
+}
+
+/// Where each row's candidates come from.
+enum Candidates {
+    /// Every other row (the exact method).
+    All,
+    /// The anchor routing: row `i`'s candidates are the sorted, distinct
+    /// members of its anchors, subsampled to `max_candidates` by stride.
+    Routed {
+        /// Anchor slots per row.
+        probes: usize,
+        /// Row `i`'s anchor slots: `routes[i * probes..(i + 1) * probes]`.
+        routes: Vec<u32>,
+        /// Slot `a`'s members: `members[offsets[a]..offsets[a + 1]]`,
+        /// ascending by row.
+        offsets: Vec<usize>,
+        members: Vec<u32>,
+        max_candidates: usize,
+    },
+}
+
+impl Candidates {
+    /// Pass 1 of the anchor method: gathers the anchor rows, routes every
+    /// row, and inverts the routes. Routes and members stay charged until
+    /// [`Candidates::bytes`] is released.
+    fn route<S: Segments>(
+        rows: &S,
+        config: &SimilarityConfig,
+        anchor_ids: &[usize],
         probes: usize,
         max_candidates: usize,
-        seed: u64,
         par: &ParConfig,
-    ) -> Vec<(u32, u32, f32)> {
-        let anchor_ids = anchor_plan(n, n_anchors, seed);
+        ledger: &mut S::Ledger,
+    ) -> CmResult<Self> {
+        let n = rows.total_rows();
+        // The anchor table holds the anchors in row order; `position` maps
+        // each anchor slot to its table row.
+        let mut by_row = anchor_ids.to_vec();
+        by_row.sort_unstable();
+        let position: Vec<usize> =
+            anchor_ids.iter().map(|&row| by_row.partition_point(|&r| r < row)).collect();
+        let mut table: Option<FeatureTable> = None;
+        let mut table_bytes = 0usize;
+        rows.for_each(ledger, &mut |offset, seg, ledger| {
+            let lo = by_row.partition_point(|&r| r < offset);
+            let hi = by_row.partition_point(|&r| r < offset + seg.len());
+            if lo == hi {
+                return Ok(());
+            }
+            let local: Vec<usize> = by_row[lo..hi].iter().map(|&r| r - offset).collect();
+            // The gathered part, then its copy in the anchor table; the
+            // part's share is released once it is dropped.
+            let bytes = seg.gather_bytes(&local);
+            ledger.charge(2 * bytes, "anchor rows")?;
+            match &mut table {
+                Some(t) => t.extend_from(&seg.gather(&local)),
+                None => table = Some(seg.gather(&local)),
+            }
+            ledger.release(bytes);
+            table_bytes += bytes;
+            Ok(())
+        })?;
+        let table = match table {
+            Some(t) if t.len() == anchor_ids.len() => t,
+            _ => {
+                return Err(CmError::new(
+                    ErrorKind::OutOfBounds,
+                    "GraphBuilder::sweep",
+                    format!("{} anchor rows never streamed", anchor_ids.len()),
+                ))
+            }
+        };
+        let frozen_anchors = FrozenTable::freeze(&table);
+        let anchors = PairKernel::compile(&frozen_anchors, config);
 
-        // Route every row to its top `probes` anchors. Rows route
-        // independently, so the parallel map is order-preserving.
-        let mut anchor_members: Vec<Vec<u32>> = vec![Vec::new(); n_anchors];
-        let routes: Vec<Vec<usize>> = cm_par::par_map(par, n, |i| {
-            let scores: Vec<f64> = anchor_ids.iter().map(|&row| kernel.pair(i, row)).collect();
-            route_row(&scores, probes)
-        })
-        .unwrap_or_else(|e| e.resume());
-        for (i, route) in routes.iter().enumerate() {
+        // Routes, then their inversion, each charged before allocation.
+        let probes = probes.min(anchor_ids.len());
+        let route_bytes = n * probes * std::mem::size_of::<u32>();
+        ledger.charge(route_bytes, "anchor routes")?;
+        let mut routes: Vec<u32> = Vec::with_capacity(n * probes);
+        rows.for_each(ledger, &mut |_, seg, _| {
+            let frozen = FrozenTable::freeze(seg);
+            let kernel = PairKernel::compile(&frozen, config);
+            let chunks = cm_par::par_map_chunks(par, seg.len(), |range| {
+                let mut out = Vec::with_capacity(range.len() * probes);
+                for r in range {
+                    let scores: Vec<f64> =
+                        position.iter().map(|&p| kernel.pair_across(r, &anchors, p)).collect();
+                    out.extend(route_row(&scores, probes).into_iter().map(|a| a as u32));
+                }
+                out
+            })
+            .unwrap_or_else(|e| e.resume());
+            for chunk in chunks {
+                routes.extend_from_slice(&chunk);
+            }
+            Ok(())
+        })?;
+        let member_bytes = (anchor_ids.len() + 1) * std::mem::size_of::<usize>() + route_bytes;
+        ledger.charge(member_bytes, "anchor members")?;
+        let mut offsets = vec![0usize; anchor_ids.len() + 1];
+        for &a in &routes {
+            offsets[a as usize + 1] += 1;
+        }
+        for a in 0..anchor_ids.len() {
+            offsets[a + 1] += offsets[a];
+        }
+        let mut members = vec![0u32; routes.len()];
+        let mut cursor = offsets.clone();
+        for (i, route) in routes.chunks_exact(probes.max(1)).enumerate() {
             for &a in route {
-                anchor_members[a].push(i as u32);
+                members[cursor[a as usize]] = i as u32;
+                cursor[a as usize] += 1;
             }
         }
-        // Scan each row's co-routed candidates; chunk edge lists
-        // concatenate in chunk index order.
-        let chunks = cm_par::par_map_chunks(par, n, |range| {
-            let mut edges = Vec::new();
-            let mut candidates: Vec<u32> = Vec::new();
-            for i in range {
-                candidates.clear();
-                for &a in &routes[i] {
-                    candidates.extend_from_slice(&anchor_members[a]);
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-                let stride = candidate_stride(candidates.len(), max_candidates);
-                let mut top = TopK::new(self.k);
-                for &j in candidates.iter().step_by(stride) {
-                    if j as usize == i {
-                        continue;
-                    }
-                    let s = kernel.pair(i, j as usize);
-                    if s >= self.min_weight {
-                        top.push(j, s as f32);
-                    }
-                }
-                top.drain_into(i as u32, &mut edges);
+        ledger.release(table_bytes);
+        Ok(Candidates::Routed { probes, routes, offsets, members, max_candidates })
+    }
+
+    /// Bytes [`Candidates::route`] left charged.
+    fn bytes(&self) -> usize {
+        match self {
+            Candidates::All => 0,
+            Candidates::Routed { routes, offsets, members, .. } => {
+                (routes.len() + members.len()) * std::mem::size_of::<u32>()
+                    + offsets.len() * std::mem::size_of::<usize>()
             }
-            edges
-        })
-        .unwrap_or_else(|e| e.resume());
-        chunks.into_iter().flatten().collect()
+        }
+    }
+
+    /// Whether any of `rows` has a routed member inside `span`. A scan
+    /// skips the candidate segments its query segment does not reach.
+    fn reach(&self, rows: Range<usize>, span: &Range<usize>) -> bool {
+        let Candidates::Routed { probes, routes, .. } = self else {
+            return true;
+        };
+        routes[rows.start * probes..rows.end * probes]
+            .iter()
+            .any(|&a| !self.members_in(a as usize, span).is_empty())
+    }
+
+    /// Anchor slot `a`'s members inside `span`.
+    fn members_in(&self, a: usize, span: &Range<usize>) -> &[u32] {
+        let Candidates::Routed { offsets, members, .. } = self else {
+            return &[];
+        };
+        let bucket = &members[offsets[a]..offsets[a + 1]];
+        let lo = bucket.partition_point(|&j| (j as usize) < span.start);
+        let hi = bucket.partition_point(|&j| (j as usize) < span.end);
+        &bucket[lo..hi]
+    }
+
+    /// Offers row `i`'s candidates inside `span`, ascending, to its scan:
+    /// `weight(j)` scores candidate `j`, `None` when below the floor.
+    /// Candidate segments come in offset order, and a segment is skipped
+    /// only when no row of the query segment reaches it, so a routed row's
+    /// first visit has no candidate before its span: it sorts the row's
+    /// whole list and sets the stride. Later visits sort only the members
+    /// inside their span.
+    fn visit(
+        &self,
+        i: usize,
+        span: Range<usize>,
+        scan: &mut RowScan,
+        scratch: &mut Vec<u32>,
+        weight: impl Fn(usize) -> Option<f32>,
+    ) {
+        let Candidates::Routed { probes, routes, offsets, members, max_candidates } = self else {
+            for j in span.filter(|&j| j != i) {
+                if let Some(w) = weight(j) {
+                    scan.top.push(j as u32, w);
+                }
+            }
+            return;
+        };
+        let first = scan.stride == 0;
+        scratch.clear();
+        for &a in &routes[i * probes..(i + 1) * probes] {
+            let a = a as usize;
+            if first {
+                scratch.extend_from_slice(&members[offsets[a]..offsets[a + 1]]);
+            } else {
+                scratch.extend_from_slice(self.members_in(a, &span));
+            }
+        }
+        scratch.sort_unstable();
+        scratch.dedup();
+        if first {
+            debug_assert!(scratch.iter().all(|&j| j as usize >= span.start));
+            scan.stride = candidate_stride(scratch.len(), *max_candidates);
+        }
+        for &j in scratch.iter().take_while(|&&j| (j as usize) < span.end) {
+            if scan.skip > 0 {
+                scan.skip -= 1;
+                continue;
+            }
+            scan.skip = scan.stride - 1;
+            if j as usize != i {
+                if let Some(w) = weight(j as usize) {
+                    scan.top.push(j, w);
+                }
+            }
+        }
     }
 }
 
 /// The anchor rows the approximate method samples for a corpus of `n`
 /// rows: a seeded shuffle of all row ids, truncated to `n_anchors`.
-/// Depends only on `(n, n_anchors, seed)`, so a sharded build derives the
-/// identical plan without holding the corpus.
-pub fn anchor_plan(n: usize, n_anchors: usize, seed: u64) -> Vec<usize> {
+fn anchor_plan(n: usize, n_anchors: usize, seed: u64) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut anchor_ids: Vec<usize> = (0..n).collect();
     anchor_ids.shuffle(&mut rng);
@@ -216,9 +501,8 @@ pub fn anchor_plan(n: usize, n_anchors: usize, seed: u64) -> Vec<usize> {
 
 /// Routes one row to its top `probes` anchor slots given the row's
 /// similarity to each anchor, in anchor-slot order. The sort is stable and
-/// descending by similarity, so ties keep ascending slot order — sharded
-/// routing must reproduce exactly this ranking.
-pub fn route_row(scores: &[f64], probes: usize) -> Vec<usize> {
+/// descending by similarity, so ties keep ascending slot order.
+pub(crate) fn route_row(scores: &[f64], probes: usize) -> Vec<usize> {
     let mut scored: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
     scored.sort_by(|x, y| y.1.total_cmp(&x.1));
     scored.truncate(probes);
@@ -227,15 +511,16 @@ pub fn route_row(scores: &[f64], probes: usize) -> Vec<usize> {
 
 /// Stride that subsamples a candidate bucket down to the `max_candidates`
 /// cap (huge buckets stay bounded; small ones scan fully).
-pub fn candidate_stride(n_candidates: usize, max_candidates: usize) -> usize {
+pub(crate) fn candidate_stride(n_candidates: usize, max_candidates: usize) -> usize {
     (n_candidates / max_candidates.max(1)).max(1)
 }
 
 /// Small fixed-capacity top-k accumulator, kept sorted descending by
 /// weight. Insertion order breaks ties (earlier wins), so feeding
-/// candidates in the resident scan order reproduces the resident edges.
+/// candidates in ascending row order gives the same edges however they
+/// were batched.
 #[derive(Debug, Clone)]
-pub struct TopK {
+pub(crate) struct TopK {
     k: usize,
     items: Vec<(u32, f32)>,
 }

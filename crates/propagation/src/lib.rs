@@ -6,9 +6,10 @@
 //! induced by Algorithm 1's weights. This crate provides:
 //!
 //! - [`graph`] — a CSR sparse similarity graph;
-//! - [`builder`] — k-NN graph construction over one or more feature tables
-//!   (exact for small data, anchor-based approximate for large pools —
-//!   single-machine stand-ins for Expander's distributed build);
+//! - [`builder`] — k-NN graph construction, one segment sweep over a
+//!   resident table or a segmented corpus (exact for small data,
+//!   anchor-based approximate for large pools — single-machine stand-ins
+//!   for Expander's distributed build);
 //! - [`propagate`] — Zhu–Ghahramani iterative propagation with clamped
 //!   seeds, plus an Expander-inspired in-place (Gauss–Seidel) streaming
 //!   variant;
@@ -22,7 +23,10 @@ pub mod online;
 pub mod propagation;
 pub mod score_lf;
 
-pub use builder::{anchor_plan, candidate_stride, route_row, GraphBuilder, KnnMethod, TopK};
+pub use builder::{GraphBuilder, KnnMethod, MemLedger, SegmentFn, Segments};
+/// The parallel configuration the graph builders take, re-exported for
+/// crates that build graphs without depending on `cm-par` themselves.
+pub use cm_par::ParConfig;
 pub use graph::SparseGraph;
 pub use online::{target_anchor_count, OnlineGraph, OnlineGraphDelta, OnlineGraphState};
 pub use propagation::{propagate, propagate_streaming, PropagationConfig};

@@ -1,6 +1,7 @@
 //! Shard sizing, the memory budget, and the accounting tracker.
 
 use cm_featurespace::{CmError, CmResult, ErrorKind};
+use cm_propagation::MemLedger;
 
 /// Default segment size (rows) when `CM_SHARD_ROWS` is unset.
 pub const DEFAULT_SHARD_ROWS: usize = 16_384;
@@ -177,6 +178,16 @@ impl MemTracker {
     /// The enforced budget in bytes.
     pub fn budget(&self) -> usize {
         self.budget
+    }
+}
+
+impl MemLedger for MemTracker {
+    fn charge(&mut self, bytes: usize, what: &str) -> CmResult<()> {
+        MemTracker::charge(self, bytes, what)
+    }
+
+    fn release(&mut self, bytes: usize) {
+        MemTracker::release(self, bytes);
     }
 }
 

@@ -1,10 +1,9 @@
 //! Segmented corpora: a logical row range emitted as fixed-size segments,
 //! re-streamable for multi-pass sharded algorithms.
 
-use std::sync::Arc;
-
-use cm_featurespace::{CmResult, FeatureSchema, FeatureTable, ModalityKind};
+use cm_featurespace::{CmResult, FeatureTable, ModalityKind};
 use cm_orgsim::{ModalityDataset, World};
+use cm_propagation::{SegmentFn, Segments};
 
 use crate::config::MemTracker;
 
@@ -65,24 +64,12 @@ impl<'a> SegmentedCorpus<'a> {
         self.heads.iter().map(|t| t.len()).sum::<usize>() + self.tail.as_ref().map_or(0, |s| s.rows)
     }
 
-    /// The shared schema, from the first head or the tail's world.
-    ///
-    /// # Panics
-    /// Panics on a corpus with neither heads nor tail.
-    pub fn schema(&self) -> Arc<FeatureSchema> {
-        if let Some(head) = self.heads.first() {
-            return Arc::clone(head.schema());
-        }
-        match &self.tail {
-            Some(spec) => Arc::clone(spec.world.schema()),
-            None => unreachable!("schema() on a corpus with neither heads nor tail"),
-        }
-    }
-
     /// One pass over the corpus: calls `f(global_offset, segment, tracker)`
-    /// for each segment in corpus order. Segment tables are charged to the
-    /// tracker while `f` runs and released afterwards; the first error
-    /// (from a charge or from `f`) aborts the pass.
+    /// for each segment in corpus order. A head that fits in one segment is
+    /// lent as it is; a longer one is gathered a segment at a time, and
+    /// generated or gathered segments are charged to the tracker (before
+    /// they are built) while `f` runs and released afterwards. The first
+    /// error (from a charge or from `f`) aborts the pass.
     pub fn for_each(
         &self,
         tracker: &mut MemTracker,
@@ -90,14 +77,20 @@ impl<'a> SegmentedCorpus<'a> {
     ) -> CmResult<()> {
         let mut offset = 0usize;
         for head in &self.heads {
+            if head.len() <= self.segment_rows {
+                if !head.is_empty() {
+                    f(offset, head, tracker)?;
+                }
+                offset += head.len();
+                continue;
+            }
             let mut start = 0usize;
             while start < head.len() {
                 let end = (start + self.segment_rows).min(head.len());
                 let idx: Vec<usize> = (start..end).collect();
-                let seg = head.gather(&idx);
-                let bytes = seg.approx_bytes();
+                let bytes = head.gather_bytes(&idx);
                 tracker.charge(bytes, "corpus head segment")?;
-                let res = f(offset + start, &seg, tracker);
+                let res = f(offset + start, &head.gather(&idx), tracker);
                 tracker.release(bytes);
                 res?;
                 start = end;
@@ -116,6 +109,22 @@ impl<'a> SegmentedCorpus<'a> {
             )?;
         }
         Ok(())
+    }
+}
+
+impl Segments for SegmentedCorpus<'_> {
+    type Ledger = MemTracker;
+
+    fn total_rows(&self) -> usize {
+        SegmentedCorpus::total_rows(self)
+    }
+
+    fn for_each(
+        &self,
+        tracker: &mut MemTracker,
+        f: &mut SegmentFn<'_, MemTracker>,
+    ) -> CmResult<()> {
+        SegmentedCorpus::for_each(self, tracker, f)
     }
 }
 

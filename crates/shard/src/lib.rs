@@ -16,11 +16,13 @@
 //!   allocation against the budget and records the peak;
 //! - [`corpus`] — [`SegmentedCorpus`]: a logical row range assembled from
 //!   resident head tables plus an `orgsim` generation stream, emitted as
-//!   fixed-size segments, re-streamable for multi-pass algorithms;
-//! - [`knn`] — the sharded k-NN graph builder and segmented similarity
-//!   scale fit, replaying `cm-propagation`'s exact and anchor plans over
-//!   segment sweeps so the edges (and hence propagation scores) match the
-//!   resident builder bit for bit.
+//!   fixed-size segments (a head that fits one segment is lent as it
+//!   is), re-streamable for multi-pass algorithms;
+//! - [`knn`] — the segmented similarity scale fit, and
+//!   `cm-propagation`'s one k-NN sweep run over a [`SegmentedCorpus`]
+//!   under the budget: the resident builder is the same sweep over one
+//!   segment, so the edges (and hence propagation scores) match it bit
+//!   for bit.
 //!
 //! Bit-identity rests on the substrates refactored alongside this crate:
 //! every reduction the pipeline performs over rows (LF vote counts,

@@ -4,6 +4,7 @@
 use cm_featurespace::ModalityKind;
 use cm_linalg::rng::{SliceRandom, StdRng};
 use cm_orgsim::{TaskConfig, TaskId, World, WorldConfig};
+use cm_par::ParConfig;
 use cm_propagation::{GraphBuilder, KnnMethod};
 use cm_shard::{
     build_graph_sharded, fit_scales_sharded, for_each_pool_segment, MemBudget, MemTracker,
@@ -44,7 +45,9 @@ fn random_segment_sizes_never_change_merged_statistics() {
     let whole = corpus(&w, &head.table, 130, n);
     let mut tracker = MemTracker::new(MemBudget::default());
     let want_sim = fit_scales_sharded(&whole, &columns, &mut tracker).unwrap();
-    let want_graph = build_graph_sharded(&whole, &builder, &want_sim, 5, &mut tracker).unwrap();
+    let want_graph =
+        build_graph_sharded(&whole, &builder, &want_sim, 5, &ParConfig::serial(), &mut tracker)
+            .unwrap();
     assert!(!builder.uses_exact(n), "fixture must exercise the anchor path");
 
     // Seeded-random shard sizes, including degenerate ones.
@@ -60,7 +63,8 @@ fn random_segment_sizes_never_change_merged_statistics() {
             assert_eq!(c1, c2);
             assert_eq!(s1.to_bits(), s2.to_bits(), "seg_rows {seg_rows} col {c1}");
         }
-        let graph = build_graph_sharded(&c, &builder, &sim, 5, &mut tracker).unwrap();
+        let graph =
+            build_graph_sharded(&c, &builder, &sim, 5, &ParConfig::serial(), &mut tracker).unwrap();
         assert_eq!(graph, want_graph, "seg_rows {seg_rows}");
     }
 }
@@ -76,18 +80,35 @@ fn peak_never_exceeds_budget_and_tight_budgets_fail() {
     let c = corpus(&w, &head.table, 60, 16);
     let mut tracker = MemTracker::new(MemBudget::default());
     let sim = fit_scales_sharded(&c, &columns, &mut tracker).unwrap();
-    build_graph_sharded(&c, &GraphBuilder::exact(4), &sim, 1, &mut tracker).unwrap();
+    build_graph_sharded(&c, &GraphBuilder::exact(4), &sim, 1, &ParConfig::serial(), &mut tracker)
+        .unwrap();
     let peak = tracker.peak();
     assert!(peak > 0);
 
     let mut exact_budget = MemTracker::new(MemBudget::bytes(peak));
     let sim2 = fit_scales_sharded(&c, &columns, &mut exact_budget).unwrap();
-    build_graph_sharded(&c, &GraphBuilder::exact(4), &sim2, 1, &mut exact_budget).unwrap();
+    build_graph_sharded(
+        &c,
+        &GraphBuilder::exact(4),
+        &sim2,
+        1,
+        &ParConfig::serial(),
+        &mut exact_budget,
+    )
+    .unwrap();
     assert!(exact_budget.peak() <= peak, "peak {} crept past {peak}", exact_budget.peak());
 
     let mut starved = MemTracker::new(MemBudget::bytes(peak - 1));
     let failed = fit_scales_sharded(&c, &columns, &mut starved).is_err()
-        || build_graph_sharded(&c, &GraphBuilder::exact(4), &sim, 1, &mut starved).is_err();
+        || build_graph_sharded(
+            &c,
+            &GraphBuilder::exact(4),
+            &sim,
+            1,
+            &ParConfig::serial(),
+            &mut starved,
+        )
+        .is_err();
     assert!(failed, "a budget below the measured peak must fail some charge");
     assert!(starved.peak() < peak, "the failing run still respected its ceiling");
 }
@@ -99,7 +120,15 @@ fn empty_corpus_is_a_valid_degenerate_case() {
     let mut tracker = MemTracker::new(MemBudget::bytes(1));
     let sim = fit_scales_sharded(&empty, &columns, &mut tracker).unwrap();
     assert!(sim.numeric_scales.is_empty());
-    let g = build_graph_sharded(&empty, &GraphBuilder::exact(3), &sim, 0, &mut tracker).unwrap();
+    let g = build_graph_sharded(
+        &empty,
+        &GraphBuilder::exact(3),
+        &sim,
+        0,
+        &ParConfig::serial(),
+        &mut tracker,
+    )
+    .unwrap();
     assert_eq!(g.n_vertices(), 0);
     assert_eq!(g.n_edges(), 0);
     assert_eq!(tracker.peak(), 0);
@@ -132,9 +161,22 @@ fn single_segment_stream_matches_head_only_corpus() {
         assert_eq!(c1, c2);
         assert_eq!(s1.to_bits(), s2.to_bits());
     }
-    let g_head = build_graph_sharded(&as_head, &GraphBuilder::exact(4), &sim_head, 0, &mut t1);
-    let g_stream =
-        build_graph_sharded(&as_stream, &GraphBuilder::exact(4), &sim_stream, 0, &mut t2);
+    let g_head = build_graph_sharded(
+        &as_head,
+        &GraphBuilder::exact(4),
+        &sim_head,
+        0,
+        &ParConfig::serial(),
+        &mut t1,
+    );
+    let g_stream = build_graph_sharded(
+        &as_stream,
+        &GraphBuilder::exact(4),
+        &sim_stream,
+        0,
+        &ParConfig::serial(),
+        &mut t2,
+    );
     assert_eq!(g_head.unwrap(), g_stream.unwrap());
 }
 

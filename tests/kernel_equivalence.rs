@@ -3,8 +3,10 @@
 //! replaced, on seeded random inputs with realistic missingness.
 //!
 //! Three oracles are pinned here:
-//! - [`normalized_similarity`] vs the fused [`PairKernel`] (both the
-//!   presence-word fast path and the `>64`-column wide fallback);
+//! - [`normalized_similarity`] vs the fused [`PairKernel`] (the
+//!   presence-word fast path, pairs across two segments whose categorical
+//!   column compiled to masks on one side and slices on the other, and
+//!   the `>64`-column wide fallback);
 //! - `cm_mining::reference::mine_itemsets_reference` (the retired
 //!   row-at-a-time miner) vs the vertical bitset engine;
 //! - `Matrix::matmul_reference` (the unblocked serial GEMM) vs the
@@ -112,6 +114,25 @@ fn pair_kernel_is_bit_identical_to_normalized_similarity() {
             let fused = kernel.pair(i, j);
             let reference = normalized_similarity((&t, i), (&t, j), &config);
             assert_eq!(fused.to_bits(), reference.to_bits(), "pair ({i}, {j})");
+        }
+    }
+
+    // Across two segments: `c1` compiles to masks over the rows whose ids
+    // all fit one `u64`, and to sorted slices over the rest.
+    let fits = |r: usize| t.categorical(r, 4).unwrap_or(&[]).iter().all(|&id| id < 64);
+    let (masked_rows, sliced_rows): (Vec<usize>, Vec<usize>) = (0..t.len()).partition(|&r| fits(r));
+    assert!(!masked_rows.is_empty() && !sliced_rows.is_empty(), "both segments must be non-empty");
+    let (masked, sliced) = (t.gather(&masked_rows), t.gather(&sliced_rows));
+    let (frozen_m, frozen_s) = (FrozenTable::freeze(&masked), FrozenTable::freeze(&sliced));
+    let kernel_m = PairKernel::compile(&frozen_m, &config);
+    let kernel_s = PairKernel::compile(&frozen_s, &config);
+    for i in 0..masked.len() {
+        for j in 0..sliced.len() {
+            let there = normalized_similarity((&masked, i), (&sliced, j), &config);
+            let back = normalized_similarity((&sliced, j), (&masked, i), &config);
+            let what = format!("masked row {i}, sliced row {j}");
+            assert_eq!(kernel_m.pair_across(i, &kernel_s, j).to_bits(), there.to_bits(), "{what}");
+            assert_eq!(kernel_s.pair_across(j, &kernel_m, i).to_bits(), back.to_bits(), "{what}");
         }
     }
 }

@@ -15,6 +15,11 @@ use cross_modal::mining::{
 use cross_modal::par::ParConfig;
 use cross_modal::prelude::*;
 use cross_modal::propagation::{GraphBuilder, KnnMethod};
+#[path = "support/knn_oracle.rs"]
+mod knn_oracle;
+
+use knn_oracle::oracle_graph;
+
 use cross_modal::shard::{
     build_graph_sharded, fit_scales_sharded, MemBudget, MemTracker, SegmentedCorpus, ShardConfig,
     StreamSpec,
@@ -188,9 +193,12 @@ fn knn_graphs_match_resident_across_shard_sizes_and_threads() {
     assert!(!anchors.uses_exact(resident.len()), "must exercise the anchor path");
     for builder in [&exact, &anchors] {
         let want = builder.build_with(&resident, &sim, 17, &ParConfig::threads(1));
+        let oracle = oracle_graph(builder, &resident, &sim, 17);
+        assert_eq!(want, oracle, "resident {:?} differs from the oracle", builder.method);
         for threads in [2usize, 4] {
             let same = builder.build_with(&resident, &sim, 17, &ParConfig::threads(threads));
             assert_eq!(same, want, "resident {:?} drifted at {threads} threads", builder.method);
+            assert_eq!(same, oracle, "resident {:?} at {threads} threads", builder.method);
         }
         for shard_rows in SHARD_SIZES {
             let mut corpus = SegmentedCorpus::new(shard_rows);
@@ -208,8 +216,16 @@ fn knn_graphs_match_resident_across_shard_sizes_and_threads() {
                 assert_eq!(c1, c2);
                 assert_eq!(s1.to_bits(), s2.to_bits(), "scale for column {c1}");
             }
-            let got = build_graph_sharded(&corpus, builder, &sim, 17, &mut tracker).unwrap();
-            assert_eq!(got, want, "{:?} at shard_rows={shard_rows}", builder.method);
+            for threads in [1usize, 2, 4] {
+                let par = ParConfig::threads(threads);
+                let got =
+                    build_graph_sharded(&corpus, builder, &sim, 17, &par, &mut tracker).unwrap();
+                assert_eq!(
+                    got, want,
+                    "{:?} at shard_rows={shard_rows} threads={threads}",
+                    builder.method
+                );
+            }
         }
     }
 }
