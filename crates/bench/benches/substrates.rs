@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 use cm_featurespace::{FeatureSet, ModalityKind, SimilarityConfig};
 use cm_json::Json;
 use cm_labelmodel::{AnchoredModel, GenerativeConfig, GenerativeModel, LabelMatrix};
-use cm_linalg::Matrix;
-use cm_mining::{mine_itemsets, mine_itemsets_with, MiningConfig};
+use cm_mining::{mine_itemsets_with, MiningConfig};
 use cm_models::{LogisticRegression, Mlp, MlpEpochConfig};
 use cm_orgsim::{TaskConfig, TaskId, World, WorldConfig};
 use cm_par::ParConfig;
@@ -135,10 +134,11 @@ fn bench_mining(c: &Harness) {
     let w = world();
     let data = w.generate(ModalityKind::Text, 5000, 5);
     let cols = w.schema().columns_in_sets(&FeatureSet::SHARED, false);
+    let par = ParConfig::from_env();
     for order in [1usize, 2] {
         let cfg = MiningConfig { max_order: order, ..MiningConfig::default() };
         group.bench_function(format!("apriori_5k_order{order}"), || {
-            mine_itemsets(&data.table, &data.labels, &cols, &cfg)
+            mine_itemsets_with(&data.table, &data.labels, &cols, &cfg, &par)
         });
     }
     group.finish();
@@ -170,12 +170,14 @@ fn bench_label_model(c: &Harness) {
     let mut c = c.group("labelmodel");
     c.sample_size(20);
     let (m, labels) = synthetic_matrix(20_000, 40);
+    let par = ParConfig::from_env();
     c.bench_function("anchored_fit_predict_20k_x40", || {
         let model = AnchoredModel::fit(&m, &labels, None);
         model.predict(&m)
     });
     c.bench_function("em_fit_20k_x40", || {
-        GenerativeModel::fit(&m, &GenerativeConfig { max_iters: 20, ..GenerativeConfig::default() })
+        let cfg = GenerativeConfig { max_iters: 20, ..GenerativeConfig::default() };
+        GenerativeModel::fit_with(&m, &cfg, &par)
     });
     c.finish();
 }
@@ -210,24 +212,27 @@ fn bench_training(c: &Harness) {
     let view = DenseView::fit(&[&data.table], cols).unwrap();
     let x = view.encode(&data.table);
     let y = data.labels_f64();
+    let par = ParConfig::from_env();
 
     c.bench_function("logistic_fit_4k", || {
-        LogisticRegression::fit(
+        LogisticRegression::fit_with(
             &x,
             &y,
             None,
             &cm_models::logistic::LogisticConfig { epochs: 3, ..Default::default() },
+            &par,
         )
     });
     c.bench_batched(
         "mlp_epoch_4k_h32",
         || Mlp::new(x.cols(), &[32], 0.01, 1),
         |mut mlp| {
-            mlp.train_epoch(
+            mlp.train_epoch_with(
                 &x,
                 &y,
                 None,
                 &MlpEpochConfig { batch_size: 128, l2: 1e-4, shuffle_seed: 0 },
+                &par,
             )
         },
     );
@@ -261,21 +266,6 @@ fn bench_par_substrate(c: &Harness) {
         group.bench_function(format!("vote_stats_100k_x8_t{threads}"), || m.vote_stats_with(&par));
     }
 
-    // Dense GEMM, 256^3 (row chunks above the flop threshold).
-    let fill = |seed: u32| {
-        let mut m = Matrix::zeros(256, 256);
-        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
-            *v = (((i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 16) & 0xFF) as f32
-                / 255.0
-                - 0.5;
-        }
-        m
-    };
-    let (a, b) = (fill(1), fill(2));
-    for threads in [1usize, 4] {
-        let par = ParConfig::threads(threads);
-        group.bench_function(format!("matmul_256_t{threads}"), || a.matmul_with(&b, &par));
-    }
     group.finish();
 }
 
@@ -312,18 +302,6 @@ fn bench_kernels(c: &Harness) {
         });
     }
 
-    // Cache-blocked GEMM, 256^3 (same operands as par/matmul_256_t1).
-    let fill = |seed: u32| {
-        let mut m = Matrix::zeros(256, 256);
-        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
-            *v = (((i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 16) & 0xFF) as f32
-                / 255.0
-                - 0.5;
-        }
-        m
-    };
-    let (a, b) = (fill(1), fill(2));
-    group.bench_function("matmul_256", || a.matmul_with(&b, &par));
     group.finish();
 }
 

@@ -20,6 +20,7 @@ use cm_bench::{
 use cm_featurespace::{FeatureSet, SimilarityConfig};
 use cm_json::{Json, ToJson};
 use cm_mining::MiningConfig;
+use cm_par::ParConfig;
 use cm_pipeline::{curate, CurationConfig, LabelModelKind};
 use cm_propagation::{propagate, propagate_streaming, GraphBuilder, PropagationConfig};
 
@@ -43,6 +44,7 @@ impl ToJson for Report {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("ablations");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -113,7 +115,7 @@ fn main() {
                 &columns,
                 &cm_mining::StumpConfig::default(),
             );
-            let out = cm_pipeline::curate_with_lfs(&run.data, &cfg, lfs, t.elapsed());
+            let out = cm_pipeline::curate_with_lfs(&run.data, &cfg, lfs, t.elapsed(), &par);
             secs.push(t.elapsed().as_secs_f64());
             f1s.push(out.ws_quality.f1);
             covs.push(out.ws_quality.coverage);

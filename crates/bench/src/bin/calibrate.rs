@@ -5,9 +5,11 @@
 use cm_bench::{load_spec, spec_reservoir, spec_scale, spec_scenario, spec_seed, TaskRun};
 use cm_featurespace::FeatureSet;
 use cm_orgsim::TaskId;
+use cm_par::ParConfig;
 use cm_pipeline::{curate, CurationConfig, Scenario};
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("calibrate");
     let scale = spec_scale(&spec);
     let seed = spec_seed(&spec);
@@ -47,7 +49,7 @@ fn main() {
     }
 
     let runner = run.runner();
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&par).unwrap();
     println!("baseline (embeddings only, fully supervised) AUPRC = {baseline:.4}");
 
     let curation = curate(d, &run.curation_config(seed));

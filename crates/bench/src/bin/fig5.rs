@@ -22,6 +22,7 @@ use cm_bench::{
 use cm_eval::{find_crossover, CrossoverSeries};
 use cm_featurespace::FeatureSet;
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, Scenario};
 
 struct Panel {
@@ -45,6 +46,7 @@ impl ToJson for Panel {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("fig5");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -64,7 +66,7 @@ fn main() {
             // LFs always use all four sets (+ nonservable features); only
             // the end model is restricted.
             let curation = curate(&run.data, &run.curation_config(seed));
-            let baseline = runner.baseline_auprc().unwrap();
+            let baseline = runner.baseline_auprc(&par).unwrap();
             baselines.push(baseline);
 
             let cross = spec_scenario(&spec, &format!("cross-modal T,I+{label}"));

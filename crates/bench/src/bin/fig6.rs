@@ -15,6 +15,7 @@ use cm_bench::{
     load_spec, maybe_write_json, mean, spec_reservoir, spec_scale, spec_seeds, TaskRun,
 };
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, Scenario};
 
 struct Step {
@@ -34,6 +35,7 @@ impl ToJson for Step {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("fig6");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -47,7 +49,7 @@ fn main() {
         let run = TaskRun::new(spec.tasks[0], scale, seed, spec_reservoir(&spec, scale));
         let runner = run.runner();
         let curation = curate(&run.data, &run.curation_config(seed));
-        baselines.push(runner.baseline_auprc().unwrap());
+        baselines.push(runner.baseline_auprc(&par).unwrap());
         for (i, scenario) in ladder.iter().enumerate() {
             acc[i].push(runner.run(scenario, Some(&curation)).unwrap().auprc);
         }

@@ -14,6 +14,7 @@ use cm_bench::{
     TaskRun,
 };
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::curate;
 
 struct Rung {
@@ -35,6 +36,7 @@ impl ToJson for Rung {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("fig7");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -49,7 +51,7 @@ fn main() {
         let run = TaskRun::new(spec.tasks[0], scale, seed, spec_reservoir(&spec, scale));
         let runner = run.runner();
         let curation = curate(&run.data, &run.curation_config(seed));
-        baselines.push(runner.baseline_auprc().unwrap());
+        baselines.push(runner.baseline_auprc(&par).unwrap());
         for (i, rung) in rungs.iter().enumerate() {
             let text = spec_scenario(&spec, &format!("text-only T+{rung}"));
             let image = spec_scenario(&spec, &format!("image-only I+{rung}"));

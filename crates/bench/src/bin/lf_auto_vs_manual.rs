@@ -20,6 +20,7 @@ use cm_bench::{
     TaskRun,
 };
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, curate_with_lfs, expert_lfs, EXPERT_AUTHORING};
 
 struct Side {
@@ -49,6 +50,7 @@ impl ToJson for Side {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("lf_auto_vs_manual");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -78,7 +80,7 @@ fn main() {
         ]);
 
         let lfs = expert_lfs(run.data.world.schema()).unwrap();
-        let expert = curate_with_lfs(&run.data, &cfg, lfs, EXPERT_AUTHORING);
+        let expert = curate_with_lfs(&run.data, &cfg, lfs, EXPERT_AUTHORING, &par);
         // The expert's clock is authoring time; propagation (if used) runs
         // for both sides.
         let expert_time = EXPERT_AUTHORING + expert.propagation_time.unwrap_or(Duration::ZERO);

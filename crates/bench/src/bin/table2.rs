@@ -19,6 +19,7 @@ use cm_bench::{
 use cm_eval::{find_crossover, CrossoverSeries};
 use cm_featurespace::FeatureSet;
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, Scenario};
 
 struct Row {
@@ -48,6 +49,7 @@ impl ToJson for Row {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("table2");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -80,7 +82,7 @@ fn main() {
             let run = TaskRun::new(id, scale, seed, spec_reservoir(&spec, scale));
             let runner = run.runner();
             let curation = curate(&run.data, &run.curation_config(seed));
-            let baseline = runner.baseline_auprc().unwrap();
+            let baseline = runner.baseline_auprc(&par).unwrap();
             baselines.push(baseline);
 
             let text = runner.run_relative(&text_s, None, baseline).unwrap();

@@ -6,19 +6,16 @@
 //!
 //! - [`pr`] — PR curves and average-precision AUPRC with tie handling;
 //! - [`metrics`] — thresholded precision/recall/F1/accuracy and ROC-AUC;
-//! - [`bootstrap`] — seeded bootstrap confidence intervals for AUPRC;
 //! - [`crossover`] — the Figure 5 machinery: finding how many hand-labeled
 //!   examples a fully supervised model needs to match the cross-modal
 //!   pipeline.
 
-pub mod bootstrap;
 pub mod calibration;
 pub mod crossover;
 pub mod metrics;
 pub mod pr;
 pub mod sampling;
 
-pub use bootstrap::{bootstrap_auprc_ci, bootstrap_auprc_ci_with};
 pub use calibration::{expected_calibration_error, reliability_curve, ReliabilityBin};
 pub use crossover::{find_crossover, CrossoverSeries};
 pub use metrics::{roc_auc, BinaryMetrics};

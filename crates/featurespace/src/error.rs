@@ -80,8 +80,8 @@ mod tests {
 
     #[test]
     fn display_includes_location_kind_message() {
-        let e = CmError::new(ErrorKind::ShapeMismatch, "Matrix::matmul", "2x3 vs 4x5");
-        assert_eq!(e.to_string(), "Matrix::matmul [shape-mismatch]: 2x3 vs 4x5");
+        let e = CmError::new(ErrorKind::ShapeMismatch, "Matrix::from_vec", "2x3 vs 4x5");
+        assert_eq!(e.to_string(), "Matrix::from_vec [shape-mismatch]: 2x3 vs 4x5");
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! Early fusion: one model over the union of all modalities' rows.
 
 use cm_linalg::Matrix;
-use cm_models::{train_model, ModelKind, TrainConfig, TrainedModel};
+use cm_models::{train_model, ModelKind, ParConfig, TrainConfig, TrainedModel};
 
 use crate::{concat_parts, ModalityData};
 
 /// The paper's best-performing strategy (§6.6): merge every modality and
 /// label source into a single dataset in the shared layout and train once.
+///
+/// Early fusion is [`train_model`] over [`concat_parts`], which is how the
+/// library trains it with an explicit [`ParConfig`]. This wrapper keeps the
+/// signatures the benchmark package (`perfbench/`) calls, so each of its
+/// two methods reads `CM_THREADS` once, at its top; they change only with
+/// the benchmark.
 pub struct EarlyFusionModel {
     model: TrainedModel,
 }
@@ -22,18 +28,16 @@ impl EarlyFusionModel {
         config: &TrainConfig,
         validation: Option<(&Matrix, &[f64])>,
     ) -> Self {
+        // lint: allow(par-from-env) — signature pinned by perfbench/src/adapt_e2e.rs
+        let par = ParConfig::from_env();
         let (x, y) = concat_parts(parts);
-        Self { model: train_model(kind, &x, &y, config, validation) }
+        Self { model: train_model(kind, &x, &y, None, config, validation, &par) }
     }
 
     /// Positive-class probabilities in the shared layout.
     pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        self.model.predict_proba(x)
-    }
-
-    /// The underlying trained model.
-    pub fn inner(&self) -> &TrainedModel {
-        &self.model
+        // lint: allow(par-from-env) — signature pinned by perfbench/src/adapt_e2e.rs
+        self.model.predict_proba(x, &ParConfig::from_env())
     }
 }
 

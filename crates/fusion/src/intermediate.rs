@@ -2,7 +2,7 @@
 //! jointly trained head.
 
 use cm_linalg::Matrix;
-use cm_models::{train_model, ModelKind, TrainConfig, TrainedModel};
+use cm_models::{train_model, ModelKind, ParConfig, TrainConfig, TrainedModel};
 
 use crate::ModalityData;
 
@@ -19,7 +19,7 @@ pub struct IntermediateFusionModel {
 }
 
 impl IntermediateFusionModel {
-    /// Two-stage training over `parts`.
+    /// Two-stage training over `parts`, bit-identical at any thread count.
     ///
     /// # Panics
     /// Panics if `parts` is empty or widths differ.
@@ -28,6 +28,7 @@ impl IntermediateFusionModel {
         kind: &ModelKind,
         config: &TrainConfig,
         validation: Option<(&Matrix, &[f64])>,
+        par: &ParConfig,
     ) -> Self {
         assert!(!parts.is_empty(), "need at least one modality");
         let input_dim = parts[0].x.cols();
@@ -41,7 +42,7 @@ impl IntermediateFusionModel {
             .map(|(i, p)| {
                 let cfg =
                     TrainConfig { seed: config.seed.wrapping_add(i as u64), ..config.clone() };
-                train_model(kind, &p.x, &p.targets, &cfg, None)
+                train_model(kind, &p.x, &p.targets, None, &cfg, None, par)
             })
             .collect();
         // Stage 2: embed every row with every encoder, concatenate, train
@@ -52,7 +53,7 @@ impl IntermediateFusionModel {
         let mut targets = Vec::with_capacity(total_rows);
         let mut r = 0;
         for part in parts {
-            let embeds: Vec<Matrix> = encoders.iter().map(|e| e.embed(&part.x)).collect();
+            let embeds: Vec<Matrix> = encoders.iter().map(|e| e.embed(&part.x, par)).collect();
             for row_idx in 0..part.x.rows() {
                 let out = joint.row_mut(r);
                 let mut offset = 0;
@@ -66,7 +67,7 @@ impl IntermediateFusionModel {
             targets.extend_from_slice(&part.targets);
         }
         let head_val_x = validation.map(|(vx, _)| {
-            let embeds: Vec<Matrix> = encoders.iter().map(|e| e.embed(vx)).collect();
+            let embeds: Vec<Matrix> = encoders.iter().map(|e| e.embed(vx, par)).collect();
             let mut m = Matrix::zeros(vx.rows(), embed_dim);
             for row_idx in 0..vx.rows() {
                 let out = m.row_mut(row_idx);
@@ -83,8 +84,10 @@ impl IntermediateFusionModel {
             kind,
             &joint,
             &targets,
+            None,
             config,
             head_val_x.as_ref().zip(validation.map(|(_, vy)| vy)),
+            par,
         );
         Self { encoders, head, input_dim }
     }
@@ -93,9 +96,9 @@ impl IntermediateFusionModel {
     ///
     /// # Panics
     /// Panics if the width differs from training.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
         assert_eq!(x.cols(), self.input_dim, "feature width mismatch");
-        let embeds: Vec<Matrix> = self.encoders.iter().map(|e| e.embed(x)).collect();
+        let embeds: Vec<Matrix> = self.encoders.iter().map(|e| e.embed(x, par)).collect();
         let embed_dim: usize = embeds.iter().map(Matrix::cols).sum();
         let mut joint = Matrix::zeros(x.rows(), embed_dim);
         for r in 0..x.rows() {
@@ -107,7 +110,7 @@ impl IntermediateFusionModel {
                 offset += src.len();
             }
         }
-        self.head.predict_proba(&joint)
+        self.head.predict_proba(&joint, par)
     }
 
     /// Number of per-modality encoders.
@@ -125,19 +128,21 @@ mod tests {
 
     #[test]
     fn learns_the_task() {
+        let par = ParConfig::from_env();
         let (old, new, xt, yt) = two_modality_task(600, 11);
         let kind = ModelKind::Mlp { hidden: vec![12] };
         let cfg = TrainConfig { epochs: 25, patience: None, ..Default::default() };
-        let m = IntermediateFusionModel::train(&[old, new], &kind, &cfg, None);
+        let m = IntermediateFusionModel::train(&[old, new], &kind, &cfg, None, &par);
         assert_eq!(m.n_encoders(), 2);
         let pos: Vec<bool> = yt.iter().map(|&v| v >= 0.5).collect();
-        let ap = auprc(&m.predict_proba(&xt), &pos);
+        let ap = auprc(&m.predict_proba(&xt, &par), &pos);
         assert!(ap > 0.55, "AUPRC {ap}");
     }
 
     #[test]
     #[should_panic(expected = "feature width mismatch")]
     fn predict_rejects_wrong_width() {
+        let par = ParConfig::from_env();
         let (old, new, _, _) = two_modality_task(60, 1);
         let cfg = TrainConfig { epochs: 2, ..Default::default() };
         let m = IntermediateFusionModel::train(
@@ -145,7 +150,8 @@ mod tests {
             &ModelKind::Mlp { hidden: vec![4] },
             &cfg,
             None,
+            &par,
         );
-        m.predict_proba(&Matrix::zeros(1, 3));
+        m.predict_proba(&Matrix::zeros(1, 3), &par);
     }
 }

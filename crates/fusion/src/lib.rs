@@ -8,7 +8,7 @@
 //! modalities are left empty for those that do not have these features".
 //!
 //! - [`EarlyFusionModel`] — concatenate all modalities' rows into one
-//!   training set, train one model. The paper's winner.
+//!   training set ([`concat_parts`]), train one model. The paper's winner.
 //! - [`IntermediateFusionModel`] — train one model per modality, strip the
 //!   prediction heads, concatenate the penultimate embeddings, train a
 //!   joint head over them.
@@ -52,11 +52,12 @@ impl ModalityData {
     }
 }
 
-/// Concatenates parts row-wise into one training set.
+/// Concatenates parts row-wise into one training set: the early-fusion
+/// layout that [`cm_models::train_model`] trains on.
 ///
 /// # Panics
 /// Panics if parts is empty or widths differ.
-pub(crate) fn concat_parts(parts: &[ModalityData]) -> (Matrix, Vec<f64>) {
+pub fn concat_parts(parts: &[ModalityData]) -> (Matrix, Vec<f64>) {
     assert!(!parts.is_empty(), "need at least one modality");
     let cols = parts[0].x.cols();
     let total: usize = parts.iter().map(|p| p.x.rows()).sum();

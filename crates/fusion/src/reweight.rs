@@ -11,8 +11,7 @@
 //! modality.
 
 use cm_linalg::Matrix;
-use cm_models::trainer::train_model_with_weights;
-use cm_models::{ModelKind, TrainConfig, TrainedModel};
+use cm_models::{train_model, ModelKind, ParConfig, TrainConfig, TrainedModel};
 
 use crate::{concat_parts, ModalityData};
 
@@ -28,8 +27,8 @@ pub struct ReweightedModel {
 
 impl ReweightedModel {
     /// Positive-class probabilities in the shared layout.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        self.model.predict_proba(x)
+    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+        self.model.predict_proba(x, par)
     }
 }
 
@@ -47,6 +46,7 @@ pub fn reweighted_early_fusion(
     kind: &ModelKind,
     config: &TrainConfig,
     validation: (&Matrix, &[bool]),
+    par: &ParConfig,
 ) -> ReweightedModel {
     assert!(!alphas.is_empty(), "need at least one alpha candidate");
     assert!(alphas.iter().all(|a| (0.0..=1.0).contains(a)), "alpha must be in [0, 1]");
@@ -64,8 +64,8 @@ pub fn reweighted_early_fusion(
         let w_new = 2.0 * (1.0 - alpha);
         let weights: Vec<f64> =
             (0..x.rows()).map(|r| if r < n_old { w_old } else { w_new }).collect();
-        let model = train_model_with_weights(kind, &x, &targets, Some(&weights), config, None);
-        let auprc = cm_eval::auprc(&model.predict_proba(vx), vy);
+        let model = train_model(kind, &x, &targets, Some(&weights), config, None, par);
+        let auprc = cm_eval::auprc(&model.predict_proba(vx, par), vy);
         sweep.push((alpha, auprc));
         let better = best.as_ref().is_none_or(|(b, _, _)| auprc > *b);
         if better {
@@ -96,6 +96,7 @@ mod tests {
             &ModelKind::Logistic,
             &cfg,
             (&xt, &pos),
+            &ParConfig::from_env(),
         );
         assert_eq!(out.sweep.len(), 3);
         let best_in_sweep =
@@ -121,6 +122,7 @@ mod tests {
             &ModelKind::Logistic,
             &cfg,
             (&xt, &pos),
+            &ParConfig::from_env(),
         );
         assert!(
             out.alpha < 0.5,
@@ -141,6 +143,7 @@ mod tests {
             &ModelKind::Logistic,
             &TrainConfig::default(),
             (&xt, &pos),
+            &ParConfig::from_env(),
         );
     }
 }

@@ -35,7 +35,7 @@ const EM_MIN_ROWS_PER_CHUNK: usize = 256;
 /// chunk it must not depend on the thread count.
 const EM_MIN_PATTERNS_PER_CHUNK: usize = 4096;
 
-/// Configuration for [`GenerativeModel::fit`].
+/// Configuration for [`GenerativeModel::fit_with`].
 #[derive(Debug, Clone)]
 pub struct GenerativeConfig {
     /// Maximum EM iterations.
@@ -187,14 +187,6 @@ pub struct WarmStart {
 impl GenerativeModel {
     /// Fits the model on a label matrix with EM.
     ///
-    /// # Panics
-    /// Panics if the matrix has no LFs.
-    pub fn fit(matrix: &LabelMatrix, config: &GenerativeConfig) -> Self {
-        Self::fit_with(matrix, config, &ParConfig::from_env())
-    }
-
-    /// [`GenerativeModel::fit`] with an explicit parallel configuration.
-    ///
     /// Produces bit-identical parameters and posteriors for any thread
     /// count: every float reduction lives in an exact [`StableSum`]
     /// superaccumulator (via [`EmMoments`]), so neither the chunk plan nor
@@ -337,18 +329,9 @@ impl GenerativeModel {
     }
 
     /// Probabilistic labels for a (possibly different) label matrix.
-    ///
-    /// Rows where every LF abstains get the class prior.
-    ///
-    /// # Panics
-    /// Panics if the LF count differs from the fitted matrix.
-    pub fn predict(&self, matrix: &LabelMatrix) -> Vec<f64> {
-        self.predict_with(matrix, &ParConfig::from_env())
-    }
-
-    /// [`GenerativeModel::predict`] with an explicit parallel configuration.
-    /// Posteriors are row-independent, so any thread count yields the same
-    /// bits; small matrices stay serial.
+    /// Rows where every LF abstains get the class prior. Posteriors are
+    /// row-independent, so any thread count yields the same bits; small
+    /// matrices stay serial.
     ///
     /// # Panics
     /// Panics if the LF count differs from the fitted matrix.
@@ -364,7 +347,7 @@ impl GenerativeModel {
     }
 
     /// Probabilistic labels for folded vote patterns, one per pattern:
-    /// bit-identical to [`GenerativeModel::predict`] on any row with that
+    /// bit-identical to [`GenerativeModel::predict_with`] on any row with that
     /// vote vector.
     ///
     /// # Panics
@@ -703,7 +686,8 @@ mod tests {
     #[test]
     fn em_recovers_accuracy_ordering() {
         let (m, _) = synthetic(5000, 0.3, &[(0.95, 0.8), (0.7, 0.8), (0.6, 0.8)], 1);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model =
+            GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &ParConfig::from_env());
         let acc = model.accuracies();
         assert!(acc[0] > acc[1], "acc {acc:?}");
         assert!(acc[1] > acc[2], "acc {acc:?}");
@@ -712,9 +696,10 @@ mod tests {
 
     #[test]
     fn posterior_beats_majority_vote_with_unequal_lfs() {
+        let par = ParConfig::from_env();
         let (m, truth) = synthetic(8000, 0.4, &[(0.95, 0.9), (0.56, 0.9), (0.56, 0.9)], 2);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
-        let probs = model.predict(&m);
+        let model = GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &par);
+        let probs = model.predict_with(&m, &par);
         let mv = majority_vote(&m);
         let err = |pred: &[f64]| -> f64 {
             pred.iter()
@@ -734,7 +719,8 @@ mod tests {
     #[test]
     fn prior_estimation_tracks_true_rate() {
         let (m, truth) = synthetic(10_000, 0.15, &[(0.9, 0.9), (0.85, 0.9)], 3);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model =
+            GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &ParConfig::from_env());
         let true_rate = truth.iter().filter(|&&t| t).count() as f64 / truth.len() as f64;
         assert!(
             (model.class_prior() - true_rate).abs() < 0.05,
@@ -748,16 +734,17 @@ mod tests {
     fn fixed_prior_is_respected() {
         let (m, _) = synthetic(1000, 0.3, &[(0.9, 0.9)], 4);
         let cfg = GenerativeConfig { class_prior: Some(0.2), ..Default::default() };
-        let model = GenerativeModel::fit(&m, &cfg);
+        let model = GenerativeModel::fit_with(&m, &cfg, &ParConfig::from_env());
         assert_eq!(model.class_prior(), 0.2);
     }
 
     #[test]
     fn all_abstain_rows_get_prior() {
+        let par = ParConfig::from_env();
         let m = LabelMatrix::from_votes(2, 1, vec![0, 1], vec!["a".into()]);
         let cfg = GenerativeConfig { class_prior: Some(0.25), ..Default::default() };
-        let model = GenerativeModel::fit(&m, &cfg);
-        let probs = model.predict(&m);
+        let model = GenerativeModel::fit_with(&m, &cfg, &par);
+        let probs = model.predict_with(&m, &par);
         assert_eq!(probs[0], 0.25);
         // A single positive vote lifts the posterior above the prior (the
         // degenerate 2-row matrix can't push it past 0.5).
@@ -775,11 +762,12 @@ mod tests {
 
     #[test]
     fn fit_is_deterministic() {
+        let par = ParConfig::from_env();
         let (m, _) = synthetic(2000, 0.3, &[(0.9, 0.8), (0.7, 0.8)], 5);
-        let a = GenerativeModel::fit(&m, &GenerativeConfig::default());
-        let b = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let a = GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &par);
+        let b = GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &par);
         assert_eq!(a.accuracies(), b.accuracies());
-        assert_eq!(a.predict(&m), b.predict(&m));
+        assert_eq!(a.predict_with(&m, &par), b.predict_with(&m, &par));
     }
 
     #[test]
@@ -895,16 +883,17 @@ mod tests {
     #[should_panic(expected = "zero LFs")]
     fn fit_rejects_empty_lf_set() {
         let m = LabelMatrix::from_votes(1, 0, vec![], vec![]);
-        GenerativeModel::fit(&m, &GenerativeConfig::default());
+        GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &ParConfig::from_env());
     }
 
     #[test]
     #[should_panic(expected = "LF count mismatch")]
     fn predict_rejects_mismatched_matrix() {
+        let par = ParConfig::from_env();
         let (m, _) = synthetic(100, 0.3, &[(0.9, 0.9)], 6);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model = GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &par);
         let (m2, _) = synthetic(100, 0.3, &[(0.9, 0.9), (0.8, 0.9)], 7);
-        model.predict(&m2);
+        model.predict_with(&m2, &par);
     }
 
     /// A warm start built from the cold-start constants must reproduce the
@@ -966,14 +955,15 @@ mod tests {
     /// the checkpoint restore contract.
     #[test]
     fn from_params_round_trips_predictions() {
+        let par = ParConfig::from_env();
         let (m, _) = synthetic(3000, 0.2, &[(0.9, 0.7), (0.8, 0.5), (0.6, 0.3)], 8);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model = GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &par);
         let rebuilt = GenerativeModel::from_params(
             model.accuracies().to_vec(),
             model.class_prior(),
             model.iterations(),
         );
-        assert_eq!(model.predict(&m), rebuilt.predict(&m));
+        assert_eq!(model.predict_with(&m, &par), rebuilt.predict_with(&m, &par));
         assert_eq!(model.warm_start(), rebuilt.warm_start());
     }
 
@@ -992,9 +982,10 @@ mod tests {
 
     #[test]
     fn posteriors_are_probabilities() {
+        let par = ParConfig::from_env();
         let (m, _) = synthetic(3000, 0.2, &[(0.9, 0.7), (0.8, 0.5), (0.6, 0.3)], 8);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
-        for p in model.predict(&m) {
+        let model = GenerativeModel::fit_with(&m, &GenerativeConfig::default(), &par);
+        for p in model.predict_with(&m, &par) {
             assert!((0.0..=1.0).contains(&p), "posterior {p} out of range");
             assert!(!p.is_nan());
         }

@@ -59,7 +59,7 @@ pub trait LabelingFunction: Send + Sync {
     /// the same vote as [`LabelingFunction::vote`] on the underlying
     /// table; the default delegates, and the built-in LFs override it to
     /// read the contiguous columns directly (no per-row schema dispatch),
-    /// which is what [`crate::LabelMatrix::apply`] iterates over.
+    /// which is what [`crate::LabelMatrix::apply_with`] iterates over.
     fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote {
         self.vote(frozen.table(), row)
     }

@@ -97,14 +97,9 @@ impl LabelMatrix {
     /// Applies every LF to every row of `table`.
     ///
     /// LF application parallelizes across row chunks through the `cm-par`
-    /// substrate (thread count from `CM_THREADS`) when the workload is
-    /// large enough to pay for it; votes are pure per-row writes, so the
-    /// matrix is bit-identical at every thread count.
-    pub fn apply(table: &FeatureTable, lfs: &[Box<dyn LabelingFunction>]) -> Self {
-        Self::apply_with(table, lfs, &ParConfig::from_env())
-    }
-
-    /// [`LabelMatrix::apply`] with an explicit parallel configuration.
+    /// substrate when the workload is large enough to pay for it; votes
+    /// are pure per-row writes, so the matrix is bit-identical at every
+    /// thread count.
     ///
     /// # Panics
     /// Re-raises a worker panic (an LF panicking on a row behaves exactly
@@ -188,20 +183,10 @@ impl LabelMatrix {
         self.votes.iter().map(|&v| usize::from(v != 0)).sum()
     }
 
-    /// Fraction of rows where at least one LF does not abstain.
-    pub fn coverage(&self) -> f64 {
-        self.vote_stats().coverage
-    }
-
-    /// Coverage, overlap, and conflict in one parallel pass.
-    pub fn vote_stats(&self) -> VoteStats {
-        self.vote_stats_with(&ParConfig::from_env())
-    }
-
-    /// [`LabelMatrix::vote_stats`] with an explicit parallel
-    /// configuration. Chunk counts are integers folded in chunk index
-    /// order, so the resulting ratios are bit-identical at every thread
-    /// count — the regression test below pins them.
+    /// Coverage, overlap, and conflict in one parallel pass. Chunk counts
+    /// are integers folded in chunk index order, so the resulting ratios
+    /// are bit-identical at every thread count — the regression test below
+    /// pins them.
     ///
     /// # Panics
     /// Re-raises a worker panic.
@@ -210,14 +195,8 @@ impl LabelMatrix {
     }
 
     /// The mergeable [`VoteCounts`] sufficient statistic for this matrix.
-    pub fn vote_counts(&self) -> VoteCounts {
-        self.vote_counts_with(&ParConfig::from_env())
-    }
-
-    /// [`LabelMatrix::vote_counts`] with an explicit parallel
-    /// configuration. Integer counts, so the result is exact and merging
-    /// per-segment counts reproduces the whole-matrix counts for any row
-    /// partition.
+    /// Integer counts, so the result is exact and merging per-segment
+    /// counts reproduces the whole-matrix counts for any row partition.
     ///
     /// # Panics
     /// Re-raises a worker panic.
@@ -256,16 +235,6 @@ impl LabelMatrix {
         }
         let n = (0..self.n_rows).filter(|&r| self.row(r)[lf] != 0).count();
         n as f64 / self.n_rows as f64
-    }
-
-    /// Fraction of rows labeled by two or more LFs.
-    pub fn overlap(&self) -> f64 {
-        self.vote_stats().overlap
-    }
-
-    /// Fraction of rows with at least one positive and one negative vote.
-    pub fn conflict(&self) -> f64 {
-        self.vote_stats().conflict
     }
 
     /// Rows labeled by at least one LF (the trainable subset).
@@ -416,7 +385,7 @@ mod tests {
     #[test]
     fn apply_collects_votes() {
         let t = table(4);
-        let m = LabelMatrix::apply(&t, &lfs());
+        let m = LabelMatrix::apply_with(&t, &lfs(), &ParConfig::from_env());
         assert_eq!(m.n_rows(), 4);
         assert_eq!(m.n_lfs(), 2);
         assert_eq!(m.vote(0, 0), Vote::Positive);
@@ -429,19 +398,22 @@ mod tests {
     fn coverage_overlap_conflict() {
         // LF0 labels even rows +, LF1 labels odd rows -: full coverage,
         // no overlap, no conflict.
-        let m = LabelMatrix::apply(&table(10), &lfs());
-        assert_eq!(m.coverage(), 1.0);
-        assert_eq!(m.overlap(), 0.0);
-        assert_eq!(m.conflict(), 0.0);
+        let par = ParConfig::from_env();
+        let m = LabelMatrix::apply_with(&table(10), &lfs(), &par);
+        let stats = m.vote_stats_with(&par);
+        assert_eq!(stats.coverage, 1.0);
+        assert_eq!(stats.overlap, 0.0);
+        assert_eq!(stats.conflict, 0.0);
         assert_eq!(m.lf_coverage(0), 0.5);
     }
 
     #[test]
     fn conflict_detected() {
         let m = LabelMatrix::from_votes(2, 2, vec![1, -1, 0, 0], vec!["a".into(), "b".into()]);
-        assert_eq!(m.conflict(), 0.5);
-        assert_eq!(m.overlap(), 0.5);
-        assert_eq!(m.coverage(), 0.5);
+        let stats = m.vote_stats_with(&ParConfig::from_env());
+        assert_eq!(stats.conflict, 0.5);
+        assert_eq!(stats.overlap, 0.5);
+        assert_eq!(stats.coverage, 0.5);
         assert_eq!(m.covered_rows(), vec![0]);
     }
 
@@ -586,8 +558,6 @@ mod tests {
     #[test]
     fn empty_matrix_statistics() {
         let m = LabelMatrix::from_votes(0, 1, vec![], vec!["a".into()]);
-        assert_eq!(m.coverage(), 0.0);
-        assert_eq!(m.overlap(), 0.0);
-        assert_eq!(m.conflict(), 0.0);
+        assert_eq!(m.vote_stats_with(&ParConfig::from_env()), VoteStats::default());
     }
 }

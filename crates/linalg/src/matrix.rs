@@ -3,21 +3,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use cm_par::ParConfig;
-
-/// Multiply-accumulate count above which `matmul` fans out across the
-/// `cm-par` substrate. Depends only on shapes, so the serial/parallel
-/// choice — and the result, which is bit-identical either way because
-/// every output row is computed independently — never varies with the
-/// thread count.
-const MATMUL_PAR_FLOPS: usize = 1 << 20;
-
-/// Output rows computed together per pass over `other` in the blocked
-/// matmul kernel. Four rows re-use each `other` row four times from
-/// registers/L1 instead of refetching it per row, which is the entire win:
-/// the per-element arithmetic is untouched.
-const MATMUL_ROW_BLOCK: usize = 4;
-
 /// Row-major dense `f32` matrix.
 ///
 /// Rows are contiguous, so per-example access patterns (the common case in
@@ -127,69 +112,6 @@ impl Matrix {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Matrix product `self * other`.
-    ///
-    /// Uses a row-blocked ikj kernel: the inner loop streams over
-    /// contiguous memory in both the output rows and the `other` row, and
-    /// [`MATMUL_ROW_BLOCK`] output rows share each fetched `other` row.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_with(other, &ParConfig::from_env())
-    }
-
-    /// [`Matrix::matmul`] with an explicit parallel configuration. Output
-    /// rows are independent, so the product is bit-identical at every
-    /// thread count.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != other.rows()`, or re-raises a worker
-    /// panic.
-    pub fn matmul_with(&self, other: &Matrix, par: &ParConfig) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if out.cols == 0 {
-            return out;
-        }
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= MATMUL_PAR_FLOPS {
-            let unit = out.cols;
-            if let Err(e) = cm_par::par_chunks_mut(par, &mut out.data, unit, |start, chunk| {
-                matmul_rows(self, start, other, chunk);
-            }) {
-                e.resume();
-            }
-        } else {
-            matmul_rows(self, 0, other, &mut out.data);
-        }
-        out
-    }
-
-    /// Unblocked serial reference product, retained as the differential-
-    /// test oracle for the blocked kernel. Every output element is a
-    /// single accumulator updated in ascending-`k` order, skipping zero
-    /// `a` entries — exactly the chain the blocked kernel must reproduce.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul_reference(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            matmul_row(self.row(i), other, out.row_mut(i));
-        }
-        out
-    }
-
     /// Matrix-vector product `self * x`.
     ///
     /// # Panics
@@ -266,95 +188,6 @@ impl Matrix {
     }
 }
 
-/// A contiguous run of GEMM output rows starting at row `start`:
-/// full blocks of [`MATMUL_ROW_BLOCK`] rows go through the blocked kernel,
-/// the remainder through the single-row kernel. Grouping does not touch
-/// the per-element arithmetic, so any chunking (serial or parallel)
-/// produces bit-identical output.
-fn matmul_rows(a: &Matrix, start: usize, other: &Matrix, out_chunk: &mut [f32]) {
-    let unit = other.cols;
-    for (blk_idx, blk) in out_chunk.chunks_mut(unit * MATMUL_ROW_BLOCK).enumerate() {
-        let row0 = start + blk_idx * MATMUL_ROW_BLOCK;
-        if blk.len() == unit * MATMUL_ROW_BLOCK {
-            let (o0, rest) = blk.split_at_mut(unit);
-            let (o1, rest) = rest.split_at_mut(unit);
-            let (o2, o3) = rest.split_at_mut(unit);
-            matmul_block4(
-                [a.row(row0), a.row(row0 + 1), a.row(row0 + 2), a.row(row0 + 3)],
-                other,
-                o0,
-                o1,
-                o2,
-                o3,
-            );
-        } else {
-            for (i, out_row) in blk.chunks_exact_mut(unit).enumerate() {
-                matmul_row(a.row(row0 + i), other, out_row);
-            }
-        }
-    }
-}
-
-/// Four GEMM output rows at once: per `k`, the fetched `other` row feeds
-/// all four output rows. Each output element still owns a single
-/// accumulator updated in ascending-`k` order with the same `a != 0.0`
-/// gate as [`matmul_row`] — removing one row's updates from the loop does
-/// not change another row's accumulation chain, so every element is
-/// bit-identical to the unblocked kernel.
-fn matmul_block4(
-    a: [&[f32]; MATMUL_ROW_BLOCK],
-    other: &Matrix,
-    o0: &mut [f32],
-    o1: &mut [f32],
-    o2: &mut [f32],
-    o3: &mut [f32],
-) {
-    // `k` indexes four row slices and `other`'s rows in lockstep.
-    #[allow(clippy::needless_range_loop)]
-    for k in 0..a[0].len() {
-        let (a0, a1, a2, a3) = (a[0][k], a[1][k], a[2][k], a[3][k]);
-        let b_row = other.row(k);
-        let n = b_row.len();
-        if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-            // Hoisted reslices let the compiler drop bounds checks and
-            // vectorize across j (independent accumulators per element).
-            let (o0, o1) = (&mut o0[..n], &mut o1[..n]);
-            let (o2, o3) = (&mut o2[..n], &mut o3[..n]);
-            for j in 0..n {
-                let b = b_row[j];
-                o0[j] += a0 * b;
-                o1[j] += a1 * b;
-                o2[j] += a2 * b;
-                o3[j] += a3 * b;
-            }
-        } else {
-            // Some rows skip this k (zero gate); update the rest alone.
-            for (av, o) in [(a0, &mut *o0), (a1, &mut *o1), (a2, &mut *o2), (a3, &mut *o3)] {
-                if av != 0.0 {
-                    for (ov, &b) in o.iter_mut().zip(b_row) {
-                        *ov += av * b;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One GEMM output row: `out_row = a_row * other` with the ikj kernel, so
-/// the inner loop streams over contiguous memory in both the output row
-/// and the `other` row.
-fn matmul_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
-    for (k, &a) in a_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let b_row = other.row(k);
-        for (o, &b) in out_row.iter_mut().zip(b_row) {
-            *o += a * b;
-        }
-    }
-}
-
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -425,63 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let i = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
-        assert_eq!(a.matmul(&i), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
-    fn matmul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn blocked_matmul_matches_reference_exactly() {
-        // Odd shapes exercise the remainder path; the modular fill plants
-        // zeros in `a` to exercise the zero-gate mixed path.
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (4, 4, 4), (7, 13, 9), (66, 31, 17), (8, 1, 5)] {
-            let a = Matrix::from_fn(m, k, |r, c| {
-                let v = (r * 31 + c * 17) % 7;
-                if v == 3 {
-                    0.0
-                } else {
-                    v as f32 - 2.5
-                }
-            });
-            let b = Matrix::from_fn(k, n, |r, c| ((r * 13 + c * 5) % 11) as f32 * 0.37 - 1.0);
-            let blocked = a.matmul_with(&b, &ParConfig::serial());
-            let reference = a.matmul_reference(&b);
-            assert_eq!(blocked, reference, "shape {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn parallel_matmul_is_bit_identical_to_serial() {
-        // 128 x 128 x 128 = 2M MACs, above the parallel threshold.
-        let a = Matrix::from_fn(128, 128, |r, c| ((r * 31 + c * 17) % 13) as f32 - 6.0);
-        let b = Matrix::from_fn(128, 128, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.25);
-        let serial = a.matmul_with(&b, &ParConfig::serial());
-        for threads in [2usize, 4, 8] {
-            let par = a.matmul_with(&b, &ParConfig::threads(threads));
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
+    fn matvec_matches_hand_computation() {
         let a = Matrix::from_rows(&[vec![1.0, -1.0, 2.0], vec![0.0, 3.0, 1.0]]);
         let x = vec![2.0, 1.0, 0.5];
         assert_eq!(a.matvec(&x), vec![2.0, 3.5]);

@@ -14,69 +14,18 @@ fn vector(rng: &mut StdRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-10.0f32..10.0)).collect()
 }
 
-fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
-    assert_eq!(a.shape(), b.shape());
-    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-        assert!((x - y).abs() <= tol, "{x} vs {y}");
-    }
-}
-
-/// (A B) C == A (B C) within float tolerance.
+/// matvec agrees with a plain per-row dot-product loop.
 #[test]
-fn matmul_is_associative() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xA550C ^ case);
-        let a = matrix(&mut rng, 3, 4);
-        let b = matrix(&mut rng, 4, 5);
-        let c = matrix(&mut rng, 5, 2);
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
-        assert_close(&left, &right, 1e-2);
-    }
-}
-
-/// A (B + C) == A B + A C.
-#[test]
-fn matmul_distributes() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xD157 ^ case);
-        let a = matrix(&mut rng, 3, 4);
-        let b = matrix(&mut rng, 4, 3);
-        let c = matrix(&mut rng, 4, 3);
-        let mut sum = b.clone();
-        sum.add_assign(&c);
-        let left = a.matmul(&sum);
-        let mut right = a.matmul(&b);
-        right.add_assign(&a.matmul(&c));
-        assert_close(&left, &right, 1e-3);
-    }
-}
-
-/// (A B)^T == B^T A^T.
-#[test]
-fn transpose_reverses_products() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x7123 ^ case);
-        let a = matrix(&mut rng, 3, 4);
-        let b = matrix(&mut rng, 4, 2);
-        let left = a.matmul(&b).transpose();
-        let right = b.transpose().matmul(&a.transpose());
-        assert_close(&left, &right, 1e-4);
-    }
-}
-
-/// matvec agrees with matmul against a column matrix.
-#[test]
-fn matvec_matches_matmul() {
+fn matvec_matches_dot_product_loop() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x3A7 ^ case);
         let a = matrix(&mut rng, 4, 3);
         let x = vector(&mut rng, 3);
         let via_vec = a.matvec(&x);
-        let col = Matrix::from_vec(3, 1, x);
-        let via_mat = a.matmul(&col);
+        assert_eq!(via_vec.len(), a.rows());
         for (i, v) in via_vec.iter().enumerate() {
-            assert!((v - via_mat[(i, 0)]).abs() < 1e-4);
+            let want: f64 = (0..a.cols()).map(|j| f64::from(a[(i, j)]) * f64::from(x[j])).sum();
+            assert!((f64::from(*v) - want).abs() < 1e-4, "row {i}: {v} vs {want}");
         }
     }
 }

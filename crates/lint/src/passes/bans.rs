@@ -27,6 +27,7 @@ pub const RULES: &[&str] = &[
     "table-value",
     "stream-materialize",
     "checkpoint-drift",
+    "par-from-env",
 ];
 
 /// `.name(…)` method calls banned in library code.
@@ -58,6 +59,12 @@ const BANNED_PATHS: &[(&str, &str, &str, &str)] = &[
         "new",
         "the streaming curation driver must not materialize whole tables; segment assembly lives \
          in cm-shard",
+    ),
+    (
+        "par-from-env",
+        "ParConfig",
+        "from_env",
+        "library code takes a `&ParConfig`; `CM_THREADS` is read once, at the binary edge",
     ),
 ];
 

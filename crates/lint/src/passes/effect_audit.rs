@@ -9,9 +9,9 @@
 //! `curate_streamed_with` is self-explaining at the report line.
 //!
 //! Sanctioned modules are *boundaries*: their effects neither report nor
-//! propagate to callers — calling `ParConfig::from_env` from anywhere is
-//! fine because the env read is owned by the sanctioned module, which is
-//! exactly the discipline the equivalence suites assume.
+//! propagate to callers — a call to `ParConfig::from_env` does not report
+//! here because the env read is owned by the sanctioned module (where
+//! library code may call it is the `par-from-env` ban's job).
 
 use super::{frames_for, WsFinding};
 use crate::callgraph::CallGraph;

@@ -106,19 +106,6 @@ pub struct MinedItemsets {
 /// first counted over the positive examples only; only survivors are counted
 /// over the negatives. Higher orders join items *within one column*.
 ///
-/// # Panics
-/// Panics if `labels.len() != table.len()`.
-pub fn mine_itemsets(
-    table: &FeatureTable,
-    labels: &[Label],
-    columns: &[usize],
-    config: &MiningConfig,
-) -> MinedItemsets {
-    mine_itemsets_with(table, labels, columns, config, &ParConfig::from_env())
-}
-
-/// [`mine_itemsets`] with an explicit parallel configuration.
-///
 /// The support passes chunk over itemsets; each itemset's supports are
 /// exact popcounts computed independently, so results are identical for
 /// any thread count — and identical to the row-at-a-time oracle in
@@ -354,7 +341,13 @@ mod tests {
     #[test]
     fn finds_positive_indicator() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let mined = mine_itemsets_with(
+            &t,
+            &labels,
+            &[0, 1],
+            &MiningConfig::default(),
+            &ParConfig::from_env(),
+        );
         let found = mined
             .positive
             .iter()
@@ -365,7 +358,13 @@ mod tests {
     #[test]
     fn finds_numeric_bin_indicator() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let mined = mine_itemsets_with(
+            &t,
+            &labels,
+            &[0, 1],
+            &MiningConfig::default(),
+            &ParConfig::from_env(),
+        );
         let found = mined
             .positive
             .iter()
@@ -377,7 +376,7 @@ mod tests {
     fn finds_negative_indicator() {
         let (t, labels) = dev(100, 900);
         let cfg = MiningConfig { min_neg_precision: 0.95, ..Default::default() };
-        let mined = mine_itemsets(&t, &labels, &[0], &cfg);
+        let mined = mine_itemsets_with(&t, &labels, &[0], &cfg, &ParConfig::from_env());
         let found = mined
             .negative
             .iter()
@@ -388,7 +387,8 @@ mod tests {
     #[test]
     fn ambiguous_value_excluded_from_positives() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0], &MiningConfig::default());
+        let mined =
+            mine_itemsets_with(&t, &labels, &[0], &MiningConfig::default(), &ParConfig::from_env());
         assert!(
             !mined
                 .positive
@@ -401,7 +401,8 @@ mod tests {
     #[test]
     fn precision_and_recall_are_exact() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0], &MiningConfig::default());
+        let mined =
+            mine_itemsets_with(&t, &labels, &[0], &MiningConfig::default(), &ParConfig::from_env());
         let s = mined
             .positive
             .iter()
@@ -418,7 +419,7 @@ mod tests {
     fn thresholds_filter_results() {
         let (t, labels) = dev(100, 900);
         let strict = MiningConfig { min_precision: 0.99, ..Default::default() };
-        let mined = mine_itemsets(&t, &labels, &[0], &strict);
+        let mined = mine_itemsets_with(&t, &labels, &[0], &strict, &ParConfig::from_env());
         assert!(
             !mined
                 .positive
@@ -450,7 +451,7 @@ mod tests {
             labels.push(Label::Negative);
         }
         let cfg = MiningConfig { min_precision: 0.9, max_order: 2, ..Default::default() };
-        let mined = mine_itemsets(&t, &labels, &[0], &cfg);
+        let mined = mine_itemsets_with(&t, &labels, &[0], &cfg, &ParConfig::from_env());
         let pair = mined.positive.iter().find(|s| s.items.len() == 2);
         let pair = pair.expect("order-2 itemset {a,b} should be mined");
         assert_eq!(pair.pos_support, 50);
@@ -462,7 +463,13 @@ mod tests {
     fn empty_positive_class_yields_nothing() {
         let (t, mut labels) = dev(10, 90);
         labels.fill(Label::Negative);
-        let mined = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let mined = mine_itemsets_with(
+            &t,
+            &labels,
+            &[0, 1],
+            &MiningConfig::default(),
+            &ParConfig::from_env(),
+        );
         assert!(mined.positive.is_empty());
     }
 
@@ -470,14 +477,21 @@ mod tests {
     #[should_panic(expected = "label count mismatch")]
     fn rejects_mismatched_labels() {
         let (t, _) = dev(5, 5);
-        mine_itemsets(&t, &[Label::Positive], &[0], &MiningConfig::default());
+        mine_itemsets_with(
+            &t,
+            &[Label::Positive],
+            &[0],
+            &MiningConfig::default(),
+            &ParConfig::from_env(),
+        );
     }
 
     #[test]
     fn results_are_deterministic_and_sorted_by_recall() {
+        let par = ParConfig::from_env();
         let (t, labels) = dev(100, 900);
-        let a = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
-        let b = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let a = mine_itemsets_with(&t, &labels, &[0, 1], &MiningConfig::default(), &par);
+        let b = mine_itemsets_with(&t, &labels, &[0, 1], &MiningConfig::default(), &par);
         assert_eq!(a.positive, b.positive);
         for w in a.positive.windows(2) {
             assert!(w[0].recall >= w[1].recall);
@@ -489,7 +503,7 @@ mod tests {
         let (t, labels) = dev(100, 900);
         for max_order in [1usize, 2, 3] {
             let cfg = MiningConfig { max_order, ..MiningConfig::default() };
-            let fast = mine_itemsets(&t, &labels, &[0, 1], &cfg);
+            let fast = mine_itemsets_with(&t, &labels, &[0, 1], &cfg, &ParConfig::from_env());
             let slow = crate::reference::mine_itemsets_reference(&t, &labels, &[0, 1], &cfg);
             assert_eq!(fast.positive, slow.positive, "order {max_order}");
             assert_eq!(fast.negative, slow.negative, "order {max_order}");

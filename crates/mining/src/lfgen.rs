@@ -5,8 +5,9 @@ use std::time::Duration;
 use cm_faults::Stopwatch;
 use cm_featurespace::{FeatureTable, Label};
 use cm_labelmodel::{CategoricalContainsLf, ConjunctionLf, LabelingFunction, Predicate, Vote};
+use cm_par::ParConfig;
 
-use crate::apriori::{mine_itemsets, ItemValue, MiningConfig};
+use crate::apriori::{mine_itemsets_with, ItemValue, MiningConfig};
 
 /// Summary of one mining run (feeds the §6.7.1 comparison).
 #[derive(Debug, Clone)]
@@ -42,6 +43,9 @@ pub struct MinedLfs {
 /// `max_positive_lfs` / `max_negative_lfs` cap the output, keeping the
 /// highest-recall itemsets (low-recall duplicates add correlation without
 /// coverage).
+///
+/// Reads `CM_THREADS` once, here: a signature the benchmark package
+/// (`perfbench/`) calls, which changes only with the benchmark.
 pub fn mine_lfs(
     dev: &FeatureTable,
     labels: &[Label],
@@ -51,7 +55,8 @@ pub fn mine_lfs(
     max_negative_lfs: usize,
 ) -> MinedLfs {
     let start = Stopwatch::start();
-    let mined = mine_itemsets(dev, labels, columns, config);
+    // lint: allow(par-from-env) — signature pinned by perfbench/src/common.rs
+    let mined = mine_itemsets_with(dev, labels, columns, config, &ParConfig::from_env());
     let lfs = lfs_from_itemsets(&mined, max_positive_lfs, max_negative_lfs);
     let report = MiningReport {
         n_candidates: mined.n_candidates,
@@ -169,7 +174,7 @@ mod tests {
         let (t, labels) = dev();
         let mined = mine_lfs(&t, &labels, &[0, 1], &MiningConfig::default(), 10, 10);
         assert!(!mined.lfs.is_empty());
-        let m = LabelMatrix::apply(&t, &mined.lfs);
+        let m = LabelMatrix::apply_with(&t, &mined.lfs, &ParConfig::from_env());
         // Positive rows should attract positive votes and vice versa.
         let mut pos_correct = 0;
         for r in 0..80 {
@@ -213,7 +218,7 @@ mod tests {
         let mined = mine_lfs(&t, &labels, &[1], &MiningConfig::default(), 20, 0);
         // All positive values live in the top bins; the mined LF must not
         // fire on low values.
-        let m = LabelMatrix::apply(&t, &mined.lfs);
+        let m = LabelMatrix::apply_with(&t, &mined.lfs, &ParConfig::from_env());
         for r in 80..200 {
             assert!(
                 m.row(r).iter().all(|&v| v <= 0),

@@ -21,8 +21,7 @@ pub mod modelgen;
 pub mod reference;
 
 pub use apriori::{
-    mine_from_bitsets, mine_itemsets, mine_itemsets_with, Item, ItemStats, ItemValue,
-    MinedItemsets, MiningConfig,
+    mine_from_bitsets, mine_itemsets_with, Item, ItemStats, ItemValue, MinedItemsets, MiningConfig,
 };
 pub use catalog::{ItemCatalog, ItemCatalogBuilder};
 pub use discretize::Discretizer;

@@ -158,6 +158,7 @@ mod tests {
         CatSet, FeatureDef, FeatureSchema, FeatureSet, FeatureValue, ServingMode, Vocabulary,
     };
     use cm_labelmodel::LabelMatrix;
+    use cm_par::ParConfig;
 
     use super::*;
 
@@ -203,7 +204,7 @@ mod tests {
     fn stump_votes_are_accurate_on_dev() {
         let (t, labels) = dev();
         let lfs = generate_stump_lfs(&t, &labels, &[0, 1], &StumpConfig::default());
-        let m = LabelMatrix::apply(&t, &lfs);
+        let m = LabelMatrix::apply_with(&t, &lfs, &ParConfig::from_env());
         let mut correct = 0usize;
         let mut total = 0usize;
         for (r, label) in labels.iter().enumerate() {

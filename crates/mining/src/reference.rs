@@ -6,7 +6,7 @@
 //! items into hash-map counters, higher orders from per-row `contains`
 //! scans over the joined sets. It is O(rows × itemsets) and allocates per
 //! row — never call it on a hot path; its only job is to define the
-//! expected output of [`crate::apriori::mine_itemsets`] exactly.
+//! expected output of [`crate::apriori::mine_itemsets_with`] exactly.
 
 use std::collections::HashMap;
 
@@ -16,7 +16,7 @@ use crate::apriori::{sort_stats, Item, ItemStats, ItemValue, MinedItemsets, Mini
 use crate::discretize::Discretizer;
 
 /// Serial row-at-a-time mining; see the module docs. The result must match
-/// [`crate::apriori::mine_itemsets`] field for field.
+/// [`crate::apriori::mine_itemsets_with`] field for field.
 ///
 /// # Panics
 /// Panics if `labels.len() != table.len()`.

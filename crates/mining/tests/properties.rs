@@ -8,7 +8,8 @@ use cm_featurespace::{
     Vocabulary,
 };
 use cm_linalg::rng::{Rng, StdRng};
-use cm_mining::{mine_itemsets, Discretizer, MiningConfig};
+use cm_mining::{mine_itemsets_with, Discretizer, MiningConfig};
+use cm_par::ParConfig;
 
 const CASES: u64 = 48;
 
@@ -84,7 +85,7 @@ fn mined_stats_respect_thresholds() {
         let mut rng = StdRng::seed_from_u64(0x57A7 ^ case);
         let (t, labels) = labeled_table(&mut rng);
         let cfg = MiningConfig { min_precision: 0.6, min_recall: 0.05, ..MiningConfig::default() };
-        let mined = mine_itemsets(&t, &labels, &[0, 1], &cfg);
+        let mined = mine_itemsets_with(&t, &labels, &[0, 1], &cfg, &ParConfig::from_env());
         let n_pos = labels.iter().filter(|l| l.is_positive()).count();
         let n_neg = labels.len() - n_pos;
         for s in &mined.positive {
@@ -116,7 +117,7 @@ fn order2_support_is_anti_monotone() {
             max_order: 2,
             ..MiningConfig::default()
         };
-        let mined = mine_itemsets(&t, &labels, &[1], &cfg);
+        let mined = mine_itemsets_with(&t, &labels, &[1], &cfg, &ParConfig::from_env());
         // Recompute single-item supports directly.
         let single_support = |item: cm_mining::Item| {
             labels
@@ -145,12 +146,13 @@ fn order2_support_is_anti_monotone() {
 /// Mining is deterministic.
 #[test]
 fn mining_is_deterministic() {
+    let par = ParConfig::from_env();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xDE7 ^ case);
         let (t, labels) = labeled_table(&mut rng);
         let cfg = MiningConfig::default();
-        let a = mine_itemsets(&t, &labels, &[0, 1], &cfg);
-        let b = mine_itemsets(&t, &labels, &[0, 1], &cfg);
+        let a = mine_itemsets_with(&t, &labels, &[0, 1], &cfg, &par);
+        let b = mine_itemsets_with(&t, &labels, &[0, 1], &cfg, &par);
         assert_eq!(a.positive, b.positive, "case {case}");
         assert_eq!(a.negative, b.negative, "case {case}");
     }

@@ -10,10 +10,13 @@
 //! - [`optim`] — SGD with momentum and Adam;
 //! - [`logistic`] — L2-regularized logistic regression;
 //! - [`mlp`] — fully-connected ReLU networks with a sigmoid head, exposing
-//!   the penultimate activation (`embed`) for intermediate fusion and the
-//!   DeViSE adaptation;
+//!   the penultimate activation (`embed_with`) for intermediate fusion and
+//!   the DeViSE adaptation;
 //! - [`trainer`] — a unified [`trainer::train_model`] entry point with
 //!   mini-batching, shuffling, and early stopping on validation loss.
+//!
+//! Every training and inference call takes a [`ParConfig`]; nothing here
+//! reads `CM_THREADS`.
 
 pub mod logistic;
 pub mod loss;
@@ -25,5 +28,9 @@ pub mod tuner;
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use mlp::{Mlp, MlpEpochConfig};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use trainer::{train_model, BinaryClassifier, ModelKind, TrainConfig, TrainedModel};
+pub use trainer::{train_model, ModelKind, TrainConfig, TrainedModel};
 pub use tuner::{grid_search, TunerGrid, TunerOutcome, TunerTrial};
+
+/// The parallel configuration every training and inference call takes,
+/// re-exported so callers need no direct `cm-par` dependency.
+pub use cm_par::ParConfig;

@@ -15,7 +15,7 @@ use crate::optim::{Adam, Optimizer};
 /// whose partial gradients fold in chunk index order.
 const BATCH_MIN_CHUNK: usize = 256;
 
-/// Below this many matrix cells, `logits` stays serial.
+/// Below this many matrix cells, `logits_with` stays serial.
 const LOGITS_PAR_WORK: usize = 1 << 16;
 
 /// A trained logistic regression model.
@@ -25,7 +25,7 @@ pub struct LogisticRegression {
     bias: f32,
 }
 
-/// Hyperparameters for [`LogisticRegression::fit`].
+/// Hyperparameters for [`LogisticRegression::fit_with`].
 #[derive(Debug, Clone)]
 pub struct LogisticConfig {
     /// Training epochs.
@@ -49,19 +49,6 @@ impl Default for LogisticConfig {
 impl LogisticRegression {
     /// Fits on rows of `x` against soft targets, optionally per-sample
     /// weighted.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or an empty training set.
-    pub fn fit(
-        x: &Matrix,
-        targets: &[f64],
-        sample_weights: Option<&[f64]>,
-        config: &LogisticConfig,
-    ) -> Self {
-        Self::fit_with(x, targets, sample_weights, config, &ParConfig::from_env())
-    }
-
-    /// [`LogisticRegression::fit`] with an explicit parallel configuration.
     ///
     /// Per-batch gradients accumulate in fixed-size chunks whose partial
     /// sums fold in chunk index order, so the fitted weights are
@@ -137,14 +124,8 @@ impl LogisticRegression {
         Self { weights, bias }
     }
 
-    /// Decision-function logits.
-    pub fn logits(&self, x: &Matrix) -> Vec<f32> {
-        self.logits_with(x, &ParConfig::from_env())
-    }
-
-    /// [`LogisticRegression::logits`] with an explicit parallel
-    /// configuration. Logits are row-independent, so any thread count
-    /// yields the same bits; small inputs stay serial.
+    /// Decision-function logits. Logits are row-independent, so any
+    /// thread count yields the same bits; small inputs stay serial.
     ///
     /// # Panics
     /// Panics if the feature width differs from the fitted width.
@@ -160,8 +141,8 @@ impl LogisticRegression {
     }
 
     /// Positive-class probabilities.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        self.logits(x).into_iter().map(|z| f64::from(sigmoid(z))).collect()
+    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+        self.logits_with(x, par).into_iter().map(|z| f64::from(sigmoid(z))).collect()
     }
 
     /// Learned weights.
@@ -195,38 +176,43 @@ mod tests {
 
     #[test]
     fn separates_blobs() {
+        let par = ParConfig::from_env();
         let (x, y) = blobs(200);
-        let model = LogisticRegression::fit(&x, &y, None, &LogisticConfig::default());
-        let p = model.predict_proba(&x);
+        let model = LogisticRegression::fit_with(&x, &y, None, &LogisticConfig::default(), &par);
+        let p = model.predict_proba(&x, &par);
         let correct = p.iter().zip(&y).filter(|(p, &t)| (**p >= 0.5) == (t >= 0.5)).count();
         assert!(correct >= 195, "{correct}/200 correct");
     }
 
     #[test]
     fn soft_targets_are_honored() {
+        let par = ParConfig::from_env();
         // All targets at 0.5 should keep predictions near 0.5.
         let (x, _) = blobs(100);
         let soft = vec![0.5; 100];
-        let model = LogisticRegression::fit(&x, &soft, None, &LogisticConfig::default());
-        for p in model.predict_proba(&x) {
+        let model = LogisticRegression::fit_with(&x, &soft, None, &LogisticConfig::default(), &par);
+        for p in model.predict_proba(&x, &par) {
             assert!((p - 0.5).abs() < 0.15, "p = {p}");
         }
     }
 
     #[test]
     fn l2_shrinks_weights() {
+        let par = ParConfig::from_env();
         let (x, y) = blobs(200);
-        let loose = LogisticRegression::fit(
+        let loose = LogisticRegression::fit_with(
             &x,
             &y,
             None,
             &LogisticConfig { l2: 0.0, ..Default::default() },
+            &par,
         );
-        let tight = LogisticRegression::fit(
+        let tight = LogisticRegression::fit_with(
             &x,
             &y,
             None,
             &LogisticConfig { l2: 1.0, ..Default::default() },
+            &par,
         );
         let norm = |m: &LogisticRegression| cm_linalg::l2_norm(m.weights());
         assert!(norm(&tight) < norm(&loose));
@@ -234,20 +220,23 @@ mod tests {
 
     #[test]
     fn sample_weights_shift_decision() {
+        let par = ParConfig::from_env();
         // Upweighting the positive class pushes probabilities up.
         let (x, y) = blobs(200);
         let w_pos: Vec<f64> = y.iter().map(|&t| if t >= 0.5 { 10.0 } else { 1.0 }).collect();
-        let base = LogisticRegression::fit(&x, &y, None, &LogisticConfig::default());
-        let up = LogisticRegression::fit(&x, &y, Some(&w_pos), &LogisticConfig::default());
+        let base = LogisticRegression::fit_with(&x, &y, None, &LogisticConfig::default(), &par);
+        let up =
+            LogisticRegression::fit_with(&x, &y, Some(&w_pos), &LogisticConfig::default(), &par);
         let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-        assert!(mean(up.predict_proba(&x)) > mean(base.predict_proba(&x)));
+        assert!(mean(up.predict_proba(&x, &par)) > mean(base.predict_proba(&x, &par)));
     }
 
     #[test]
     fn training_is_deterministic() {
+        let par = ParConfig::from_env();
         let (x, y) = blobs(100);
-        let a = LogisticRegression::fit(&x, &y, None, &LogisticConfig::default());
-        let b = LogisticRegression::fit(&x, &y, None, &LogisticConfig::default());
+        let a = LogisticRegression::fit_with(&x, &y, None, &LogisticConfig::default(), &par);
+        let b = LogisticRegression::fit_with(&x, &y, None, &LogisticConfig::default(), &par);
         assert_eq!(a.weights(), b.weights());
         assert_eq!(a.bias(), b.bias());
     }
@@ -270,14 +259,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty training set")]
     fn rejects_empty_input() {
-        LogisticRegression::fit(&Matrix::zeros(0, 2), &[], None, &LogisticConfig::default());
+        LogisticRegression::fit_with(
+            &Matrix::zeros(0, 2),
+            &[],
+            None,
+            &LogisticConfig::default(),
+            &ParConfig::from_env(),
+        );
     }
 
     #[test]
     #[should_panic(expected = "feature width mismatch")]
     fn predict_rejects_wrong_width() {
+        let par = ParConfig::from_env();
         let (x, y) = blobs(10);
-        let model = LogisticRegression::fit(&x, &y, None, &LogisticConfig::default());
-        model.predict_proba(&Matrix::zeros(1, 5));
+        let model = LogisticRegression::fit_with(&x, &y, None, &LogisticConfig::default(), &par);
+        model.predict_proba(&Matrix::zeros(1, 5), &par);
     }
 }

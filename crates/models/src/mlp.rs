@@ -13,7 +13,8 @@ use crate::optim::{Adam, Optimizer};
 /// large batches split deterministically and fold in chunk index order.
 const BATCH_MIN_CHUNK: usize = 256;
 
-/// Below this many rows, forward passes (`logits`, `embed`) stay serial.
+/// Below this many rows, forward passes (`logits_with`, `embed_with`) stay
+/// serial.
 const FORWARD_PAR_ROWS: usize = 1024;
 
 #[derive(Clone)]
@@ -27,7 +28,7 @@ struct DenseLayer {
 
 /// A fully-connected binary classifier: ReLU hidden layers, sigmoid output.
 ///
-/// Exposes [`Mlp::embed`] — the activation before the final prediction
+/// Exposes [`Mlp::embed_with`] — the activation before the final prediction
 /// layer — which intermediate fusion concatenates and DeViSE projects (§5).
 #[derive(Clone)]
 pub struct Mlp {
@@ -35,7 +36,7 @@ pub struct Mlp {
     dims: Vec<usize>,
 }
 
-/// Hyperparameters for one [`Mlp::train_epoch`] call.
+/// Hyperparameters for one [`Mlp::train_epoch_with`] call.
 #[derive(Debug, Clone)]
 pub struct MlpEpochConfig {
     /// Mini-batch size.
@@ -78,27 +79,13 @@ impl Mlp {
         self.dims[0]
     }
 
-    /// Width of the penultimate activation returned by [`Mlp::embed`].
+    /// Width of the penultimate activation returned by [`Mlp::embed_with`].
     pub fn embed_dim(&self) -> usize {
         self.dims[self.dims.len() - 2]
     }
 
     /// Runs one epoch of mini-batch training on soft targets; returns the
     /// mean training loss.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches.
-    pub fn train_epoch(
-        &mut self,
-        x: &Matrix,
-        targets: &[f64],
-        sample_weights: Option<&[f64]>,
-        config: &MlpEpochConfig,
-    ) -> f64 {
-        self.train_epoch_with(x, targets, sample_weights, config, &ParConfig::from_env())
-    }
-
-    /// [`Mlp::train_epoch`] with an explicit parallel configuration.
     ///
     /// Per-batch gradients accumulate in fixed-size sample chunks whose
     /// partial gradient matrices fold in chunk index order, so the updated
@@ -236,14 +223,8 @@ impl Mlp {
         }
     }
 
-    /// Forward pass to logits.
-    pub fn logits(&self, x: &Matrix) -> Vec<f32> {
-        self.logits_with(x, &ParConfig::from_env())
-    }
-
-    /// [`Mlp::logits`] with an explicit parallel configuration. The forward
-    /// pass is row-independent, so any thread count yields the same bits;
-    /// small inputs stay serial.
+    /// Forward pass to logits. The forward pass is row-independent, so
+    /// any thread count yields the same bits; small inputs stay serial.
     ///
     /// # Panics
     /// Panics if the feature width differs from the input dimension.
@@ -277,18 +258,13 @@ impl Mlp {
     }
 
     /// Positive-class probabilities.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        self.logits(x).into_iter().map(|z| f64::from(sigmoid(z))).collect()
+    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+        self.logits_with(x, par).into_iter().map(|z| f64::from(sigmoid(z))).collect()
     }
 
     /// The activation before the final prediction layer, per row.
-    pub fn embed(&self, x: &Matrix) -> Matrix {
-        self.embed_with(x, &ParConfig::from_env())
-    }
-
-    /// [`Mlp::embed`] with an explicit parallel configuration. Row-wise
-    /// forward passes are independent, so any thread count yields the same
-    /// bits; small inputs stay serial.
+    /// Row-wise forward passes are independent, so any thread count yields
+    /// the same bits; small inputs stay serial.
     ///
     /// # Panics
     /// Panics if the feature width differs from the input dimension.
@@ -399,11 +375,12 @@ mod tests {
 
     fn train(mlp: &mut Mlp, x: &Matrix, y: &[f64], epochs: usize) {
         for e in 0..epochs {
-            mlp.train_epoch(
+            mlp.train_epoch_with(
                 x,
                 y,
                 None,
                 &MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: e as u64 },
+                &ParConfig::from_env(),
             );
         }
     }
@@ -413,43 +390,47 @@ mod tests {
         let (x, y) = xor(200);
         let mut mlp = Mlp::new(2, &[16], 0.05, 3);
         train(&mut mlp, &x, &y, 120);
-        let p = mlp.predict_proba(&x);
+        let p = mlp.predict_proba(&x, &ParConfig::from_env());
         let correct = p.iter().zip(&y).filter(|(p, &t)| (**p >= 0.5) == (t >= 0.5)).count();
         assert!(correct >= 190, "{correct}/200 correct on XOR");
     }
 
     #[test]
     fn training_loss_decreases() {
+        let par = ParConfig::from_env();
         let (x, y) = xor(200);
         let mut mlp = Mlp::new(2, &[8], 0.05, 1);
-        let first = mlp.train_epoch(
+        let first = mlp.train_epoch_with(
             &x,
             &y,
             None,
             &MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: 0 },
+            &par,
         );
         train(&mut mlp, &x, &y, 60);
-        let last = mlp.train_epoch(
+        let last = mlp.train_epoch_with(
             &x,
             &y,
             None,
             &MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: 99 },
+            &par,
         );
         assert!(last < first * 0.5, "loss {first} -> {last}");
     }
 
     #[test]
     fn embed_has_declared_shape_and_feeds_head() {
+        let par = ParConfig::from_env();
         let (x, y) = xor(40);
         let mut mlp = Mlp::new(2, &[8, 4], 0.05, 2);
         train(&mut mlp, &x, &y, 10);
-        let e = mlp.embed(&x);
+        let e = mlp.embed_with(&x, &par);
         assert_eq!(e.shape(), (40, 4));
         assert_eq!(mlp.embed_dim(), 4);
         // Head applied to embed must reproduce logits.
         let (hw, hb) = mlp.head_weights();
         let via_head: Vec<f32> = e.rows_iter().map(|r| dot(r, hw) + hb).collect();
-        let direct = mlp.logits(&x);
+        let direct = mlp.logits_with(&x, &par);
         for (a, b) in via_head.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -461,7 +442,7 @@ mod tests {
         let run = || {
             let mut m = Mlp::new(2, &[6], 0.05, 7);
             train(&mut m, &x, &y, 5);
-            m.predict_proba(&x)
+            m.predict_proba(&x, &ParConfig::from_env())
         };
         assert_eq!(run(), run());
     }
@@ -491,18 +472,20 @@ mod tests {
 
     #[test]
     fn no_hidden_layer_reduces_to_linear() {
+        let par = ParConfig::from_env();
         let mut mlp = Mlp::new(3, &[], 0.05, 0);
         assert_eq!(mlp.embed_dim(), 3);
         let x = Matrix::from_rows(&[vec![1.0, 0.0, 0.0]]);
         // embed of a layerless body is the input itself.
-        let e = mlp.embed(&x);
+        let e = mlp.embed_with(&x, &par);
         assert_eq!(e.row(0), x.row(0));
         let y = [1.0];
-        let l = mlp.train_epoch(
+        let l = mlp.train_epoch_with(
             &x,
             &y,
             None,
             &MlpEpochConfig { batch_size: 1, l2: 0.0, shuffle_seed: 0 },
+            &par,
         );
         assert!(l.is_finite());
     }
@@ -511,7 +494,7 @@ mod tests {
     #[should_panic(expected = "feature width mismatch")]
     fn logits_reject_wrong_width() {
         let mlp = Mlp::new(4, &[2], 0.05, 0);
-        mlp.logits(&Matrix::zeros(1, 3));
+        mlp.logits_with(&Matrix::zeros(1, 3), &ParConfig::from_env());
     }
 
     #[test]
@@ -522,16 +505,17 @@ mod tests {
 
     #[test]
     fn sample_weights_affect_training() {
+        let par = ParConfig::from_env();
         let (x, y) = xor(100);
         let w: Vec<f64> = y.iter().map(|&t| if t >= 0.5 { 5.0 } else { 0.2 }).collect();
         let mut a = Mlp::new(2, &[8], 0.05, 5);
         let mut b = Mlp::new(2, &[8], 0.05, 5);
         for e in 0..20 {
             let cfg = MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: e };
-            a.train_epoch(&x, &y, None, &cfg);
-            b.train_epoch(&x, &y, Some(&w), &cfg);
+            a.train_epoch_with(&x, &y, None, &cfg, &par);
+            b.train_epoch_with(&x, &y, Some(&w), &cfg, &par);
         }
         let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-        assert!(mean(b.predict_proba(&x)) > mean(a.predict_proba(&x)));
+        assert!(mean(b.predict_proba(&x, &par)) > mean(a.predict_proba(&x, &par)));
     }
 }

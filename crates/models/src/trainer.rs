@@ -1,28 +1,11 @@
 //! Unified training entry point over both model families.
 
 use cm_linalg::Matrix;
+use cm_par::ParConfig;
 
 use crate::logistic::{LogisticConfig, LogisticRegression};
 use crate::loss::{class_balance_weights, mean_bce};
 use crate::mlp::{Mlp, MlpEpochConfig};
-
-/// Anything that yields positive-class probabilities.
-pub trait BinaryClassifier {
-    /// Positive-class probability per row.
-    fn predict_proba(&self, x: &Matrix) -> Vec<f64>;
-}
-
-impl BinaryClassifier for LogisticRegression {
-    fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        LogisticRegression::predict_proba(self, x)
-    }
-}
-
-impl BinaryClassifier for Mlp {
-    fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        Mlp::predict_proba(self, x)
-    }
-}
 
 /// Model family selector. The paper's TFX pipelines support exactly these
 /// two and deploy whichever performs better per task (§6.3).
@@ -82,20 +65,20 @@ pub enum TrainedModel {
 
 impl TrainedModel {
     /// Positive-class probabilities.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
         match self {
-            TrainedModel::Logistic(m) => m.predict_proba(x),
-            TrainedModel::Mlp(m) => m.predict_proba(x),
+            TrainedModel::Logistic(m) => m.predict_proba(x, par),
+            TrainedModel::Mlp(m) => m.predict_proba(x, par),
         }
     }
 
     /// Pre-head representation: the penultimate activation for MLPs, the
     /// raw input for logistic regression (whose "embedding" is the feature
     /// vector itself).
-    pub fn embed(&self, x: &Matrix) -> Matrix {
+    pub fn embed(&self, x: &Matrix, par: &ParConfig) -> Matrix {
         match self {
             TrainedModel::Logistic(_) => x.clone(),
-            TrainedModel::Mlp(m) => m.embed(x),
+            TrainedModel::Mlp(m) => m.embed_with(x, par),
         }
     }
 
@@ -120,17 +103,15 @@ impl TrainedModel {
     }
 }
 
-impl BinaryClassifier for TrainedModel {
-    fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        TrainedModel::predict_proba(self, x)
-    }
-}
-
 /// Trains a model of the requested kind on soft targets.
 ///
+/// `sample_weights` are caller-supplied per-sample weights (e.g. the
+/// CrossTrainer-style modality reweighting of `cm-fusion`); they multiply
+/// the class-balance weights when `config.class_balance` is on.
 /// `validation` enables early stopping for the MLP family: training stops
 /// once validation BCE fails to improve for `patience` consecutive epochs,
-/// and the best-epoch weights are returned.
+/// and the best-epoch weights are returned. Every epoch runs on `par`, and
+/// the trained weights are bit-identical at any thread count.
 ///
 /// # Panics
 /// Panics on shape mismatches or an empty training set.
@@ -138,25 +119,10 @@ pub fn train_model(
     kind: &ModelKind,
     x: &Matrix,
     targets: &[f64],
-    config: &TrainConfig,
-    validation: Option<(&Matrix, &[f64])>,
-) -> TrainedModel {
-    train_model_with_weights(kind, x, targets, None, config, validation)
-}
-
-/// [`train_model`] with caller-supplied per-sample weights (e.g. the
-/// CrossTrainer-style modality reweighting of `cm-fusion`). Caller weights
-/// multiply the class-balance weights when `config.class_balance` is on.
-///
-/// # Panics
-/// Panics on shape mismatches or an empty training set.
-pub fn train_model_with_weights(
-    kind: &ModelKind,
-    x: &Matrix,
-    targets: &[f64],
     sample_weights: Option<&[f64]>,
     config: &TrainConfig,
     validation: Option<(&Matrix, &[f64])>,
+    par: &ParConfig,
 ) -> TrainedModel {
     assert!(x.rows() > 0, "empty training set");
     if let Some(w) = sample_weights {
@@ -184,14 +150,14 @@ pub fn train_model_with_weights(
                 l2: config.l2,
                 seed: config.seed,
             };
-            TrainedModel::Logistic(LogisticRegression::fit(x, targets, weights_ref, &cfg))
+            TrainedModel::Logistic(LogisticRegression::fit_with(x, targets, weights_ref, &cfg, par))
         }
         ModelKind::Mlp { hidden } => {
             let mut mlp = Mlp::new(x.cols(), hidden, config.lr, config.seed);
             let mut best: Option<(f64, Mlp)> = None;
             let mut since_best = 0usize;
             for epoch in 0..config.epochs {
-                mlp.train_epoch(
+                mlp.train_epoch_with(
                     x,
                     targets,
                     weights_ref,
@@ -200,9 +166,10 @@ pub fn train_model_with_weights(
                         l2: config.l2,
                         shuffle_seed: config.seed.wrapping_add(epoch as u64),
                     },
+                    par,
                 );
                 if let (Some((vx, vy)), Some(patience)) = (validation, config.patience) {
-                    let logits = mlp.logits(vx);
+                    let logits = mlp.logits_with(vx, par);
                     let val_loss = mean_bce(&logits, vy, None);
                     let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
                     if improved {
@@ -238,16 +205,17 @@ mod tests {
     }
 
     fn accuracy(m: &TrainedModel, x: &Matrix, y: &[f64]) -> f64 {
-        let p = m.predict_proba(x);
+        let p = m.predict_proba(x, &ParConfig::from_env());
         p.iter().zip(y).filter(|(p, &t)| (**p >= 0.5) == (t >= 0.5)).count() as f64 / y.len() as f64
     }
 
     #[test]
     fn both_families_fit_separable_data() {
+        let par = ParConfig::from_env();
         let (x, y) = blobs(200);
         let cfg = TrainConfig::default();
-        let lr = train_model(&ModelKind::Logistic, &x, &y, &cfg, None);
-        let mlp = train_model(&ModelKind::Mlp { hidden: vec![8] }, &x, &y, &cfg, None);
+        let lr = train_model(&ModelKind::Logistic, &x, &y, None, &cfg, None, &par);
+        let mlp = train_model(&ModelKind::Mlp { hidden: vec![8] }, &x, &y, None, &cfg, None, &par);
         assert!(accuracy(&lr, &x, &y) > 0.97);
         assert!(accuracy(&mlp, &x, &y) > 0.97);
     }
@@ -260,24 +228,35 @@ mod tests {
         // A separable problem converges quickly; the run must finish well
         // before 200 epochs (if it didn't, this test would take visibly
         // long — we assert on behaviour via the returned model instead).
-        let m = train_model(&ModelKind::Mlp { hidden: vec![8] }, &x, &y, &cfg, Some((&vx, &vy)));
+        let m = train_model(
+            &ModelKind::Mlp { hidden: vec![8] },
+            &x,
+            &y,
+            None,
+            &cfg,
+            Some((&vx, &vy)),
+            &ParConfig::from_env(),
+        );
         assert!(accuracy(&m, &vx, &vy) > 0.95);
     }
 
     #[test]
     fn embed_shapes_per_family() {
+        let par = ParConfig::from_env();
         let (x, y) = blobs(50);
         let cfg = TrainConfig { epochs: 2, ..Default::default() };
-        let lr = train_model(&ModelKind::Logistic, &x, &y, &cfg, None);
-        assert_eq!(lr.embed(&x).shape(), (50, 2));
+        let lr = train_model(&ModelKind::Logistic, &x, &y, None, &cfg, None, &par);
+        assert_eq!(lr.embed(&x, &par).shape(), (50, 2));
         assert_eq!(lr.embed_dim(2), 2);
-        let mlp = train_model(&ModelKind::Mlp { hidden: vec![4, 3] }, &x, &y, &cfg, None);
-        assert_eq!(mlp.embed(&x).shape(), (50, 3));
+        let mlp =
+            train_model(&ModelKind::Mlp { hidden: vec![4, 3] }, &x, &y, None, &cfg, None, &par);
+        assert_eq!(mlp.embed(&x, &par).shape(), (50, 3));
         assert_eq!(mlp.embed_dim(2), 3);
     }
 
     #[test]
     fn class_balance_toggle_changes_model() {
+        let par = ParConfig::from_env();
         let (x, mut y) = blobs(100);
         // Make it imbalanced.
         for t in y.iter_mut().take(80) {
@@ -287,23 +266,36 @@ mod tests {
             &ModelKind::Logistic,
             &x,
             &y,
+            None,
             &TrainConfig { class_balance: true, ..Default::default() },
             None,
+            &par,
         );
         let raw = train_model(
             &ModelKind::Logistic,
             &x,
             &y,
+            None,
             &TrainConfig { class_balance: false, ..Default::default() },
             None,
+            &par,
         );
-        let mean = |m: &TrainedModel| m.predict_proba(&x).iter().sum::<f64>() / x.rows() as f64;
+        let mean =
+            |m: &TrainedModel| m.predict_proba(&x, &par).iter().sum::<f64>() / x.rows() as f64;
         assert!(mean(&balanced) > mean(&raw));
     }
 
     #[test]
     #[should_panic(expected = "empty training set")]
     fn rejects_empty_training_set() {
-        train_model(&ModelKind::Logistic, &Matrix::zeros(0, 3), &[], &TrainConfig::default(), None);
+        train_model(
+            &ModelKind::Logistic,
+            &Matrix::zeros(0, 3),
+            &[],
+            None,
+            &TrainConfig::default(),
+            None,
+            &ParConfig::from_env(),
+        );
     }
 }

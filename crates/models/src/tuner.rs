@@ -2,6 +2,7 @@
 //! black-box optimization service (§6.3).
 
 use cm_linalg::Matrix;
+use cm_par::ParConfig;
 
 use crate::loss::mean_bce;
 use crate::trainer::{train_model, ModelKind, TrainConfig, TrainedModel};
@@ -63,6 +64,7 @@ pub fn grid_search(
     targets: &[f64],
     validation: (&Matrix, &[f64]),
     base: &TrainConfig,
+    par: &ParConfig,
 ) -> TunerOutcome {
     assert!(
         !grid.kinds.is_empty() && !grid.lrs.is_empty() && !grid.l2s.is_empty(),
@@ -75,8 +77,8 @@ pub fn grid_search(
         for &lr in &grid.lrs {
             for &l2 in &grid.l2s {
                 let cfg = TrainConfig { lr, l2, ..base.clone() };
-                let model = train_model(kind, x, targets, &cfg, Some(validation));
-                let probs = model.predict_proba(validation.0);
+                let model = train_model(kind, x, targets, None, &cfg, Some(validation), par);
+                let probs = model.predict_proba(validation.0, par);
                 // Convert probabilities back to logits for a stable BCE.
                 let logits: Vec<f32> = probs
                     .iter()
@@ -120,6 +122,7 @@ mod tests {
 
     #[test]
     fn picks_a_working_configuration() {
+        let par = ParConfig::from_env();
         let (x, y) = blobs(200, 0.0);
         let (vx, vy) = blobs(80, 0.05);
         let out = grid_search(
@@ -128,6 +131,7 @@ mod tests {
             &y,
             (&vx, &vy),
             &TrainConfig { epochs: 10, ..TrainConfig::default() },
+            &par,
         );
         assert_eq!(out.trials.len(), 8);
         // Trials are sorted best-first and the winner matches.
@@ -136,7 +140,7 @@ mod tests {
             assert!(w[0].val_loss <= w[1].val_loss);
         }
         // The chosen model separates the validation blobs.
-        let p = out.model.predict_proba(&vx);
+        let p = out.model.predict_proba(&vx, &par);
         let correct = p.iter().zip(&vy).filter(|(p, &t)| (**p >= 0.5) == (t >= 0.5)).count();
         assert!(correct as f64 / vy.len() as f64 > 0.9);
     }
@@ -146,7 +150,8 @@ mod tests {
         let (x, y) = blobs(60, 0.0);
         let (vx, vy) = blobs(20, 0.0);
         let grid = TunerGrid { kinds: vec![ModelKind::Logistic], lrs: vec![0.05], l2s: vec![1e-4] };
-        let out = grid_search(&grid, &x, &y, (&vx, &vy), &TrainConfig::default());
+        let out =
+            grid_search(&grid, &x, &y, (&vx, &vy), &TrainConfig::default(), &ParConfig::from_env());
         assert_eq!(out.trials.len(), 1);
         assert!(out.best.val_loss.is_finite());
     }
@@ -156,6 +161,6 @@ mod tests {
     fn rejects_empty_grid() {
         let (x, y) = blobs(10, 0.0);
         let grid = TunerGrid { kinds: vec![], lrs: vec![0.1], l2s: vec![0.0] };
-        grid_search(&grid, &x, &y, (&x, &y), &TrainConfig::default());
+        grid_search(&grid, &x, &y, (&x, &y), &TrainConfig::default(), &ParConfig::from_env());
     }
 }

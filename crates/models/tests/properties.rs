@@ -4,6 +4,7 @@ use cm_linalg::rng::{Rng, StdRng};
 use cm_linalg::Matrix;
 use cm_models::loss::{bce_grad, bce_with_logit, class_balance_weights, mean_bce};
 use cm_models::{LogisticConfig, LogisticRegression};
+use cm_par::ParConfig;
 
 const CASES: u64 = 96;
 
@@ -88,6 +89,7 @@ fn zero_weight_samples_are_ignored() {
 /// confidently.
 #[test]
 fn logistic_fits_constant_labels() {
+    let par = ParConfig::from_env();
     // Full training per case is slow; a smaller case count keeps the same
     // coverage the proptest version had in practice.
     for case in 0..16 {
@@ -98,13 +100,14 @@ fn logistic_fits_constant_labels() {
         let positive = rng.gen_bool(0.5);
         let x = Matrix::from_rows(&rows);
         let y = vec![if positive { 1.0 } else { 0.0 }; rows.len()];
-        let model = LogisticRegression::fit(
+        let model = LogisticRegression::fit_with(
             &x,
             &y,
             None,
             &LogisticConfig { epochs: 200, lr: 0.1, ..LogisticConfig::default() },
+            &par,
         );
-        for p in model.predict_proba(&x) {
+        for p in model.predict_proba(&x, &par) {
             if positive {
                 assert!(p > 0.6, "case {case}: p = {p}");
             } else {

@@ -1,8 +1,8 @@
 //! `cm-par`: the workspace's deterministic parallel substrate.
 //!
 //! Every expensive stage of the pipeline (Apriori support counting, LF
-//! application, label-model EM, graph construction, GEMMs, gradient
-//! accumulation, bootstrap resampling) funnels through the four primitives
+//! application, label-model EM, graph construction, gradient
+//! accumulation, forward passes) funnels through the four primitives
 //! in this crate instead of hand-rolled `std::thread::scope` blocks; the
 //! `xtask lint` gate bans raw threading in every other library crate.
 //!
@@ -14,7 +14,7 @@
 //!
 //! - Work is split into contiguous chunks whose boundaries depend only on
 //!   the item count and the caller's `min_chunk` — never on the number of
-//!   threads. `threads = 1` and `threads = 64` produce the same chunks.
+//!   threads. `threads = 1` and `threads = 8` produce the same chunks.
 //! - Chunk results are merged **in chunk index order**, never in
 //!   first-finished order, so a chunked float fold performs the same
 //!   additions in the same sequence regardless of scheduling.
@@ -33,8 +33,11 @@
 //! ## Configuration
 //!
 //! [`ParConfig::from_env`] reads `CM_THREADS` (falling back to the
-//! machine's available parallelism, clamped to 8). `threads = 1` runs
-//! everything inline on the caller's thread.
+//! machine's available parallelism). Library operations take a
+//! `&ParConfig` instead (the `par-from-env` lint holds them to it), and a
+//! binary reads the variable once, at its edge. Every thread count is clamped to `1..=8` when the config
+//! is built, before any worker starts. `threads = 1` runs everything
+//! inline on the caller's thread.
 
 use std::any::Any;
 use std::fmt;
@@ -46,7 +49,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// any thread count.
 const MAX_CHUNKS: usize = 64;
 
-/// Hard cap on worker threads, matching the pre-existing ad-hoc sites.
+/// Hard cap on worker threads: every [`ParConfig`] constructor clamps to
+/// it, so no configuration can ask for more workers than this.
 const MAX_THREADS: usize = 8;
 
 /// Environment variable overriding the worker count.
@@ -60,26 +64,22 @@ pub struct ParConfig {
 }
 
 impl ParConfig {
-    /// Configuration from the environment: `CM_THREADS` if set and valid
-    /// (clamped to `1..=64`), otherwise the machine's available
-    /// parallelism clamped to `1..=8`.
+    /// Configuration from the environment: `CM_THREADS` if set and valid,
+    /// otherwise the machine's available parallelism, clamped like
+    /// [`ParConfig::threads`].
     pub fn from_env() -> Self {
         let threads = std::env::var(THREADS_ENV)
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|t| t.clamp(1, 64))
             .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .clamp(1, MAX_THREADS)
+                std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
             });
-        Self { threads, min_chunk: 1 }
+        Self::threads(threads)
     }
 
-    /// Explicit worker count (`0` is treated as `1`).
+    /// Explicit worker count, clamped to `1..=8`.
     pub fn threads(threads: usize) -> Self {
-        Self { threads: threads.max(1), min_chunk: 1 }
+        Self { threads: threads.clamp(1, MAX_THREADS), min_chunk: 1 }
     }
 
     /// Serial execution on the caller's thread.
@@ -90,8 +90,7 @@ impl ParConfig {
     /// Sets the minimum items per chunk (`0` is treated as `1`). Chunk
     /// boundaries depend only on this and the item count, so callers that
     /// need bit-stable folds must pass the same value at every thread
-    /// count (the env-driven wrappers in the pipeline crates hard-code it
-    /// per call site).
+    /// count (each kernel hard-codes it per call site).
     pub fn with_min_chunk(mut self, min_chunk: usize) -> Self {
         self.min_chunk = min_chunk.max(1);
         self
@@ -140,7 +139,7 @@ impl ParError {
     }
 
     /// Re-raises the original panic on the calling thread. Wrappers with
-    /// infallible signatures (e.g. `Matrix::matmul`) use this so a worker
+    /// infallible signatures (e.g. `LabelMatrix::apply_with`) use this so a worker
     /// panic behaves exactly like the serial code panicking in place.
     pub fn resume(self) -> ! {
         match self.payload {
@@ -342,6 +341,16 @@ mod tests {
             let b = ParConfig::threads(8).with_min_chunk(16).plan(n);
             assert_eq!(a, b, "plan for n = {n}");
         }
+    }
+
+    #[test]
+    fn thread_counts_clamp_to_the_cap() {
+        // Config-only: builds configurations, starts no worker.
+        assert_eq!(ParConfig::threads(1_000).n_threads(), MAX_THREADS);
+        assert_eq!(ParConfig::threads(usize::MAX).n_threads(), MAX_THREADS);
+        assert_eq!(ParConfig::threads(MAX_THREADS).n_threads(), MAX_THREADS);
+        assert_eq!(ParConfig::threads(3).n_threads(), 3);
+        assert_eq!(ParConfig::threads(0).n_threads(), 1);
     }
 
     #[test]

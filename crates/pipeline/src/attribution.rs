@@ -8,8 +8,9 @@
 //! analogue that needs no retraining, so it scales to many resources.
 
 use cm_featurespace::{CmError, CmResult, ErrorKind, FeatureSet};
-use cm_fusion::{EarlyFusionModel, ModalityData};
-use cm_models::{ModelKind, TrainConfig};
+use cm_fusion::{concat_parts, ModalityData};
+use cm_models::{train_model, ModelKind, TrainConfig};
+use cm_par::ParConfig;
 
 use crate::curation::CurationOutput;
 use crate::data::{mask_disallowed_sets, DenseView, TaskData};
@@ -43,6 +44,7 @@ pub fn feature_set_attribution(
     curation: Option<&CurationOutput>,
     model: &ModelKind,
     train: &TrainConfig,
+    par: &ParConfig,
 ) -> CmResult<Vec<SetAttribution>> {
     if scenario.image_sets.is_empty() {
         return Err(CmError::new(
@@ -88,7 +90,8 @@ pub fn feature_set_attribution(
             "scenario has no modality".to_owned(),
         ));
     }
-    let fused = EarlyFusionModel::train(&parts, model, train, None);
+    let (x, y) = concat_parts(&parts);
+    let fused = train_model(model, &x, &y, None, train, None, par);
 
     let truth: Vec<bool> = data.test.labels.iter().map(|l| l.is_positive()).collect();
     let full_x = {
@@ -96,7 +99,7 @@ pub fn feature_set_attribution(
         mask_disallowed_sets(&mut x, &view, schema, &allowed(scenario, false));
         x
     };
-    let full_auprc = cm_eval::auprc(&fused.predict_proba(&full_x), &truth);
+    let full_auprc = cm_eval::auprc(&fused.predict_proba(&full_x, par), &truth);
 
     let mut out = Vec::new();
     for &set in &scenario.image_sets {
@@ -104,7 +107,7 @@ pub fn feature_set_attribution(
         remaining.retain(|&s| s != set);
         let mut x = view.encode(&data.test.table);
         mask_disallowed_sets(&mut x, &view, schema, &remaining);
-        let masked_auprc = cm_eval::auprc(&fused.predict_proba(&x), &truth);
+        let masked_auprc = cm_eval::auprc(&fused.predict_proba(&x, par), &truth);
         out.push(SetAttribution {
             set,
             full_auprc,
@@ -142,6 +145,7 @@ mod tests {
             Some(&curation),
             &ModelKind::Logistic,
             &TrainConfig { epochs: 8, ..TrainConfig::default() },
+            &ParConfig::from_env(),
         )
         .unwrap();
         assert_eq!(attr.len(), 4);
@@ -174,6 +178,7 @@ mod tests {
             None,
             &ModelKind::Logistic,
             &TrainConfig::default(),
+            &ParConfig::from_env(),
         )
         .unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidConfig);

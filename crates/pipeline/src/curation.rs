@@ -147,8 +147,11 @@ pub struct CurationOutput {
     pub degradation: DegradationReport,
 }
 
-/// Runs curation with automatically mined LFs (§4.3 + §4.4).
+/// Runs curation with automatically mined LFs (§4.3 + §4.4). Reads
+/// `CM_THREADS` once, at the top: a signature the benchmark package
+/// (`perfbench/`) calls, which changes only with the benchmark.
 pub fn curate(data: &TaskData, config: &CurationConfig) -> CurationOutput {
+    // lint: allow(par-from-env) — signature pinned by perfbench/src/adapt_e2e.rs
     let par = ParConfig::from_env();
     let mining_start = Stopwatch::start();
     let lfs = mine_text_lfs(data.world.schema(), &data.text, config, &par);
@@ -175,8 +178,9 @@ pub fn curate_with_lfs(
     config: &CurationConfig,
     lfs: Vec<Box<dyn LabelingFunction>>,
     authoring_time: Duration,
+    par: &ParConfig,
 ) -> CurationOutput {
-    curate_resident(data, config, lfs, authoring_time, &ParConfig::from_env())
+    curate_resident(data, config, lfs, authoring_time, par)
 }
 
 /// Resident curation: the whole pool is the engine's one segment.
@@ -1034,7 +1038,8 @@ mod tests {
         let cfg = CurationConfig { use_label_propagation: false, ..fast_config() };
         let lfs = crate::expert::expert_lfs(d.world.schema()).unwrap();
         let n = lfs.len();
-        let out = curate_with_lfs(&d, &cfg, lfs, Duration::from_secs(7 * 3600));
+        let out =
+            curate_with_lfs(&d, &cfg, lfs, Duration::from_secs(7 * 3600), &ParConfig::from_env());
         assert_eq!(out.lf_names.len(), n);
         assert_eq!(out.mining_time, Duration::from_secs(7 * 3600));
     }

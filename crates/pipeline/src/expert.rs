@@ -166,7 +166,7 @@ mod tests {
         let world = World::build(WorldConfig::new(TaskConfig::paper(TaskId::Ct2).scaled(0.01), 2));
         let data = world.generate(cm_featurespace::ModalityKind::Text, 4000, 3);
         let lfs = expert_lfs(world.schema()).unwrap();
-        let m = LabelMatrix::apply(&data.table, &lfs);
+        let m = LabelMatrix::apply_with(&data.table, &lfs, &cm_par::ParConfig::from_env());
         let (mut pos_hits, mut n_pos, mut neg_hits, mut n_neg) = (0usize, 0usize, 0usize, 0usize);
         for (r, label) in data.labels.iter().enumerate() {
             let hit = m.row(r).iter().any(|&v| v > 0);

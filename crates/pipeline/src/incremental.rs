@@ -240,8 +240,10 @@ impl IncrementalCurator {
     /// `CurationSetup` and engine from them; when propagation is enabled,
     /// fits similarity scales on the seed block's labeled rows and inserts
     /// them into the online graph. Reads `CM_THREADS` once, for mining
-    /// and the setup's dev votes.
+    /// and the setup's dev votes: a signature the benchmark package
+    /// (`perfbench/`) calls, which changes only with the benchmark.
     pub fn new(world: &World, text: &ModalityDataset, config: IncrementalConfig) -> Self {
+        // lint: allow(par-from-env) — signature pinned by perfbench/src/serve_ticks.rs
         let par = ParConfig::from_env();
         let lfs = mine_text_lfs(world.schema(), text, &config.curation, &par);
         let mut setup = CurationSetup::new(text, lfs, &config.curation, &par);

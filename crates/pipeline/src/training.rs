@@ -7,8 +7,9 @@
 //! trains, and scores it on the held-out image test set.
 
 use cm_featurespace::{CmError, CmResult, ErrorKind, FeatureSet};
-use cm_fusion::{DeViseModel, EarlyFusionModel, IntermediateFusionModel, ModalityData};
-use cm_models::{ModelKind, TrainConfig};
+use cm_fusion::{concat_parts, DeViseModel, IntermediateFusionModel, ModalityData};
+use cm_models::{train_model, ModelKind, TrainConfig};
+use cm_par::ParConfig;
 
 use crate::curation::CurationOutput;
 use crate::data::{mask_disallowed_sets, DenseView, TaskData};
@@ -160,7 +161,7 @@ impl ScenarioRunner<'_> {
     /// # Errors
     /// Returns [`ErrorKind::NotFound`] if the schema lacks the standard
     /// registry embedding column.
-    pub fn baseline_auprc(&self) -> CmResult<f64> {
+    pub fn baseline_auprc(&self, par: &ParConfig) -> CmResult<f64> {
         let schema = self.data.world.schema();
         let emb = schema.column("img_embedding").ok_or_else(|| {
             CmError::new(
@@ -171,15 +172,17 @@ impl ScenarioRunner<'_> {
         })?;
         let view = DenseView::fit(&[&self.data.labeled_image.table], vec![emb])?;
         let x = view.encode(&self.data.labeled_image.table);
-        let part = ModalityData::new(x, self.data.labeled_image.labels_f64());
-        let model = EarlyFusionModel::train(&[part], &self.model, &self.train, None);
+        let labels = self.data.labeled_image.labels_f64();
+        let model = train_model(&self.model, &x, &labels, None, &self.train, None, par);
         let xt = view.encode(&self.data.test.table);
-        let probs = model.predict_proba(&xt);
+        let probs = model.predict_proba(&xt, par);
         Ok(cm_eval::auprc(&probs, &test_positives(self.data)))
     }
 
     /// Runs one scenario. `curation` is required when the scenario's image
-    /// labels are [`LabelSource::Weak`].
+    /// labels are [`LabelSource::Weak`]. Reads `CM_THREADS` once, at the
+    /// top: a signature the benchmark package (`perfbench/`) calls, which
+    /// changes only with the benchmark.
     ///
     /// # Errors
     /// Returns [`ErrorKind::InvalidConfig`] if a weak-label scenario is run
@@ -192,6 +195,8 @@ impl ScenarioRunner<'_> {
         scenario: &Scenario,
         curation: Option<&CurationOutput>,
     ) -> CmResult<ModelEval> {
+        // lint: allow(par-from-env) — signature pinned by perfbench/src/adapt_e2e.rs
+        let par = ParConfig::from_env();
         let data = self.data;
         let schema = data.world.schema();
         let mut union_sets = scenario.text_sets.clone();
@@ -284,11 +289,13 @@ impl ScenarioRunner<'_> {
 
         let probs = match scenario.strategy {
             FusionStrategy::Early => {
-                EarlyFusionModel::train(&parts, &self.model, &self.train, None).predict_proba(&xt)
+                let (x, y) = concat_parts(&parts);
+                train_model(&self.model, &x, &y, None, &self.train, None, &par)
+                    .predict_proba(&xt, &par)
             }
             FusionStrategy::Intermediate => {
-                IntermediateFusionModel::train(&parts, &self.model, &self.train, None)
-                    .predict_proba(&xt)
+                IntermediateFusionModel::train(&parts, &self.model, &self.train, None, &par)
+                    .predict_proba(&xt, &par)
             }
             FusionStrategy::DeVise => {
                 let (Some(ti), Some(ii)) = (text_part_idx, image_part_idx) else {
@@ -298,8 +305,8 @@ impl ScenarioRunner<'_> {
                         "DeViSE requires both an old and a new modality part".to_owned(),
                     ));
                 };
-                DeViseModel::train(&parts[ti], &parts[ii], &self.model, &self.train)
-                    .predict_proba(&xt)
+                DeViseModel::train(&parts[ti], &parts[ii], &self.model, &self.train, &par)
+                    .predict_proba(&xt, &par)
             }
         };
         let auprc = cm_eval::auprc(&probs, &test_positives(data));
@@ -390,7 +397,7 @@ mod tests {
         let r = runner(&d);
         let cur =
             curate(&d, &CurationConfig { use_label_propagation: false, ..Default::default() });
-        let baseline = r.baseline_auprc().unwrap();
+        let baseline = r.baseline_auprc(&ParConfig::from_env()).unwrap();
         let cross = r
             .run_relative(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&cur), baseline)
             .unwrap();

@@ -138,8 +138,11 @@ impl GraphBuilder {
         }
     }
 
-    /// Builds the graph. `seed` only matters for the anchor method.
+    /// Builds the graph. `seed` only matters for the anchor method. Reads
+    /// `CM_THREADS` once: a signature the benchmark package (`perfbench/`)
+    /// calls, which changes only with the benchmark.
     pub fn build(&self, table: &FeatureTable, config: &SimilarityConfig, seed: u64) -> SparseGraph {
+        // lint: allow(par-from-env) — signature pinned by perfbench/src/adapt_e2e.rs
         self.build_with(table, config, seed, &ParConfig::from_env())
     }
 

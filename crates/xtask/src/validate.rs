@@ -32,7 +32,7 @@ use cm_mining::{mine_lfs, MiningConfig};
 use cm_models::ModelKind;
 use cm_orgsim::{TaskConfig, TaskId};
 use cm_pipeline::{DenseView, TaskData};
-use cm_propagation::{GraphBuilder, SparseGraph};
+use cm_propagation::{GraphBuilder, ParConfig, SparseGraph};
 
 /// Scale factor for the seed world: enough rows to exercise every check,
 /// small enough that `validate` stays sub-second.
@@ -54,6 +54,7 @@ fn embed_dim(kind: &ModelKind, input_dim: usize) -> usize {
 
 /// Runs every validator over seed-built artifacts and returns the report.
 pub fn validate_seed_artifacts() -> Report {
+    let par = ParConfig::from_env();
     let mut report = Report::new();
     let data = seed_data();
     let schema = data.world.schema();
@@ -76,10 +77,10 @@ pub fn validate_seed_artifacts() -> Report {
     // Shape + encoding on both matrices; degeneracy only on the dev
     // matrix the LFs were mined from (pool abstention is legitimate when
     // the pool's modality lacks the source feature).
-    let dev_votes = LabelMatrix::apply(&data.text.table, &mined.lfs);
+    let dev_votes = LabelMatrix::apply_with(&data.text.table, &mined.lfs, &par);
     report.extend(check_vote_matrix(&dev_votes, &registry, data.text.len(), "dev.votes"));
     report.extend(check_lf_degeneracy(&dev_votes, "dev.votes"));
-    let pool_votes = LabelMatrix::apply(&data.pool.table, &mined.lfs);
+    let pool_votes = LabelMatrix::apply_with(&data.pool.table, &mined.lfs, &par);
     report.extend(check_vote_matrix(&pool_votes, &registry, data.pool.len(), "pool.votes"));
 
     // 3. Fusion dimension chains, derived statically from the dense view.
@@ -112,8 +113,12 @@ pub fn validate_seed_artifacts() -> Report {
 
     // 4. Propagation-graph well-formedness over a pool k-NN graph.
     let sim = SimilarityConfig::uniform(lf_columns).fit_scales(&data.pool.table);
-    let graph =
-        GraphBuilder::approximate(8, data.pool.table.len()).build(&data.pool.table, &sim, SEED);
+    let graph = GraphBuilder::approximate(8, data.pool.table.len()).build_with(
+        &data.pool.table,
+        &sim,
+        SEED,
+        &par,
+    );
     report.extend(check_graph(&graph, "pool.knn_graph"));
 
     report

@@ -12,6 +12,7 @@ use cross_modal::mining::{mine_lfs, MiningConfig};
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     let task = TaskConfig::paper(TaskId::Ct2).scaled(0.1);
     let world = World::build(WorldConfig::new(task.clone(), 3));
     let text = world.generate(ModalityKind::Text, task.n_text_labeled, 1);
@@ -58,13 +59,14 @@ fn main() {
     );
 
     // Apply to the unlabeled image pool and compare the three label models.
-    let dev_matrix = LabelMatrix::apply(&text.table, &mined.lfs);
-    let pool_matrix = LabelMatrix::apply(&pool.table, &mined.lfs);
+    let dev_matrix = LabelMatrix::apply_with(&text.table, &mined.lfs, &par);
+    let pool_matrix = LabelMatrix::apply_with(&pool.table, &mined.lfs, &par);
+    let stats = pool_matrix.vote_stats_with(&par);
     println!(
         "\npool label matrix: coverage {:.1}%, overlap {:.1}%, conflict {:.1}%",
-        pool_matrix.coverage() * 100.0,
-        pool_matrix.overlap() * 100.0,
-        pool_matrix.conflict() * 100.0
+        stats.coverage * 100.0,
+        stats.overlap * 100.0,
+        stats.conflict * 100.0
     );
 
     let truth: Vec<bool> = pool.labels.iter().map(|l| l.is_positive()).collect();
@@ -73,8 +75,8 @@ fn main() {
     };
     let anchored = AnchoredModel::fit(&dev_matrix, &text.labels, Some(task.profile.positive_rate));
     score("anchored (dev rates)", &anchored.predict(&pool_matrix));
-    let em = GenerativeModel::fit(&pool_matrix, &GenerativeConfig::default());
-    score("EM generative", &em.predict(&pool_matrix));
+    let em = GenerativeModel::fit_with(&pool_matrix, &GenerativeConfig::default(), &par);
+    score("EM generative", &em.predict_with(&pool_matrix, &par));
     score("majority vote", &majority_vote(&pool_matrix));
 }
 

@@ -10,6 +10,7 @@
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     // The moderation task: flag policy-violating posts. Video is richer
     // and shiftier than image (frame splitting loses more signal), which
     // the world's video observation channel models.
@@ -53,7 +54,7 @@ fn main() {
         model: ModelKind::Mlp { hidden: vec![32] },
         train: TrainConfig { epochs: 20, patience: None, ..TrainConfig::default() },
     };
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&par).unwrap();
     let sets = FeatureSet::SHARED;
     let cross =
         runner.run_relative(&Scenario::cross_modal(&sets), Some(&curation), baseline).unwrap();
@@ -80,22 +81,27 @@ fn main() {
     let x = view.encode(&incoming.table);
     // Retrain a production copy on everything (text + weak video labels).
     let eval_model = {
-        use cross_modal::fusion::{EarlyFusionModel, ModalityData};
+        use cross_modal::fusion::{concat_parts, ModalityData};
+        use cross_modal::models::train_model;
         let xt = view.encode(&data.text.table);
         let xv = view.encode(&data.pool.table);
         let parts = [
             ModalityData::new(xt, data.text.labels_f64()),
             ModalityData::new(xv, curation.probabilistic_labels.clone()),
         ];
-        EarlyFusionModel::train(
-            &parts,
+        let (x, y) = concat_parts(&parts);
+        train_model(
             &ModelKind::Mlp { hidden: vec![32] },
+            &x,
+            &y,
+            None,
             &TrainConfig { epochs: 20, patience: None, ..TrainConfig::default() },
             None,
+            &par,
         )
     };
     println!("\nincoming video posts:");
-    for (i, p) in eval_model.predict_proba(&x).iter().enumerate() {
+    for (i, p) in eval_model.predict_proba(&x, &par).iter().enumerate() {
         let verdict = if *p > 0.5 { "FLAG for review" } else { "allow" };
         let truth = if incoming.labels[i].is_positive() { "(violating)" } else { "(benign)" };
         println!("  post {i}: score {p:.3} -> {verdict:<16} {truth}");

@@ -13,6 +13,7 @@ use cross_modal::pipeline::{
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     let task = TaskConfig::paper(TaskId::Ct1).scaled(0.1);
     let data = TaskData::generate(task, 5, None);
     let mut curation = curate(&data, &CurationConfig::default());
@@ -22,7 +23,9 @@ fn main() {
     // --- §7.1: which organizational resources carry this task? ---
     println!("feature-set attribution (mask-based, §7.1):");
     let scenario = Scenario::cross_modal(&FeatureSet::SHARED);
-    for a in feature_set_attribution(&data, &scenario, Some(&curation), &model, &train).unwrap() {
+    for a in
+        feature_set_attribution(&data, &scenario, Some(&curation), &model, &train, &par).unwrap()
+    {
         println!(
             "  set {:?}: full AUPRC {:.4}, masked {:.4} -> contribution {:+.4}",
             a.set, a.full_auprc, a.masked_auprc, a.contribution
@@ -53,13 +56,15 @@ fn main() {
     )
     .unwrap();
     let scores = {
-        use cross_modal::fusion::{EarlyFusionModel, ModalityData};
+        use cross_modal::fusion::{concat_parts, ModalityData};
+        use cross_modal::models::train_model;
         let parts = [
             ModalityData::new(view.encode(&data.text.table), data.text.labels_f64()),
             ModalityData::new(view.encode(&data.pool.table), curation.probabilistic_labels.clone()),
         ];
-        let fused = EarlyFusionModel::train(&parts, &model, &train, None);
-        fused.predict_proba(&view.encode(&live.table))
+        let (x, y) = concat_parts(&parts);
+        let fused = train_model(&model, &x, &y, None, &train, None, &par);
+        fused.predict_proba(&view.encode(&live.table), &par)
     };
     let est = estimate_live_metrics(&scores, 0.5, 300, 11, |i| live.labels[i].is_positive())
         .expect("live stream is nonempty");

@@ -13,6 +13,7 @@
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     // 1. Feature generation. The world stands in for the organization:
     //    fifteen shared services across feature sets A-D plus
     //    modality-specific features, applied to a labeled text corpus, an
@@ -53,7 +54,7 @@ fn main() {
         model: ModelKind::Mlp { hidden: vec![32] },
         train: TrainConfig { epochs: 20, patience: None, ..TrainConfig::default() },
     };
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&par).unwrap();
     println!("\nbaseline (pre-trained image embeddings, fully supervised): AUPRC {baseline:.4}");
 
     let sets = FeatureSet::SHARED;

@@ -79,6 +79,7 @@ pub mod prelude {
     };
     pub use cm_models::{ModelKind, TrainConfig};
     pub use cm_orgsim::{ModalityDataset, TaskConfig, TaskId, World, WorldConfig};
+    pub use cm_par::ParConfig;
     pub use cm_pipeline::{
         curate, curate_streamed_with, curate_with_lfs, expert_lfs, CurationConfig, CurationOutput,
         DegradationReport, FusionStrategy, LabelModelKind, LabelSource, Scenario, ScenarioRunner,

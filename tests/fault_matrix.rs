@@ -153,6 +153,7 @@ fn disabled_faults_match_clean_curation_bitwise() {
 /// a run that never saw it.
 #[test]
 fn all_abstain_lf_never_skews_any_label_model() {
+    let par = ParConfig::from_env();
     let data = TaskData::generate(task(), 11, Some(200));
     let topics = data.world.schema().column("topics").unwrap();
     let abstainer =
@@ -163,8 +164,8 @@ fn all_abstain_lf_never_skews_any_label_model() {
         let base_lfs = expert_lfs(data.world.schema()).unwrap();
         let mut spiked_lfs = expert_lfs(data.world.schema()).unwrap();
         spiked_lfs.push(abstainer());
-        let base = curate_with_lfs(&data, &cfg, base_lfs, std::time::Duration::ZERO);
-        let spiked = curate_with_lfs(&data, &cfg, spiked_lfs, std::time::Duration::ZERO);
+        let base = curate_with_lfs(&data, &cfg, base_lfs, std::time::Duration::ZERO, &par);
+        let spiked = curate_with_lfs(&data, &cfg, spiked_lfs, std::time::Duration::ZERO, &par);
         assert_eq!(
             base.probabilistic_labels.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             spiked.probabilistic_labels.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),

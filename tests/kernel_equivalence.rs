@@ -2,15 +2,13 @@
 //! kernel must be **bit-identical** to the row-wise implementation it
 //! replaced, on seeded random inputs with realistic missingness.
 //!
-//! Three oracles are pinned here:
+//! Two oracles are pinned here:
 //! - [`normalized_similarity`] vs the fused [`PairKernel`] (the
 //!   presence-word fast path, pairs across two segments whose categorical
 //!   column compiled to masks on one side and slices on the other, and
 //!   the `>64`-column wide fallback);
 //! - `cm_mining::reference::mine_itemsets_reference` (the retired
-//!   row-at-a-time miner) vs the vertical bitset engine;
-//! - `Matrix::matmul_reference` (the unblocked serial GEMM) vs the
-//!   cache-blocked kernel.
+//!   row-at-a-time miner) vs the vertical bitset engine.
 //!
 //! A final layer re-checks the cm-par contract end to end: graphs,
 //! itemsets, and label matrices at explicit thread counts 1/2/4.
@@ -23,7 +21,6 @@ use cross_modal::featurespace::{
     FeatureValue, Label, ModalityKind, PairKernel, ServingMode, SimilarityConfig, Vocabulary,
 };
 use cross_modal::labelmodel::{CategoricalContainsLf, LabelMatrix, LabelingFunction, Vote};
-use cross_modal::linalg::Matrix;
 use cross_modal::mining::reference::mine_itemsets_reference;
 use cross_modal::mining::{mine_itemsets_with, MiningConfig};
 use cross_modal::orgsim::{TaskConfig, TaskId, World, WorldConfig};
@@ -208,28 +205,6 @@ fn bitset_miner_matches_reference_on_seeded_mixed_table() {
     let fast = mine_itemsets_with(&t, &labels, &cols, &cfg, &ParConfig::serial());
     let oracle = mine_itemsets_reference(&t, &labels, &cols, &cfg);
     assert_same_itemsets(&fast, &oracle, "mixed table");
-}
-
-#[test]
-fn blocked_matmul_matches_reference_on_seeded_shapes() {
-    let mut rng = Rng::new(41);
-    for (m, k, n) in [(5, 7, 3), (64, 64, 64), (127, 65, 33), (33, 128, 1), (2, 3, 129)] {
-        let mut fill = |rows: usize, cols: usize| {
-            Matrix::from_fn(rows, cols, |_, _| {
-                // ~20% exact zeros exercise the sparsity gate.
-                if rng.f64() < 0.2 {
-                    0.0
-                } else {
-                    rng.f64() as f32 * 2.0 - 1.0
-                }
-            })
-        };
-        let a = fill(m, k);
-        let b = fill(k, n);
-        let blocked = a.matmul_with(&b, &ParConfig::serial());
-        let reference = a.matmul_reference(&b);
-        assert_eq!(blocked, reference, "shape {m}x{k}x{n}");
-    }
 }
 
 /// The cm-par contract over the rewritten kernels: explicit thread counts

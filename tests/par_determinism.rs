@@ -9,17 +9,18 @@
 
 use std::sync::Arc;
 
-use cross_modal::eval::bootstrap_auprc_ci_with;
 use cross_modal::featurespace::{
     CatSet, FeatureDef, FeatureSchema, FeatureSet, FeatureValue, Label, ServingMode,
     SimilarityConfig, Vocabulary,
 };
+use cross_modal::fusion::{concat_parts, DeViseModel, IntermediateFusionModel, ModalityData};
 use cross_modal::labelmodel::{
     CategoricalContainsLf, GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, Vote,
 };
 use cross_modal::linalg::Matrix;
 use cross_modal::mining::{mine_itemsets_with, MiningConfig};
 use cross_modal::models::logistic::{LogisticConfig, LogisticRegression};
+use cross_modal::models::{train_model, ModelKind, TrainConfig};
 use cross_modal::par::ParConfig;
 use cross_modal::propagation::GraphBuilder;
 
@@ -121,26 +122,6 @@ fn logistic_weights_are_bit_identical() {
 }
 
 #[test]
-fn bootstrap_cis_are_bit_identical() {
-    let n = 400;
-    let scores: Vec<f64> = (0..n).map(|i| ((i * 7919) % 1000) as f64 / 1000.0).collect();
-    let positives: Vec<bool> = (0..n).map(|i| i % 6 == 0).collect();
-    let base = bootstrap_auprc_ci_with(&scores, &positives, 300, 0.1, 17, &ParConfig::threads(1));
-    for threads in THREADS {
-        let ci = bootstrap_auprc_ci_with(
-            &scores,
-            &positives,
-            300,
-            0.1,
-            17,
-            &ParConfig::threads(threads),
-        );
-        assert_eq!(ci.0.to_bits(), base.0.to_bits(), "threads = {threads}");
-        assert_eq!(ci.1.to_bits(), base.1.to_bits(), "threads = {threads}");
-    }
-}
-
-#[test]
 fn mined_itemsets_are_identical() {
     let t = cat_table(8000);
     let labels: Vec<Label> =
@@ -155,23 +136,83 @@ fn mined_itemsets_are_identical() {
     }
 }
 
-#[test]
-fn matmul_is_bit_identical() {
-    let fill = |seed: u32, rows: usize, cols: usize| {
-        let mut m = Matrix::zeros(rows, cols);
-        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
-            *v = (((i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 16) & 0xFF) as f32
-                / 255.0
-                - 0.5;
-        }
-        m
+/// Two modalities in one 6-wide shared layout, `n` rows each, plus a
+/// test matrix: big enough that forward passes (1,024 rows) and the
+/// 512-row batches' gradient chunks (256 items) split across workers.
+fn fusion_task(n: usize) -> (ModalityData, ModalityData, Matrix) {
+    let cell = |i: usize, j: usize| {
+        let h = (i as u32).wrapping_mul(2654435761).wrapping_add(j as u32 * 40503) >> 16;
+        (h & 0xFF) as f32 / 255.0 - 0.5
     };
-    // 150^3 > the matmul flop threshold, so the parallel path engages.
-    let a = fill(1, 150, 150);
-    let b = fill(2, 150, 150);
-    let base = a.matmul_with(&b, &ParConfig::threads(1));
+    let part = |offset: usize, specific: usize| {
+        let x = Matrix::from_fn(n, 6, |r, c| {
+            let v = cell(offset + r, c);
+            if c == 2 + (1 - specific) {
+                0.0
+            } else {
+                v
+            }
+        });
+        let y: Vec<f64> = (0..n)
+            .map(|r| if x[(r, 0)] + x[(r, 2 + specific)] > 0.1 { 0.9 } else { 0.1 })
+            .collect();
+        ModalityData::new(x, y)
+    };
+    let test = Matrix::from_fn(n, 6, |r, c| cell(7 * n + r, c));
+    (part(0, 0), part(3 * n, 1), test)
+}
+
+fn fusion_config() -> TrainConfig {
+    TrainConfig { epochs: 3, batch_size: 512, patience: Some(2), seed: 5, ..TrainConfig::default() }
+}
+
+fn bits(p: &[f64]) -> Vec<u64> {
+    p.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn mlp_early_fusion_is_bit_identical() {
+    let (old, new, test) = fusion_task(1200);
+    let (x, y) = concat_parts(&[old, new]);
+    let kind = ModelKind::Mlp { hidden: vec![16, 8] };
+    let run = |par: &ParConfig| {
+        let model =
+            train_model(&kind, &x, &y, None, &fusion_config(), Some((&test, &y[..1200])), par);
+        (bits(&model.predict_proba(&test, par)), model.embed(&test, par))
+    };
+    let (base, base_embed) = run(&ParConfig::threads(1));
     for threads in THREADS {
-        let c = a.matmul_with(&b, &ParConfig::threads(threads));
-        assert_eq!(c.as_slice(), base.as_slice(), "threads = {threads}");
+        let (probs, embed) = run(&ParConfig::threads(threads));
+        assert_eq!(probs, base, "threads = {threads}");
+        assert_eq!(embed.as_slice(), base_embed.as_slice(), "threads = {threads}");
+    }
+}
+
+#[test]
+fn intermediate_fusion_is_bit_identical() {
+    let (old, new, test) = fusion_task(1200);
+    let kind = ModelKind::Mlp { hidden: vec![8] };
+    let run = |par: &ParConfig| {
+        let parts = [old.clone(), new.clone()];
+        let model = IntermediateFusionModel::train(&parts, &kind, &fusion_config(), None, par);
+        bits(&model.predict_proba(&test, par))
+    };
+    let base = run(&ParConfig::threads(1));
+    for threads in THREADS {
+        assert_eq!(run(&ParConfig::threads(threads)), base, "threads = {threads}");
+    }
+}
+
+#[test]
+fn devise_fusion_is_bit_identical() {
+    let (old, new, test) = fusion_task(1200);
+    let kind = ModelKind::Mlp { hidden: vec![8] };
+    let run = |par: &ParConfig| {
+        let model = DeViseModel::train(&old, &new, &kind, &fusion_config(), par);
+        bits(&model.predict_proba(&test, par))
+    };
+    let base = run(&ParConfig::threads(1));
+    for threads in THREADS {
+        assert_eq!(run(&ParConfig::threads(threads)), base, "threads = {threads}");
     }
 }

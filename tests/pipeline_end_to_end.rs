@@ -82,7 +82,7 @@ fn relative_auprc_uses_baseline() {
     let data = small_data(TaskId::Ct2, 13);
     let curation = curate(&data, &CurationConfig::default());
     let runner = fast_runner(&data);
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&ParConfig::from_env()).unwrap();
     assert!(baseline > 0.0);
     let eval = runner
         .run_relative(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), baseline)

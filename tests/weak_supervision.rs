@@ -47,7 +47,7 @@ fn lfs_transfer_across_the_modality_gap() {
     // than chance there.
     let (world, text, pool) = corpus(5);
     let lfs = mined_lfs(&world, &text);
-    let matrix = LabelMatrix::apply(&pool.table, &lfs);
+    let matrix = LabelMatrix::apply_with(&pool.table, &lfs, &ParConfig::from_env());
     let mut tp = 0usize;
     let mut fp = 0usize;
     for (r, label) in pool.labels.iter().enumerate() {
@@ -70,10 +70,11 @@ fn lfs_transfer_across_the_modality_gap() {
 
 #[test]
 fn anchored_model_ranks_better_than_majority_vote() {
+    let par = ParConfig::from_env();
     let (world, text, pool) = corpus(7);
     let lfs = mined_lfs(&world, &text);
-    let dev = LabelMatrix::apply(&text.table, &lfs);
-    let target = LabelMatrix::apply(&pool.table, &lfs);
+    let dev = LabelMatrix::apply_with(&text.table, &lfs, &par);
+    let target = LabelMatrix::apply_with(&pool.table, &lfs, &par);
     let truth: Vec<bool> = pool.labels.iter().map(|l| l.is_positive()).collect();
 
     let anchored = AnchoredModel::fit(&dev, &text.labels, None).predict(&target);
@@ -122,16 +123,18 @@ fn expert_lfs_are_broad_but_less_precise_than_mined() {
 fn vote_matrix_statistics_are_consistent() {
     let (world, text, pool) = corpus(11);
     let lfs = mined_lfs(&world, &text);
-    let matrix = LabelMatrix::apply(&pool.table, &lfs);
+    let par = ParConfig::from_env();
+    let matrix = LabelMatrix::apply_with(&pool.table, &lfs, &par);
     assert_eq!(matrix.n_rows(), pool.len());
     assert_eq!(matrix.n_lfs(), lfs.len());
+    let stats = matrix.vote_stats_with(&par);
     // Coverage >= per-LF coverage for any single LF.
     for j in 0..matrix.n_lfs() {
-        assert!(matrix.coverage() >= matrix.lf_coverage(j) - 1e-12);
+        assert!(stats.coverage >= matrix.lf_coverage(j) - 1e-12);
     }
     // Conflict <= overlap <= coverage.
-    assert!(matrix.conflict() <= matrix.overlap() + 1e-12);
-    assert!(matrix.overlap() <= matrix.coverage() + 1e-12);
+    assert!(stats.conflict <= stats.overlap + 1e-12);
+    assert!(stats.overlap <= stats.coverage + 1e-12);
     // Votes round-trip the encoding.
     for r in (0..matrix.n_rows()).step_by(97) {
         for j in 0..matrix.n_lfs() {
