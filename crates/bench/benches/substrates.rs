@@ -1,5 +1,5 @@
 //! Microbenchmarks for every substrate on the pipeline's hot path:
-//! feature generation, densification, itemset mining, label-model
+//! feature generation, encoding, itemset mining, label-model
 //! fitting, graph construction, propagation, and model training.
 //!
 //! Uses a small in-tree timing harness (`harness = false`) so the

@@ -13,8 +13,8 @@
 //! - [`FeatureTable`] — a columnar store of feature vectors with explicit
 //!   missingness (the modality gap means not every feature exists for every
 //!   modality);
-//! - [`DenseEncoder`] — one-hot / standardized densification so the model
-//!   substrate sees plain matrices;
+//! - [`DenseEncoder`] — one-hot / standardized encoding into the shared
+//!   layout, emitted as compressed sparse rows for the model substrate;
 //! - [`similarity`] — Algorithm 1 graph weights used by label propagation;
 //! - [`FrozenTable`] — compiled read-only columnar views (presence bitmaps
 //!   plus borrowed contiguous columns) that the hot kernels — the

@@ -1,6 +1,6 @@
 //! The adapted DeViSE baseline (§5, Figure 4 right).
 
-use cm_linalg::{sigmoid, Matrix};
+use cm_linalg::{sigmoid, SparseRows};
 use cm_models::{train_model, ModelKind, ParConfig, TrainConfig, TrainedModel};
 
 use crate::projection::{LinearProjection, ProjectionConfig};
@@ -26,8 +26,8 @@ pub struct DeViseModel {
 impl DeViseModel {
     /// Trains the three stages. `old` carries ground-truth labels of the
     /// existing modalities; `new` carries weakly supervised labels of the
-    /// target modality. Both are in the shared dense layout. Bit-identical
-    /// at any thread count.
+    /// target modality. Both are in the shared layout. Bit-identical at any
+    /// thread count.
     ///
     /// # Panics
     /// Panics if widths differ or either part is empty.
@@ -61,7 +61,7 @@ impl DeViseModel {
     ///
     /// # Panics
     /// Panics on width mismatch.
-    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &SparseRows, par: &ParConfig) -> Vec<f64> {
         assert_eq!(x.cols(), self.input_dim, "feature width mismatch");
         let projected = self.projection.project(&self.model_b.embed(x, par));
         projected.rows_iter().map(|row| f64::from(sigmoid(self.model_a.head_logit(row)))).collect()
@@ -132,7 +132,10 @@ mod tests {
     #[should_panic(expected = "modality width mismatch")]
     fn rejects_mismatched_widths() {
         let (old, _, _, _) = two_modality_task(50, 1);
-        let bad = ModalityData::new(cm_linalg::Matrix::zeros(10, 3), vec![0.0; 10]);
+        let bad = ModalityData::new(
+            SparseRows::from_dense(&cm_linalg::Matrix::zeros(10, 3)),
+            vec![0.0; 10],
+        );
         DeViseModel::train(
             &old,
             &bad,

@@ -1,6 +1,6 @@
 //! Early fusion: one model over the union of all modalities' rows.
 
-use cm_linalg::Matrix;
+use cm_linalg::SparseRows;
 use cm_models::{train_model, ModelKind, ParConfig, TrainConfig, TrainedModel};
 
 use crate::{concat_parts, ModalityData};
@@ -26,7 +26,7 @@ impl EarlyFusionModel {
         parts: &[ModalityData],
         kind: &ModelKind,
         config: &TrainConfig,
-        validation: Option<(&Matrix, &[f64])>,
+        validation: Option<(&SparseRows, &[f64])>,
     ) -> Self {
         // lint: allow(par-from-env) — signature pinned by perfbench/src/adapt_e2e.rs
         let par = ParConfig::from_env();
@@ -35,7 +35,7 @@ impl EarlyFusionModel {
     }
 
     /// Positive-class probabilities in the shared layout.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &SparseRows) -> Vec<f64> {
         // lint: allow(par-from-env) — signature pinned by perfbench/src/adapt_e2e.rs
         self.model.predict_proba(x, &ParConfig::from_env())
     }

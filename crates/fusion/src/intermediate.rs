@@ -1,7 +1,7 @@
 //! Intermediate fusion: per-modality encoders, concatenated embeddings,
 //! jointly trained head.
 
-use cm_linalg::Matrix;
+use cm_linalg::{Matrix, SparseRows};
 use cm_models::{train_model, ModelKind, ParConfig, TrainConfig, TrainedModel};
 
 use crate::ModalityData;
@@ -27,7 +27,7 @@ impl IntermediateFusionModel {
         parts: &[ModalityData],
         kind: &ModelKind,
         config: &TrainConfig,
-        validation: Option<(&Matrix, &[f64])>,
+        validation: Option<(&SparseRows, &[f64])>,
         par: &ParConfig,
     ) -> Self {
         assert!(!parts.is_empty(), "need at least one modality");
@@ -47,39 +47,11 @@ impl IntermediateFusionModel {
             .collect();
         // Stage 2: embed every row with every encoder, concatenate, train
         // the joint head.
-        let total_rows: usize = parts.iter().map(|p| p.x.rows()).sum();
-        let embed_dim: usize = encoders.iter().map(|e| e.embed_dim(input_dim)).sum();
-        let mut joint = Matrix::zeros(total_rows, embed_dim);
-        let mut targets = Vec::with_capacity(total_rows);
-        let mut r = 0;
-        for part in parts {
-            let embeds: Vec<Matrix> = encoders.iter().map(|e| e.embed(&part.x, par)).collect();
-            for row_idx in 0..part.x.rows() {
-                let out = joint.row_mut(r);
-                let mut offset = 0;
-                for e in &embeds {
-                    let src = e.row(row_idx);
-                    out[offset..offset + src.len()].copy_from_slice(src);
-                    offset += src.len();
-                }
-                r += 1;
-            }
-            targets.extend_from_slice(&part.targets);
-        }
-        let head_val_x = validation.map(|(vx, _)| {
-            let embeds: Vec<Matrix> = encoders.iter().map(|e| e.embed(vx, par)).collect();
-            let mut m = Matrix::zeros(vx.rows(), embed_dim);
-            for row_idx in 0..vx.rows() {
-                let out = m.row_mut(row_idx);
-                let mut offset = 0;
-                for e in &embeds {
-                    let src = e.row(row_idx);
-                    out[offset..offset + src.len()].copy_from_slice(src);
-                    offset += src.len();
-                }
-            }
-            m
-        });
+        let joint: Vec<SparseRows> =
+            parts.iter().map(|p| joint_embedding(&encoders, &p.x, par)).collect();
+        let joint = SparseRows::concat(&joint.iter().collect::<Vec<_>>());
+        let targets: Vec<f64> = parts.iter().flat_map(|p| p.targets.iter().copied()).collect();
+        let head_val_x = validation.map(|(vx, _)| joint_embedding(&encoders, vx, par));
         let head = train_model(
             kind,
             &joint,
@@ -96,27 +68,33 @@ impl IntermediateFusionModel {
     ///
     /// # Panics
     /// Panics if the width differs from training.
-    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &SparseRows, par: &ParConfig) -> Vec<f64> {
         assert_eq!(x.cols(), self.input_dim, "feature width mismatch");
-        let embeds: Vec<Matrix> = self.encoders.iter().map(|e| e.embed(x, par)).collect();
-        let embed_dim: usize = embeds.iter().map(Matrix::cols).sum();
-        let mut joint = Matrix::zeros(x.rows(), embed_dim);
-        for r in 0..x.rows() {
-            let out = joint.row_mut(r);
-            let mut offset = 0;
-            for e in &embeds {
-                let src = e.row(r);
-                out[offset..offset + src.len()].copy_from_slice(src);
-                offset += src.len();
-            }
-        }
-        self.head.predict_proba(&joint, par)
+        self.head.predict_proba(&joint_embedding(&self.encoders, x, par), par)
     }
 
     /// Number of per-modality encoders.
     pub fn n_encoders(&self) -> usize {
         self.encoders.len()
     }
+}
+
+/// Every encoder's embedding of each row of `x`, concatenated in encoder
+/// order: the joint head's input, as sparse rows.
+fn joint_embedding(encoders: &[TrainedModel], x: &SparseRows, par: &ParConfig) -> SparseRows {
+    let embeds: Vec<Matrix> = encoders.iter().map(|e| e.embed(x, par)).collect();
+    let width: usize = embeds.iter().map(Matrix::cols).sum();
+    let mut joint = Matrix::zeros(x.rows(), width);
+    for r in 0..x.rows() {
+        let out = joint.row_mut(r);
+        let mut offset = 0;
+        for e in &embeds {
+            let src = e.row(r);
+            out[offset..offset + src.len()].copy_from_slice(src);
+            offset += src.len();
+        }
+    }
+    SparseRows::from_dense(&joint)
 }
 
 #[cfg(test)]
@@ -152,6 +130,6 @@ mod tests {
             None,
             &par,
         );
-        m.predict_proba(&Matrix::zeros(1, 3), &par);
+        m.predict_proba(&SparseRows::new(3), &par);
     }
 }

@@ -1,11 +1,13 @@
 //! Multi-modal model training (paper §5, Figure 4).
 //!
-//! All three strategies operate on matrices in the *shared dense layout*
-//! produced by `cm_featurespace::DenseEncoder` over the full schema: every
-//! modality's rows are encoded identically, with features a modality lacks
-//! encoded as missing (zeros plus indicator). This is exactly the paper's
-//! early-fusion representation — "features specific to certain data
-//! modalities are left empty for those that do not have these features".
+//! All three strategies operate on rows in the *shared layout* produced by
+//! `cm_featurespace::DenseEncoder` over the full schema: every modality's
+//! rows are encoded identically, with features a modality lacks encoded as
+//! missing (no stored values, a hot indicator). This is exactly the
+//! paper's early-fusion representation — "features specific to certain
+//! data modalities are left empty for those that do not have these
+//! features" — and it is why the rows travel as [`SparseRows`]: on CT1's
+//! full layout a row stores about 5 % of its columns.
 //!
 //! - [`EarlyFusionModel`] — concatenate all modalities' rows into one
 //!   training set ([`concat_parts`]), train one model. The paper's winner.
@@ -21,22 +23,20 @@ pub mod devise;
 pub mod early;
 pub mod intermediate;
 pub mod projection;
-pub mod reweight;
 
 pub use devise::DeViseModel;
 pub use early::EarlyFusionModel;
 pub use intermediate::IntermediateFusionModel;
 pub use projection::LinearProjection;
-pub use reweight::{reweighted_early_fusion, ReweightedModel};
 
-use cm_linalg::Matrix;
+use cm_linalg::SparseRows;
 
-/// One modality's training contribution: dense rows in the shared layout
-/// plus (probabilistic) targets.
+/// One modality's training contribution: rows in the shared layout plus
+/// (probabilistic) targets.
 #[derive(Debug, Clone)]
 pub struct ModalityData {
-    /// Dense features (shared layout).
-    pub x: Matrix,
+    /// Features in the shared layout.
+    pub x: SparseRows,
     /// Soft targets in `[0, 1]`.
     pub targets: Vec<f64>,
 }
@@ -46,7 +46,7 @@ impl ModalityData {
     ///
     /// # Panics
     /// Panics if row and target counts differ.
-    pub fn new(x: Matrix, targets: Vec<f64>) -> Self {
+    pub fn new(x: SparseRows, targets: Vec<f64>) -> Self {
         assert_eq!(x.rows(), targets.len(), "target count mismatch");
         Self { x, targets }
     }
@@ -57,29 +57,18 @@ impl ModalityData {
 ///
 /// # Panics
 /// Panics if parts is empty or widths differ.
-pub fn concat_parts(parts: &[ModalityData]) -> (Matrix, Vec<f64>) {
+pub fn concat_parts(parts: &[ModalityData]) -> (SparseRows, Vec<f64>) {
     assert!(!parts.is_empty(), "need at least one modality");
-    let cols = parts[0].x.cols();
-    let total: usize = parts.iter().map(|p| p.x.rows()).sum();
-    let mut x = Matrix::zeros(total, cols);
-    let mut y = Vec::with_capacity(total);
-    let mut r = 0;
-    for part in parts {
-        assert_eq!(part.x.cols(), cols, "modality width mismatch");
-        for row in part.x.rows_iter() {
-            x.row_mut(r).copy_from_slice(row);
-            r += 1;
-        }
-        y.extend_from_slice(&part.targets);
-    }
-    (x, y)
+    let xs: Vec<&SparseRows> = parts.iter().map(|p| &p.x).collect();
+    let y = parts.iter().flat_map(|p| p.targets.iter().copied()).collect();
+    (SparseRows::concat(&xs), y)
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use cm_linalg::Matrix;
 
-    use super::ModalityData;
+    use super::{ModalityData, SparseRows};
 
     /// Two-modality synthetic task in a 6-wide "shared layout":
     /// cols 0-1 shared signal, col 2 modality-A-specific, col 3
@@ -88,7 +77,7 @@ pub(crate) mod testutil {
     pub fn two_modality_task(
         n: usize,
         seed: u64,
-    ) -> (ModalityData, ModalityData, Matrix, Vec<f64>) {
+    ) -> (ModalityData, ModalityData, SparseRows, Vec<f64>) {
         use cm_linalg::rng::Rng;
         use cm_linalg::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -132,7 +121,7 @@ pub(crate) mod testutil {
                 };
                 y.push(target);
             }
-            (Matrix::from_rows(&rows), y)
+            (SparseRows::from_dense(&Matrix::from_rows(&rows)), y)
         };
         let (xo, yo) = gen(0, n, false);
         let (xn, yn) = gen(1, n, true);
@@ -143,31 +132,38 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use cm_linalg::Matrix;
+
     use super::*;
+
+    fn part(rows: &[Vec<f32>], targets: Vec<f64>) -> ModalityData {
+        ModalityData::new(SparseRows::from_dense(&Matrix::from_rows(rows)), targets)
+    }
 
     #[test]
     fn concat_stacks_rows_in_order() {
-        let a = ModalityData::new(Matrix::from_rows(&[vec![1.0, 2.0]]), vec![1.0]);
-        let b =
-            ModalityData::new(Matrix::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]), vec![0.0, 1.0]);
+        let a = part(&[vec![1.0, 2.0]], vec![1.0]);
+        let b = part(&[vec![3.0, 0.0], vec![5.0, 6.0]], vec![0.0, 1.0]);
         let (x, y) = concat_parts(&[a, b]);
         assert_eq!(x.rows(), 3);
-        assert_eq!(x.row(0), &[1.0, 2.0]);
-        assert_eq!(x.row(2), &[5.0, 6.0]);
+        let dense = x.to_dense();
+        assert_eq!(dense.row(0), &[1.0, 2.0]);
+        assert_eq!(dense.row(1), &[3.0, 0.0]);
+        assert_eq!(dense.row(2), &[5.0, 6.0]);
         assert_eq!(y, vec![1.0, 0.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn concat_rejects_ragged_parts() {
-        let a = ModalityData::new(Matrix::zeros(1, 2), vec![0.0]);
-        let b = ModalityData::new(Matrix::zeros(1, 3), vec![0.0]);
+        let a = part(&[vec![0.0; 2]], vec![0.0]);
+        let b = part(&[vec![0.0; 3]], vec![0.0]);
         concat_parts(&[a, b]);
     }
 
     #[test]
     #[should_panic(expected = "target count mismatch")]
     fn part_validates_shapes() {
-        ModalityData::new(Matrix::zeros(2, 2), vec![0.0]);
+        part(&[vec![0.0; 2], vec![0.0; 2]], vec![0.0]);
     }
 }

@@ -23,13 +23,11 @@ pub mod loss;
 pub mod mlp;
 pub mod optim;
 pub mod trainer;
-pub mod tuner;
 
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use mlp::{Mlp, MlpEpochConfig};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use trainer::{train_model, ModelKind, TrainConfig, TrainedModel};
-pub use tuner::{grid_search, TunerGrid, TunerOutcome, TunerTrial};
 
 /// The parallel configuration every training and inference call takes,
 /// re-exported so callers need no direct `cm-par` dependency.

@@ -3,7 +3,7 @@
 
 use cm_linalg::rng::SliceRandom;
 use cm_linalg::rng::StdRng;
-use cm_linalg::{dot, sigmoid, Matrix};
+use cm_linalg::{sigmoid, SparseRows};
 use cm_par::ParConfig;
 
 use crate::loss::bce_grad;
@@ -15,7 +15,7 @@ use crate::optim::{Adam, Optimizer};
 /// whose partial gradients fold in chunk index order.
 const BATCH_MIN_CHUNK: usize = 256;
 
-/// Below this many matrix cells, `logits_with` stays serial.
+/// Below this many stored entries, `logits_with` stays serial.
 const LOGITS_PAR_WORK: usize = 1 << 16;
 
 /// A trained logistic regression model.
@@ -48,7 +48,8 @@ impl Default for LogisticConfig {
 
 impl LogisticRegression {
     /// Fits on rows of `x` against soft targets, optionally per-sample
-    /// weighted.
+    /// weighted. Each sample's logit and gradient read only the row's
+    /// stored entries; the per-batch optimizer step stays dense.
     ///
     /// Per-batch gradients accumulate in fixed-size chunks whose partial
     /// sums fold in chunk index order, so the fitted weights are
@@ -57,7 +58,7 @@ impl LogisticRegression {
     /// # Panics
     /// Panics on shape mismatches or an empty training set.
     pub fn fit_with(
-        x: &Matrix,
+        x: &SparseRows,
         targets: &[f64],
         sample_weights: Option<&[f64]>,
         config: &LogisticConfig,
@@ -88,11 +89,10 @@ impl LogisticRegression {
                         let mut grad_b = 0.0f32;
                         let mut wsum = 0.0f32;
                         for &i in &batch[range] {
-                            let row = x.row(i);
-                            let z = dot(row, &weights) + bias;
+                            let z = x.row_dot(i, &weights) + bias;
                             let w = sample_weights.map_or(1.0, |w| w[i]) as f32;
                             let g = bce_grad(z, targets[i]) * w;
-                            cm_linalg::axpy(g, row, &mut grad_w);
+                            x.row_axpy(i, g, &mut grad_w);
                             grad_b += g;
                             wsum += w;
                         }
@@ -129,19 +129,18 @@ impl LogisticRegression {
     ///
     /// # Panics
     /// Panics if the feature width differs from the fitted width.
-    pub fn logits_with(&self, x: &Matrix, par: &ParConfig) -> Vec<f32> {
+    pub fn logits_with(&self, x: &SparseRows, par: &ParConfig) -> Vec<f32> {
         assert_eq!(x.cols(), self.weights.len(), "feature width mismatch");
-        if x.rows() * x.cols() < LOGITS_PAR_WORK {
-            return x.rows_iter().map(|row| dot(row, &self.weights) + self.bias).collect();
+        let logit = |r: usize| x.row_dot(r, &self.weights) + self.bias;
+        if x.nnz() < LOGITS_PAR_WORK {
+            return (0..x.rows()).map(logit).collect();
         }
-        cm_par::par_map(&par.clone().with_min_chunk(BATCH_MIN_CHUNK), x.rows(), |r| {
-            dot(x.row(r), &self.weights) + self.bias
-        })
-        .unwrap_or_else(|e| e.resume())
+        cm_par::par_map(&par.clone().with_min_chunk(BATCH_MIN_CHUNK), x.rows(), logit)
+            .unwrap_or_else(|e| e.resume())
     }
 
     /// Positive-class probabilities.
-    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &SparseRows, par: &ParConfig) -> Vec<f64> {
         self.logits_with(x, par).into_iter().map(|z| f64::from(sigmoid(z))).collect()
     }
 
@@ -158,10 +157,12 @@ impl LogisticRegression {
 
 #[cfg(test)]
 mod tests {
+    use cm_linalg::Matrix;
+
     use super::*;
 
     /// Linearly separable blob pair.
-    fn blobs(n: usize) -> (Matrix, Vec<f64>) {
+    fn blobs(n: usize) -> (SparseRows, Vec<f64>) {
         let mut rows = Vec::with_capacity(n);
         let mut y = Vec::with_capacity(n);
         for i in 0..n {
@@ -171,7 +172,7 @@ mod tests {
             rows.push(vec![center + jitter, -center + jitter * 0.5]);
             y.push(if cls { 1.0 } else { 0.0 });
         }
-        (Matrix::from_rows(&rows), y)
+        (SparseRows::from_dense(&Matrix::from_rows(&rows)), y)
     }
 
     #[test]
@@ -260,7 +261,7 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn rejects_empty_input() {
         LogisticRegression::fit_with(
-            &Matrix::zeros(0, 2),
+            &SparseRows::new(2),
             &[],
             None,
             &LogisticConfig::default(),
@@ -274,6 +275,6 @@ mod tests {
         let par = ParConfig::from_env();
         let (x, y) = blobs(10);
         let model = LogisticRegression::fit_with(&x, &y, None, &LogisticConfig::default(), &par);
-        model.predict_proba(&Matrix::zeros(1, 5), &par);
+        model.predict_proba(&SparseRows::new(5), &par);
     }
 }

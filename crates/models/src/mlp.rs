@@ -1,8 +1,13 @@
 //! Fully-connected ReLU network with a single-logit sigmoid head.
+//!
+//! The input layer reads rows of the shared layout as [`SparseRows`]: its
+//! forward dot products and its weight gradients run over a row's stored
+//! entries only. Hidden layers, the per-batch Adam + L2 step and the
+//! gradient fold stay dense.
 
 use cm_linalg::rng::SliceRandom;
 use cm_linalg::rng::StdRng;
-use cm_linalg::{dot, sigmoid, xavier_uniform, Matrix};
+use cm_linalg::{dot, sigmoid, xavier_uniform, Matrix, SparseRows};
 use cm_par::ParConfig;
 
 use crate::loss::bce_grad;
@@ -95,7 +100,7 @@ impl Mlp {
     /// Panics on shape mismatches.
     pub fn train_epoch_with(
         &mut self,
-        x: &Matrix,
+        x: &SparseRows,
         targets: &[f64],
         sample_weights: Option<&[f64]>,
         config: &MlpEpochConfig,
@@ -120,10 +125,8 @@ impl Mlp {
                 batch.len(),
                 |range| {
                     let mut part = GradPartial::zeros(this);
-                    let mut scratch = Scratch {
-                        acts: this.dims.iter().map(|&d| vec![0.0; d]).collect(),
-                        deltas: this.dims[1..].iter().map(|&d| vec![0.0; d]).collect(),
-                    };
+                    let mut scratch =
+                        Scratch { acts: this.layer_buffers(), deltas: this.layer_buffers() };
                     for &i in &batch[range] {
                         this.accumulate_sample(
                             x,
@@ -163,11 +166,31 @@ impl Mlp {
         }
     }
 
+    /// One zeroed buffer per layer output (`dims[1..]`).
+    fn layer_buffers(&self) -> Vec<Vec<f32>> {
+        self.dims[1..].iter().map(|&d| vec![0.0; d]).collect()
+    }
+
+    /// Forward pass of row `r` of `x` through the first `depth` layers;
+    /// `acts[l]` receives layer `l`'s output. Layer 0 reads the row's
+    /// stored entries; every layer but the prediction head applies ReLU.
+    fn forward(&self, x: &SparseRows, r: usize, depth: usize, acts: &mut [Vec<f32>]) {
+        let n_layers = self.layers.len();
+        for (l, layer) in self.layers[..depth].iter().enumerate() {
+            let (below, rest) = acts.split_at_mut(l);
+            for (o, out) in rest[0].iter_mut().enumerate() {
+                let w = layer.w.row(o);
+                let z = if l == 0 { x.row_dot(r, w) } else { dot(w, &below[l - 1]) } + layer.b[o];
+                *out = if l + 1 == n_layers { z } else { z.max(0.0) };
+            }
+        }
+    }
+
     /// Runs one sample's forward and backward pass, accumulating into the
     /// chunk-local gradient partial.
     fn accumulate_sample(
         &self,
-        x: &Matrix,
+        x: &SparseRows,
         targets: &[f64],
         sample_weights: Option<&[f64]>,
         i: usize,
@@ -176,35 +199,31 @@ impl Mlp {
     ) {
         let Scratch { acts, deltas } = scratch;
         let n_layers = self.layers.len();
-        acts[0].copy_from_slice(x.row(i));
-        // Forward.
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (prev, rest) = acts.split_at_mut(l + 1);
-            let a_in = &prev[l];
-            let a_out = &mut rest[0];
-            for (o, out) in a_out.iter_mut().enumerate() {
-                let z = dot(layer.w.row(o), a_in) + layer.b[o];
-                *out = if l + 1 == n_layers { z } else { z.max(0.0) };
-            }
-        }
-        let z = acts[n_layers][0];
+        self.forward(x, i, n_layers, acts);
+        let z = acts[n_layers - 1][0];
         let w = sample_weights.map_or(1.0, |w| w[i]) as f32;
         part.loss += f64::from(w) * crate::loss::bce_with_logit(z, targets[i]);
         part.weight += f64::from(w);
         part.batch_weight += w;
 
-        // Backward.
+        // Backward. Layer l's input is the sparse row for l = 0 and the
+        // layer below's output `acts[l - 1]` otherwise.
         deltas[n_layers - 1][0] = bce_grad(z, targets[i]) * w;
         for l in (0..n_layers).rev() {
             // Accumulate gradients for layer l.
             for (o, &d) in deltas[l].iter().enumerate() {
                 if d != 0.0 {
-                    cm_linalg::axpy(d, &acts[l], part.grad_w[l].row_mut(o));
+                    let grad_row = part.grad_w[l].row_mut(o);
+                    if l == 0 {
+                        x.row_axpy(i, d, grad_row);
+                    } else {
+                        cm_linalg::axpy(d, &acts[l - 1], grad_row);
+                    }
                     part.grad_b[l][o] += d;
                 }
             }
             if l > 0 {
-                // delta_{l-1} = W_l^T delta_l ∘ relu'(act_l)
+                // delta_{l-1} = W_l^T delta_l ∘ relu'(input of layer l)
                 let (d_prev, d_cur) = deltas.split_at_mut(l);
                 let d_prev = &mut d_prev[l - 1];
                 let d_cur = &d_cur[0];
@@ -214,7 +233,7 @@ impl Mlp {
                         cm_linalg::axpy(d, self.layers[l].w.row(o), d_prev);
                     }
                 }
-                for (dp, &a) in d_prev.iter_mut().zip(&acts[l]) {
+                for (dp, &a) in d_prev.iter_mut().zip(&acts[l - 1]) {
                     if a <= 0.0 {
                         *dp = 0.0;
                     }
@@ -228,26 +247,17 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics if the feature width differs from the input dimension.
-    pub fn logits_with(&self, x: &Matrix, par: &ParConfig) -> Vec<f32> {
+    pub fn logits_with(&self, x: &SparseRows, par: &ParConfig) -> Vec<f32> {
         assert_eq!(x.cols(), self.input_dim(), "feature width mismatch");
+        let n_layers = self.layers.len();
         let forward_chunk = |range: std::ops::Range<usize>| {
-            let mut out = Vec::with_capacity(range.len());
-            let mut buf_a: Vec<f32> = Vec::new();
-            let mut buf_b: Vec<f32> = Vec::new();
-            for r in range {
-                buf_a.clear();
-                buf_a.extend_from_slice(x.row(r));
-                for (l, layer) in self.layers.iter().enumerate() {
-                    buf_b.clear();
-                    for o in 0..layer.w.rows() {
-                        let z = dot(layer.w.row(o), &buf_a) + layer.b[o];
-                        buf_b.push(if l + 1 == self.layers.len() { z } else { z.max(0.0) });
-                    }
-                    std::mem::swap(&mut buf_a, &mut buf_b);
-                }
-                out.push(buf_a[0]);
-            }
-            out
+            let mut acts = self.layer_buffers();
+            range
+                .map(|r| {
+                    self.forward(x, r, n_layers, &mut acts);
+                    acts[n_layers - 1][0]
+                })
+                .collect::<Vec<f32>>()
         };
         if x.rows() < FORWARD_PAR_ROWS {
             return forward_chunk(0..x.rows());
@@ -258,43 +268,38 @@ impl Mlp {
     }
 
     /// Positive-class probabilities.
-    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &SparseRows, par: &ParConfig) -> Vec<f64> {
         self.logits_with(x, par).into_iter().map(|z| f64::from(sigmoid(z))).collect()
     }
 
-    /// The activation before the final prediction layer, per row.
+    /// The activation before the final prediction layer, per row (the
+    /// input row itself, densified, when there is no hidden layer).
     /// Row-wise forward passes are independent, so any thread count yields
     /// the same bits; small inputs stay serial.
     ///
     /// # Panics
     /// Panics if the feature width differs from the input dimension.
-    pub fn embed_with(&self, x: &Matrix, par: &ParConfig) -> Matrix {
+    pub fn embed_with(&self, x: &SparseRows, par: &ParConfig) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "feature width mismatch");
-        let mut out = Matrix::zeros(x.rows(), self.embed_dim());
+        let depth = self.layers.len() - 1;
+        if depth == 0 {
+            return x.to_dense();
+        }
+        let width = self.embed_dim();
+        let mut out = Matrix::zeros(x.rows(), width);
         let embed_rows = |range: std::ops::Range<usize>, rows_out: &mut [f32]| {
-            let width = self.embed_dim();
-            let mut buf_a: Vec<f32> = Vec::new();
-            let mut buf_b: Vec<f32> = Vec::new();
-            for (k, r) in range.enumerate() {
-                buf_a.clear();
-                buf_a.extend_from_slice(x.row(r));
-                for layer in &self.layers[..self.layers.len() - 1] {
-                    buf_b.clear();
-                    for o in 0..layer.w.rows() {
-                        let z = dot(layer.w.row(o), &buf_a) + layer.b[o];
-                        buf_b.push(z.max(0.0));
-                    }
-                    std::mem::swap(&mut buf_a, &mut buf_b);
-                }
-                rows_out[k * width..(k + 1) * width].copy_from_slice(&buf_a);
+            let mut acts = self.layer_buffers();
+            for (r, dst) in range.zip(rows_out.chunks_exact_mut(width)) {
+                self.forward(x, r, depth, &mut acts);
+                dst.copy_from_slice(&acts[depth - 1]);
             }
         };
-        if x.rows() < FORWARD_PAR_ROWS || self.embed_dim() == 0 {
+        if x.rows() < FORWARD_PAR_ROWS {
             embed_rows(0..x.rows(), out.as_mut_slice());
             return out;
         }
-        cm_par::par_chunks_mut(par, out.as_mut_slice(), self.embed_dim(), |start, chunk| {
-            embed_rows(start..start + chunk.len() / self.embed_dim(), chunk);
+        cm_par::par_chunks_mut(par, out.as_mut_slice(), width, |start, chunk| {
+            embed_rows(start..start + chunk.len() / width, chunk);
         })
         .unwrap_or_else(|e| e.resume());
         out
@@ -311,15 +316,15 @@ impl Mlp {
     }
 }
 
-/// Chunk-local gradient accumulator for one mini-batch slice; partials
-/// fold in chunk index order via [`GradPartial::add`].
-/// Per-chunk forward activations and backward deltas, reused across
-/// samples.
+/// Per-chunk forward activations and backward deltas (one buffer per
+/// layer output), reused across samples.
 struct Scratch {
     acts: Vec<Vec<f32>>,
     deltas: Vec<Vec<f32>>,
 }
 
+/// Chunk-local gradient accumulator for one mini-batch slice; partials
+/// fold in chunk index order via [`GradPartial::add`].
 struct GradPartial {
     grad_w: Vec<Matrix>,
     grad_b: Vec<Vec<f32>>,
@@ -360,7 +365,7 @@ mod tests {
     use super::*;
 
     /// XOR-ish dataset a linear model cannot fit.
-    fn xor(n: usize) -> (Matrix, Vec<f64>) {
+    fn xor(n: usize) -> (SparseRows, Vec<f64>) {
         let mut rows = Vec::with_capacity(n);
         let mut y = Vec::with_capacity(n);
         for i in 0..n {
@@ -370,10 +375,10 @@ mod tests {
             rows.push(vec![a * 2.0 - 1.0 + jitter, b * 2.0 - 1.0 - jitter]);
             y.push(if (a > 0.5) != (b > 0.5) { 1.0 } else { 0.0 });
         }
-        (Matrix::from_rows(&rows), y)
+        (SparseRows::from_dense(&Matrix::from_rows(&rows)), y)
     }
 
-    fn train(mlp: &mut Mlp, x: &Matrix, y: &[f64], epochs: usize) {
+    fn train(mlp: &mut Mlp, x: &SparseRows, y: &[f64], epochs: usize) {
         for e in 0..epochs {
             mlp.train_epoch_with(
                 x,
@@ -475,10 +480,11 @@ mod tests {
         let par = ParConfig::from_env();
         let mut mlp = Mlp::new(3, &[], 0.05, 0);
         assert_eq!(mlp.embed_dim(), 3);
-        let x = Matrix::from_rows(&[vec![1.0, 0.0, 0.0]]);
+        let dense = Matrix::from_rows(&[vec![1.0, 0.0, 0.0]]);
+        let x = SparseRows::from_dense(&dense);
         // embed of a layerless body is the input itself.
         let e = mlp.embed_with(&x, &par);
-        assert_eq!(e.row(0), x.row(0));
+        assert_eq!(e.row(0), dense.row(0));
         let y = [1.0];
         let l = mlp.train_epoch_with(
             &x,
@@ -494,7 +500,7 @@ mod tests {
     #[should_panic(expected = "feature width mismatch")]
     fn logits_reject_wrong_width() {
         let mlp = Mlp::new(4, &[2], 0.05, 0);
-        mlp.logits_with(&Matrix::zeros(1, 3), &ParConfig::from_env());
+        mlp.logits_with(&SparseRows::new(3), &ParConfig::from_env());
     }
 
     #[test]
@@ -517,5 +523,50 @@ mod tests {
         }
         let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(b.predict_proba(&x, &par)) > mean(a.predict_proba(&x, &par)));
+    }
+
+    #[test]
+    fn sparse_input_matches_the_dense_forward_pass() {
+        // A row with no stored entries and one with an explicit zero.
+        let dense = Matrix::from_rows(&[
+            vec![0.0, 0.0, 0.0, 0.0],
+            vec![0.5, 0.0, -1.25, 2.0],
+            vec![0.0, 3.0, 0.0, 0.0],
+        ]);
+        let mut x = SparseRows::new(4);
+        x.finish_row();
+        for (c, v) in [(0, 0.5), (1, 0.0), (2, -1.25), (3, 2.0)] {
+            x.push(c, v);
+        }
+        x.finish_row();
+        x.push(1, 3.0);
+        x.finish_row();
+        let mut mlp = Mlp::new(4, &[5, 3], 0.05, 9);
+        let cfg = MlpEpochConfig { batch_size: 2, l2: 1e-3, shuffle_seed: 1 };
+        mlp.train_epoch_with(&x, &[1.0, 0.0, 1.0], None, &cfg, &ParConfig::threads(1));
+        // Reference: the layers applied densely, as `cm_linalg::dot` reads
+        // every column.
+        let par = ParConfig::threads(1);
+        let logits = mlp.logits_with(&x, &par);
+        let embeds = mlp.embed_with(&x, &par);
+        for (r, logit) in logits.iter().enumerate() {
+            let mut a = dense.row(r).to_vec();
+            for (l, layer) in mlp.layers.iter().enumerate() {
+                a = (0..layer.w.rows())
+                    .map(|o| {
+                        let z = dot(layer.w.row(o), &a) + layer.b[o];
+                        if l + 1 == mlp.layers.len() {
+                            z
+                        } else {
+                            z.max(0.0)
+                        }
+                    })
+                    .collect();
+                if l + 2 == mlp.layers.len() {
+                    assert_eq!(embeds.row(r), &a[..], "row {r}");
+                }
+            }
+            assert_eq!(logit.to_bits(), a[0].to_bits(), "row {r}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Unified training entry point over both model families.
 
-use cm_linalg::Matrix;
+use cm_linalg::{Matrix, SparseRows};
 use cm_par::ParConfig;
 
 use crate::logistic::{LogisticConfig, LogisticRegression};
@@ -65,7 +65,7 @@ pub enum TrainedModel {
 
 impl TrainedModel {
     /// Positive-class probabilities.
-    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+    pub fn predict_proba(&self, x: &SparseRows, par: &ParConfig) -> Vec<f64> {
         match self {
             TrainedModel::Logistic(m) => m.predict_proba(x, par),
             TrainedModel::Mlp(m) => m.predict_proba(x, par),
@@ -73,20 +73,12 @@ impl TrainedModel {
     }
 
     /// Pre-head representation: the penultimate activation for MLPs, the
-    /// raw input for logistic regression (whose "embedding" is the feature
-    /// vector itself).
-    pub fn embed(&self, x: &Matrix, par: &ParConfig) -> Matrix {
+    /// densified input for logistic regression (whose "embedding" is the
+    /// feature vector itself).
+    pub fn embed(&self, x: &SparseRows, par: &ParConfig) -> Matrix {
         match self {
-            TrainedModel::Logistic(_) => x.clone(),
+            TrainedModel::Logistic(_) => x.to_dense(),
             TrainedModel::Mlp(m) => m.embed_with(x, par),
-        }
-    }
-
-    /// Width of [`TrainedModel::embed`] output.
-    pub fn embed_dim(&self, input_dim: usize) -> usize {
-        match self {
-            TrainedModel::Logistic(_) => input_dim,
-            TrainedModel::Mlp(m) => m.embed_dim(),
         }
     }
 
@@ -105,8 +97,8 @@ impl TrainedModel {
 
 /// Trains a model of the requested kind on soft targets.
 ///
-/// `sample_weights` are caller-supplied per-sample weights (e.g. the
-/// CrossTrainer-style modality reweighting of `cm-fusion`); they multiply
+/// `x` holds rows of the shared layout as compressed sparse rows.
+/// `sample_weights` are caller-supplied per-sample weights; they multiply
 /// the class-balance weights when `config.class_balance` is on.
 /// `validation` enables early stopping for the MLP family: training stops
 /// once validation BCE fails to improve for `patience` consecutive epochs,
@@ -117,11 +109,11 @@ impl TrainedModel {
 /// Panics on shape mismatches or an empty training set.
 pub fn train_model(
     kind: &ModelKind,
-    x: &Matrix,
+    x: &SparseRows,
     targets: &[f64],
     sample_weights: Option<&[f64]>,
     config: &TrainConfig,
-    validation: Option<(&Matrix, &[f64])>,
+    validation: Option<(&SparseRows, &[f64])>,
     par: &ParConfig,
 ) -> TrainedModel {
     assert!(x.rows() > 0, "empty training set");
@@ -192,7 +184,7 @@ pub fn train_model(
 mod tests {
     use super::*;
 
-    fn blobs(n: usize) -> (Matrix, Vec<f64>) {
+    fn blobs(n: usize) -> (SparseRows, Vec<f64>) {
         let mut rows = Vec::with_capacity(n);
         let mut y = Vec::with_capacity(n);
         for i in 0..n {
@@ -201,10 +193,10 @@ mod tests {
             rows.push(vec![if cls { 1.5 } else { -1.5 } + jitter, jitter]);
             y.push(if cls { 1.0 } else { 0.0 });
         }
-        (Matrix::from_rows(&rows), y)
+        (SparseRows::from_dense(&Matrix::from_rows(&rows)), y)
     }
 
-    fn accuracy(m: &TrainedModel, x: &Matrix, y: &[f64]) -> f64 {
+    fn accuracy(m: &TrainedModel, x: &SparseRows, y: &[f64]) -> f64 {
         let p = m.predict_proba(x, &ParConfig::from_env());
         p.iter().zip(y).filter(|(p, &t)| (**p >= 0.5) == (t >= 0.5)).count() as f64 / y.len() as f64
     }
@@ -247,11 +239,9 @@ mod tests {
         let cfg = TrainConfig { epochs: 2, ..Default::default() };
         let lr = train_model(&ModelKind::Logistic, &x, &y, None, &cfg, None, &par);
         assert_eq!(lr.embed(&x, &par).shape(), (50, 2));
-        assert_eq!(lr.embed_dim(2), 2);
         let mlp =
             train_model(&ModelKind::Mlp { hidden: vec![4, 3] }, &x, &y, None, &cfg, None, &par);
         assert_eq!(mlp.embed(&x, &par).shape(), (50, 3));
-        assert_eq!(mlp.embed_dim(2), 3);
     }
 
     #[test]
@@ -290,7 +280,7 @@ mod tests {
     fn rejects_empty_training_set() {
         train_model(
             &ModelKind::Logistic,
-            &Matrix::zeros(0, 3),
+            &SparseRows::new(3),
             &[],
             None,
             &TrainConfig::default(),

@@ -1,7 +1,7 @@
 //! Randomized tests for losses and model behaviour (seeded, in-tree PRNG).
 
 use cm_linalg::rng::{Rng, StdRng};
-use cm_linalg::Matrix;
+use cm_linalg::{Matrix, SparseRows};
 use cm_models::loss::{bce_grad, bce_with_logit, class_balance_weights, mean_bce};
 use cm_models::{LogisticConfig, LogisticRegression};
 use cm_par::ParConfig;
@@ -98,7 +98,7 @@ fn logistic_fits_constant_labels() {
         let rows: Vec<Vec<f32>> =
             (0..n).map(|_| (0..3).map(|_| rng.gen_range(-2.0f32..2.0)).collect()).collect();
         let positive = rng.gen_bool(0.5);
-        let x = Matrix::from_rows(&rows);
+        let x = SparseRows::from_dense(&Matrix::from_rows(&rows));
         let y = vec![if positive { 1.0 } else { 0.0 }; rows.len()];
         let model = LogisticRegression::fit_with(
             &x,

@@ -1,12 +1,10 @@
-//! Task data bundles and the shared dense view (pipeline step A, §3).
+//! Task data bundles and the shared feature view (pipeline step A, §3).
 
 use std::collections::HashSet;
 
 use cm_faults::{AccessLayer, AccessPolicy, FaultPlan, FaultSummary};
-use cm_featurespace::{
-    CmError, CmResult, DenseEncoder, ErrorKind, FeatureSet, FeatureTable, ModalityKind,
-};
-use cm_linalg::Matrix;
+use cm_featurespace::{CmResult, DenseEncoder, FeatureSet, FeatureTable, ModalityKind};
+use cm_linalg::SparseRows;
 use cm_orgsim::{ModalityDataset, TaskConfig, World, WorldConfig};
 
 /// Everything one task run needs: the world, the Table-1 datasets, and a
@@ -90,40 +88,30 @@ impl TaskData {
     }
 }
 
-/// A dense view: an encoder fitted over training tables for a fixed column
-/// selection, so every dataset (train, pool, test) is encoded into one
-/// layout.
+/// A feature view: an encoder fitted over training tables for a fixed
+/// column selection, so every dataset (train, pool, test) is encoded into
+/// one layout.
 pub struct DenseView {
     encoder: DenseEncoder,
     columns: Vec<usize>,
 }
 
 impl DenseView {
-    /// Fits the view on the concatenation of `fit_tables` restricted to
-    /// `columns`.
+    /// Fits the view on `fit_tables`, read in place as one table,
+    /// restricted to `columns`.
     ///
     /// # Errors
-    /// Returns [`ErrorKind::InvalidConfig`] if `fit_tables` is empty and
-    /// propagates [`ErrorKind::OutOfBounds`] from the encoder on column
-    /// indices outside the schema.
+    /// Returns [`cm_featurespace::ErrorKind::InvalidConfig`] if
+    /// `fit_tables` is empty and propagates
+    /// [`cm_featurespace::ErrorKind::OutOfBounds`] from the encoder on
+    /// column indices outside the schema.
     pub fn fit(fit_tables: &[&FeatureTable], columns: Vec<usize>) -> CmResult<Self> {
-        let Some(first) = fit_tables.first() else {
-            return Err(CmError::new(
-                ErrorKind::InvalidConfig,
-                "DenseView::fit",
-                "need at least one table to fit on".to_owned(),
-            ));
-        };
-        let mut combined = FeatureTable::new(std::sync::Arc::clone(first.schema()));
-        for t in fit_tables {
-            combined.extend_from(t);
-        }
-        let encoder = DenseEncoder::fit(&combined, &columns)?;
+        let encoder = DenseEncoder::fit(fit_tables, &columns)?;
         Ok(Self { encoder, columns })
     }
 
-    /// Encodes a table.
-    pub fn encode(&self, table: &FeatureTable) -> Matrix {
+    /// Encodes a table into sparse rows of the view's layout.
+    pub fn encode(&self, table: &FeatureTable) -> SparseRows {
         self.encoder.transform(table)
     }
 
@@ -138,32 +126,55 @@ impl DenseView {
     }
 }
 
-/// Masks (marks missing) every dense slot whose source column's feature set
-/// is not allowed — how a single shared layout serves scenarios where text
+/// Masks (marks missing) every slot whose source column's feature set is
+/// not allowed — how a single shared layout serves scenarios where text
 /// and image use different feature-set ladders (Figure 6's `T + ABC`,
-/// `I + AB` steps).
+/// `I + AB` steps). A masked slot loses its stored entries and stores its
+/// missing indicator once.
 pub fn mask_disallowed_sets(
-    m: &mut Matrix,
+    m: &mut SparseRows,
     view: &DenseView,
     schema: &cm_featurespace::FeatureSchema,
     allowed: &[FeatureSet],
 ) {
     let allowed_sets: HashSet<FeatureSet> = allowed.iter().copied().collect();
-    for slot in view.encoder().layout().slots() {
-        // Slots come from a fitted encoder, so their source columns are in
-        // range unless the schema was swapped out from under the view.
-        let Some(def) = schema.def(slot.source_column) else {
-            continue;
-        };
-        if allowed_sets.contains(&def.set) {
-            continue;
-        }
-        for r in 0..m.rows() {
-            let row = m.row_mut(r);
-            row[slot.offset..slot.offset + slot.width].fill(0.0);
-            row[slot.missing_indicator] = 1.0;
-        }
+    // Slots come from a fitted encoder, so their source columns are in
+    // range unless the schema was swapped out from under the view.
+    let masked: Vec<(usize, usize)> = view
+        .encoder()
+        .layout()
+        .slots()
+        .iter()
+        .filter(|slot| {
+            schema.def(slot.source_column).is_some_and(|d| !allowed_sets.contains(&d.set))
+        })
+        .map(|slot| (slot.offset, slot.missing_indicator))
+        .collect();
+    if masked.is_empty() {
+        return;
     }
+    let mut out = SparseRows::with_capacity(m.cols(), m.rows(), m.nnz());
+    for r in 0..m.rows() {
+        let (idx, val) = m.row(r);
+        let mut k = 0;
+        for &(start, indicator) in &masked {
+            // Entries before the slot pass through; the slot's own,
+            // indicator included, are replaced by one hot indicator.
+            while k < idx.len() && (idx[k] as usize) < start {
+                out.push(idx[k] as usize, val[k]);
+                k += 1;
+            }
+            while k < idx.len() && (idx[k] as usize) <= indicator {
+                k += 1;
+            }
+            out.push(indicator, 1.0);
+        }
+        for (&c, &v) in idx[k..].iter().zip(&val[k..]) {
+            out.push(c as usize, v);
+        }
+        out.finish_row();
+    }
+    *m = out;
 }
 
 #[cfg(test)]
@@ -253,9 +264,10 @@ mod tests {
         let d = data();
         let cols = d.shared_columns(&[FeatureSet::A, FeatureSet::B]);
         let view = DenseView::fit(&[&d.text.table], cols).unwrap();
-        let mut m = view.encode(&d.text.table);
-        let before = m.clone();
-        mask_disallowed_sets(&mut m, &view, d.world.schema(), &[FeatureSet::A]);
+        let mut x = view.encode(&d.text.table);
+        let before = x.to_dense();
+        mask_disallowed_sets(&mut x, &view, d.world.schema(), &[FeatureSet::A]);
+        let m = x.to_dense();
         // Set-B slots must now be all-missing.
         let schema = d.world.schema();
         let mut changed = false;

@@ -6,7 +6,7 @@
 //!
 //! 1. **feature generation** ([`data`]) — featurizes every data point into
 //!    the common feature space via the organizational-resource registry and
-//!    densifies it into a shared model layout;
+//!    encodes it into the shared model layout (sparse rows);
 //! 2. **training data curation** ([`curation`]) — mines labeling functions
 //!    from the old-modality corpus (§4.3), optionally augments them with a
 //!    label-propagation LF (§4.4), and fits the generative label model to

@@ -3,7 +3,7 @@
 //! A [`Scenario`] describes one model of the paper's evaluation matrix:
 //! which feature-set ladder each modality uses (`T + ABC`, `I + AB`, ...),
 //! where the image labels come from (weak supervision vs hand labels), and
-//! which fusion strategy trains it. [`ScenarioRunner`] densifies, masks,
+//! which fusion strategy trains it. [`ScenarioRunner`] encodes, masks,
 //! trains, and scores it on the held-out image test set.
 
 use cm_featurespace::{CmError, CmResult, ErrorKind, FeatureSet};

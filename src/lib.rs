@@ -38,7 +38,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`par`] | deterministic chunked parallel substrate (`CM_THREADS`) |
-//! | [`linalg`] | dense matrices, vector kernels, initializers |
+//! | [`linalg`] | dense matrices, sparse rows, vector kernels, initializers |
 //! | [`featurespace`] | the common feature space: schema, columnar tables, similarity |
 //! | [`orgsim`] | the synthetic organizational world (data + services) |
 //! | [`labelmodel`] | labeling functions, label matrix, label models |

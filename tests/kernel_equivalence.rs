@@ -8,7 +8,9 @@
 //!   column compiled to masks on one side and slices on the other, and
 //!   the `>64`-column wide fallback);
 //! - `cm_mining::reference::mine_itemsets_reference` (the retired
-//!   row-at-a-time miner) vs the vertical bitset engine.
+//!   row-at-a-time miner) vs the vertical bitset engine;
+//! - the dense reference encoder (`tests/support/dense_oracle.rs`) vs the
+//!   sparse rows `DenseView::encode` and `mask_disallowed_sets` emit.
 //!
 //! A final layer re-checks the cm-par contract end to end: graphs,
 //! itemsets, and label matrices at explicit thread counts 1/2/4.
@@ -25,7 +27,13 @@ use cross_modal::mining::reference::mine_itemsets_reference;
 use cross_modal::mining::{mine_itemsets_with, MiningConfig};
 use cross_modal::orgsim::{TaskConfig, TaskId, World, WorldConfig};
 use cross_modal::par::ParConfig;
+use cross_modal::pipeline::{mask_disallowed_sets, DenseView};
 use cross_modal::propagation::GraphBuilder;
+
+#[path = "support/dense_oracle.rs"]
+mod dense_oracle;
+
+use dense_oracle::DenseOracle;
 
 /// xorshift64* — deterministic, dependency-free test randomness.
 struct Rng(u64);
@@ -255,4 +263,79 @@ fn kernel_outputs_are_thread_count_invariant() {
             assert_eq!(votes.row(r), base_votes.row(r), "row {r}, threads = {threads}");
         }
     }
+}
+
+/// Orgsim text and image tables, plus probe rows over the image schema
+/// that hit every encoder edge: all-missing, non-finite numerics and
+/// embeddings, out-of-vocabulary and repeated category ids, and a numeric
+/// value exactly at its fitted mean (which must stay a stored zero).
+#[test]
+fn sparse_encoder_matches_dense_reference_bitwise() {
+    let world = World::build(WorldConfig::new(TaskConfig::paper(TaskId::Ct1).scaled(0.01), 31));
+    let text = world.generate(ModalityKind::Text, 400, 1).table;
+    let image = world.generate(ModalityKind::Image, 400, 2).table;
+    let schema = Arc::clone(world.schema());
+    let columns = schema.columns_in_sets(&FeatureSet::SHARED, true);
+    let view = DenseView::fit(&[&text, &image], columns.clone()).unwrap();
+    let oracle = DenseOracle::fit(&[&text, &image], &columns);
+
+    let col = |name: &str| schema.column(name).unwrap_or_else(|| panic!("column {name}"));
+    let (reputation, age) = (col("url_reputation"), col("domain_age"));
+    let (keywords, embedding) = (col("keywords"), col("img_embedding"));
+    let at_mean = oracle.numeric_mean(reputation);
+    let mut probe = FeatureTable::new(Arc::clone(&schema));
+    let base = image.row(0);
+    let mut with = |edits: &[(usize, FeatureValue)]| {
+        let mut row = base.clone();
+        for (c, v) in edits {
+            row[*c] = v.clone();
+        }
+        probe.push_row(&row);
+    };
+    with(&[]);
+    with(&[(reputation, FeatureValue::Numeric(at_mean))]);
+    with(&[
+        (reputation, FeatureValue::Numeric(f64::NAN)),
+        (age, FeatureValue::Numeric(f64::INFINITY)),
+        (embedding, FeatureValue::Embedding(vec![f32::NAN; 16])),
+    ]);
+    with(&[(keywords, FeatureValue::Categorical(CatSet::from_ids(vec![3, 3, 1, 100_000])))]);
+    with(&[(keywords, FeatureValue::Categorical(CatSet::from_ids(vec![100_000])))]);
+    with(&[(embedding, FeatureValue::Embedding(vec![-0.0; 16]))]);
+    probe.push_row(&vec![FeatureValue::Missing; schema.len()]);
+
+    let every_set = [FeatureSet::SHARED.to_vec(), vec![FeatureSet::ModalitySpecific]].concat();
+    let allowed_lists: [&[FeatureSet]; 4] = [
+        &every_set,
+        &[FeatureSet::A, FeatureSet::ModalitySpecific],
+        &[FeatureSet::B, FeatureSet::C],
+        &[],
+    ];
+    for (name, table) in [("text", &text), ("image", &image), ("probe", &probe)] {
+        for allowed in allowed_lists {
+            let mut x = view.encode(table);
+            mask_disallowed_sets(&mut x, &view, &schema, allowed);
+            assert_eq!((x.rows(), x.cols()), (table.len(), view.encoder().layout().width()));
+            for r in 0..x.rows() {
+                let (idx, _) = x.row(r);
+                assert!(
+                    idx.windows(2).all(|w| w[0] < w[1]),
+                    "{name} row {r} ({allowed:?}): indices must ascend strictly"
+                );
+            }
+            let want = oracle.encode(table, Some(allowed));
+            let bits = |m: &cross_modal::linalg::Matrix| {
+                m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(bits(&x.to_dense()), bits(&want), "{name} ({allowed:?})");
+        }
+    }
+
+    // The value at the mean is stored, as an explicit zero.
+    let x = view.encode(&probe);
+    let slot = view.encoder().layout().slots().iter().find(|s| s.source_column == reputation);
+    let offset = slot.unwrap_or_else(|| panic!("url_reputation slot")).offset as u32;
+    let (idx, val) = x.row(1);
+    let k = idx.iter().position(|&c| c == offset).unwrap_or_else(|| panic!("stored zero"));
+    assert_eq!(val[k].to_bits(), 0.0f32.to_bits());
 }

@@ -17,7 +17,7 @@ use cross_modal::fusion::{concat_parts, DeViseModel, IntermediateFusionModel, Mo
 use cross_modal::labelmodel::{
     CategoricalContainsLf, GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, Vote,
 };
-use cross_modal::linalg::Matrix;
+use cross_modal::linalg::{Matrix, SparseRows};
 use cross_modal::mining::{mine_itemsets_with, MiningConfig};
 use cross_modal::models::logistic::{LogisticConfig, LogisticRegression};
 use cross_modal::models::{train_model, ModelKind, TrainConfig};
@@ -101,14 +101,21 @@ fn propagation_edge_lists_are_identical() {
 #[test]
 fn logistic_weights_are_bit_identical() {
     let n = 4096;
+    // Sparse rows: every 7th row stores nothing, and the third column is
+    // stored on only a third of the rows.
     let rows: Vec<Vec<f32>> = (0..n)
         .map(|i| {
             let cls = if i % 3 == 0 { 1.0f32 } else { -1.0 };
             let jitter = ((i * 37 % 100) as f32) / 100.0 - 0.5;
-            vec![cls + jitter, -cls + jitter * 0.5, jitter]
+            if i % 7 == 0 {
+                vec![0.0; 3]
+            } else {
+                vec![cls + jitter, -cls + jitter * 0.5, if i % 3 == 1 { jitter } else { 0.0 }]
+            }
         })
         .collect();
-    let x = Matrix::from_rows(&rows);
+    let x = SparseRows::from_dense(&Matrix::from_rows(&rows));
+    assert!(x.nnz() < 3 * n, "the input must be sparse");
     let y: Vec<f64> = (0..n).map(|i| if i % 3 == 0 { 1.0 } else { 0.0 }).collect();
     // Batch 2048 splits into multiple 256-item gradient chunks.
     let cfg = LogisticConfig { epochs: 4, batch_size: 2048, ..Default::default() };
@@ -139,10 +146,17 @@ fn mined_itemsets_are_identical() {
 /// Two modalities in one 6-wide shared layout, `n` rows each, plus a
 /// test matrix: big enough that forward passes (1,024 rows) and the
 /// 512-row batches' gradient chunks (256 items) split across workers.
-fn fusion_task(n: usize) -> (ModalityData, ModalityData, Matrix) {
+/// The rows are sparse: the other modality's specific column is empty,
+/// small cells are empty, and one row in 97 stores nothing at all.
+fn fusion_task(n: usize) -> (ModalityData, ModalityData, SparseRows) {
     let cell = |i: usize, j: usize| {
         let h = (i as u32).wrapping_mul(2654435761).wrapping_add(j as u32 * 40503) >> 16;
-        (h & 0xFF) as f32 / 255.0 - 0.5
+        let v = (h & 0xFF) as f32 / 255.0 - 0.5;
+        if i % 97 == 5 || v.abs() < 0.2 {
+            0.0
+        } else {
+            v
+        }
     };
     let part = |offset: usize, specific: usize| {
         let x = Matrix::from_fn(n, 6, |r, c| {
@@ -156,9 +170,11 @@ fn fusion_task(n: usize) -> (ModalityData, ModalityData, Matrix) {
         let y: Vec<f64> = (0..n)
             .map(|r| if x[(r, 0)] + x[(r, 2 + specific)] > 0.1 { 0.9 } else { 0.1 })
             .collect();
+        let x = SparseRows::from_dense(&x);
+        assert!((0..n).any(|r| x.row(r).0.is_empty()), "a row with no stored entries");
         ModalityData::new(x, y)
     };
-    let test = Matrix::from_fn(n, 6, |r, c| cell(7 * n + r, c));
+    let test = SparseRows::from_dense(&Matrix::from_fn(n, 6, |r, c| cell(7 * n + r, c)));
     (part(0, 0), part(3 * n, 1), test)
 }
 
