@@ -19,7 +19,7 @@ use cm_orgsim::{TaskConfig, TaskId, World, WorldConfig};
 use cm_par::ParConfig;
 use cm_pipeline::{curate, curate_streamed_with, CurationConfig, DenseView, TaskData};
 use cm_propagation::{propagate, propagate_streaming, GraphBuilder, PropagationConfig};
-use cm_shard::ShardConfig;
+use cm_shard::{build_graph_sharded, MemBudget, MemTracker, SegmentedCorpus, ShardConfig};
 
 /// Minimal stand-in for a criterion benchmark group: warmup + sampled
 /// median/min timings, with substring filtering from the command line.
@@ -289,6 +289,24 @@ fn bench_kernels(c: &Harness) {
     group.bench_function("frozen_build_3k", || cm_featurespace::FrozenTable::freeze(&combined));
     group.bench_function("knn_graph_3k_anchors", || {
         GraphBuilder::approximate(10, combined.len()).build_with(&combined, &sim, 1, &par)
+    });
+
+    // Resident propagation's graph, shaped like adapt_e2e's: a 3.6k-row
+    // [seeds | dev] text head and an 8k-row image pool lent as two
+    // segments. At this size most rows' candidate unions exceed the
+    // 256-candidate cap, so the scan strides across the segment cut.
+    let head = w.generate(ModalityKind::Text, 3600, 12).table;
+    let pool = w.generate(ModalityKind::Image, 8000, 13).table;
+    let mut corpus = SegmentedCorpus::new(1 << 20);
+    corpus.push_head(&head);
+    corpus.push_head(&pool);
+    let mut resident = head.clone();
+    resident.extend_from(&pool);
+    let prop_sim = SimilarityConfig::uniform(sim.columns.clone()).fit_scales(&resident);
+    let builder = GraphBuilder::approximate(15, corpus.total_rows());
+    group.bench_function("knn_graph_head_pool_11k", || {
+        let mut tracker = MemTracker::new(MemBudget::default());
+        build_graph_sharded(&corpus, &builder, &prop_sim, 1, &par, &mut tracker)
     });
 
     // Vertical bitset support counting (same workload as

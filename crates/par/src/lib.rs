@@ -106,6 +106,13 @@ impl ParConfig {
         self.min_chunk
     }
 
+    /// Chunks the plan splits `n_items` into: at most one per-chunk scratch
+    /// buffer is alive per chunk, so this bounds a parallel call's scratch
+    /// at any thread count.
+    pub fn n_chunks(&self, n_items: usize) -> usize {
+        self.plan(n_items).1
+    }
+
     /// The thread-count-independent chunk plan for `n` items: chunk size
     /// and chunk count.
     fn plan(&self, n: usize) -> (usize, usize) {
@@ -340,6 +347,17 @@ mod tests {
             let a = ParConfig::threads(1).with_min_chunk(16).plan(n);
             let b = ParConfig::threads(8).with_min_chunk(16).plan(n);
             assert_eq!(a, b, "plan for n = {n}");
+        }
+    }
+
+    #[test]
+    fn n_chunks_counts_the_chunks_a_call_runs() {
+        for n in [1usize, 7, 64, 65, 1000] {
+            for threads in [1usize, 3] {
+                let cfg = ParConfig::threads(threads).with_min_chunk(16);
+                let ran = par_map_chunks(&cfg, n, |_| ()).unwrap().len();
+                assert_eq!(cfg.n_chunks(n), ran, "n = {n}, threads = {threads}");
+            }
         }
     }
 

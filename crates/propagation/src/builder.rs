@@ -11,13 +11,16 @@
 //! 1. *Routing* (anchor method only): one pass gathers the sampled anchor
 //!    rows into a small table, a second routes every row to its `probes`
 //!    most-similar anchors, and the routes invert into per-anchor member
-//!    lists, ascending by row.
+//!    lists, ascending by row. Each row's candidate stride is fixed here,
+//!    from the number of distinct members across its anchors.
 //! 2. *Scan*: for each query segment, one pass over every candidate
 //!    segment in offset order. Query rows split across `cm-par` chunks;
 //!    each row's candidates — every other row, or the strided union of its
 //!    anchors' members — are scored with the [`PairKernel`] and offered to
 //!    its [`TopK`] in ascending global order, so ties break the same way
-//!    wherever the segment cuts fall.
+//!    wherever the segment cuts fall. A routed row's union inside a
+//!    candidate segment is a `CandidateUnion` bitmap, walked in
+//!    ascending order: no per-row sort or dedup.
 
 use std::ops::Range;
 
@@ -236,11 +239,14 @@ impl GraphBuilder {
                     + (self.k + 1) * std::mem::size_of::<(u32, f32)>());
             ledger.charge(scan_bytes, "k-NN row scans")?;
             let mut scans: Vec<RowScan> = (0..seg_a.len()).map(|_| RowScan::new(self.k)).collect();
-            rows.for_each(ledger, &mut |off_b, seg_b, _| {
+            rows.for_each(ledger, &mut |off_b, seg_b, ledger| {
                 let span = off_b..off_b + seg_b.len();
                 if !candidates.reach(off_a..off_a + seg_a.len(), &span) {
                     return Ok(());
                 }
+                // One union per chunk, charged for every chunk of the plan.
+                let union_bytes = par.n_chunks(seg_a.len()) * candidates.union_bytes(span.len());
+                ledger.charge(union_bytes, "k-NN candidate unions")?;
                 let (frozen_b, compiled);
                 let kernel_b = if off_b == off_a {
                     &kernel_a
@@ -250,15 +256,16 @@ impl GraphBuilder {
                     &compiled
                 };
                 cm_par::par_chunks_mut(par, &mut scans, 1, |start, chunk| {
-                    let mut scratch = Vec::new();
+                    let mut union = candidates.union_over(&span);
                     for (ra, scan) in (start..).zip(chunk) {
-                        candidates.visit(off_a + ra, span.clone(), scan, &mut scratch, |j| {
+                        candidates.visit(off_a + ra, &span, &mut union, scan, |j| {
                             let s = kernel_a.pair_across(ra, kernel_b, j - off_b);
                             (s >= self.min_weight).then_some(s as f32)
                         });
                     }
                 })
                 .unwrap_or_else(|e| e.resume());
+                ledger.release(union_bytes);
                 Ok(())
             })?;
             let bytes = seg_a.len() * self.k * std::mem::size_of::<(u32, u32, f32)>();
@@ -276,15 +283,13 @@ impl GraphBuilder {
 /// One query row's state across a scan's candidate segments.
 struct RowScan {
     top: TopK,
-    /// Candidate stride; 0 until the row's first visit sets it.
-    stride: usize,
     /// Routed candidates to pass over before the next one is scored.
     skip: usize,
 }
 
 impl RowScan {
     fn new(k: usize) -> Self {
-        Self { top: TopK::new(k), stride: 0, skip: 0 }
+        Self { top: TopK::new(k), skip: 0 }
     }
 }
 
@@ -292,7 +297,7 @@ impl RowScan {
 enum Candidates {
     /// Every other row (the exact method).
     All,
-    /// The anchor routing: row `i`'s candidates are the sorted, distinct
+    /// The anchor routing: row `i`'s candidates are the ascending, distinct
     /// members of its anchors, subsampled to `max_candidates` by stride.
     Routed {
         /// Anchor slots per row.
@@ -303,7 +308,8 @@ enum Candidates {
         /// ascending by row.
         offsets: Vec<usize>,
         members: Vec<u32>,
-        max_candidates: usize,
+        /// Row `i`'s candidate stride, from its distinct member count.
+        strides: Vec<u32>,
     },
 }
 
@@ -384,7 +390,10 @@ impl Candidates {
             }
             Ok(())
         })?;
-        let member_bytes = (anchor_ids.len() + 1) * std::mem::size_of::<usize>() + route_bytes;
+        // Offsets, members (one per route) and one stride per row.
+        let member_bytes = (anchor_ids.len() + 1) * std::mem::size_of::<usize>()
+            + route_bytes
+            + n * std::mem::size_of::<u32>();
         ledger.charge(member_bytes, "anchor members")?;
         let mut offsets = vec![0usize; anchor_ids.len() + 1];
         for &a in &routes {
@@ -402,17 +411,53 @@ impl Candidates {
             }
         }
         ledger.release(table_bytes);
-        Ok(Candidates::Routed { probes, routes, offsets, members, max_candidates })
+        // Each row's stride counts the distinct members of its anchors in
+        // one n-row union per chunk, cleared by re-walking the members.
+        let union_bytes = par.n_chunks(n) * CandidateUnion::bytes(n);
+        ledger.charge(union_bytes, "k-NN candidate unions")?;
+        let mut strides = vec![0u32; n];
+        let bucket = |a: u32| &members[offsets[a as usize]..offsets[a as usize + 1]];
+        cm_par::par_chunks_mut(par, &mut strides, 1, |start, chunk| {
+            let mut union = CandidateUnion::over(&(0..n));
+            for (i, stride) in (start..).zip(chunk) {
+                let route = &routes[i * probes..(i + 1) * probes];
+                let distinct: usize = route.iter().map(|&a| union.insert(bucket(a))).sum();
+                for &a in route {
+                    union.remove(bucket(a));
+                }
+                *stride = candidate_stride(distinct, max_candidates) as u32;
+            }
+        })
+        .unwrap_or_else(|e| e.resume());
+        ledger.release(union_bytes);
+        Ok(Candidates::Routed { probes, routes, offsets, members, strides })
     }
 
     /// Bytes [`Candidates::route`] left charged.
     fn bytes(&self) -> usize {
         match self {
             Candidates::All => 0,
-            Candidates::Routed { routes, offsets, members, .. } => {
-                (routes.len() + members.len()) * std::mem::size_of::<u32>()
+            Candidates::Routed { routes, offsets, members, strides, .. } => {
+                (routes.len() + members.len() + strides.len()) * std::mem::size_of::<u32>()
                     + offsets.len() * std::mem::size_of::<usize>()
             }
+        }
+    }
+
+    /// Bytes of one chunk's [`CandidateUnion`] over a `rows`-row span.
+    fn union_bytes(&self, rows: usize) -> usize {
+        match self {
+            Candidates::All => 0,
+            Candidates::Routed { .. } => CandidateUnion::bytes(rows),
+        }
+    }
+
+    /// A clear union for visits inside `span`; empty for the exact method,
+    /// which needs none.
+    fn union_over(&self, span: &Range<usize>) -> CandidateUnion {
+        match self {
+            Candidates::All => CandidateUnion::over(&(span.start..span.start)),
+            Candidates::Routed { .. } => CandidateUnion::over(span),
         }
     }
 
@@ -439,53 +484,105 @@ impl Candidates {
     }
 
     /// Offers row `i`'s candidates inside `span`, ascending, to its scan:
-    /// `weight(j)` scores candidate `j`, `None` when below the floor.
-    /// Candidate segments come in offset order, and a segment is skipped
-    /// only when no row of the query segment reaches it, so a routed row's
-    /// first visit has no candidate before its span: it sorts the row's
-    /// whole list and sets the stride. Later visits sort only the members
-    /// inside their span.
+    /// `weight(j)` scores candidate `j`, `None` when below the floor. A
+    /// routed row's anchor members inside `span` are set in `union` (from
+    /// [`Candidates::union_over`]) and walked in ascending order through
+    /// the row's skip counter and its stride, fixed at routing; the walk
+    /// leaves `union` clear. Candidate segments come in offset order, so
+    /// the counter carries from one segment's last candidate to the next's
+    /// first.
     fn visit(
         &self,
         i: usize,
-        span: Range<usize>,
+        span: &Range<usize>,
+        union: &mut CandidateUnion,
         scan: &mut RowScan,
-        scratch: &mut Vec<u32>,
         weight: impl Fn(usize) -> Option<f32>,
     ) {
-        let Candidates::Routed { probes, routes, offsets, members, max_candidates } = self else {
-            for j in span.filter(|&j| j != i) {
+        let Candidates::Routed { probes, routes, strides, .. } = self else {
+            for j in span.clone().filter(|&j| j != i) {
                 if let Some(w) = weight(j) {
                     scan.top.push(j as u32, w);
                 }
             }
             return;
         };
-        let first = scan.stride == 0;
-        scratch.clear();
         for &a in &routes[i * probes..(i + 1) * probes] {
-            let a = a as usize;
-            if first {
-                scratch.extend_from_slice(&members[offsets[a]..offsets[a + 1]]);
-            } else {
-                scratch.extend_from_slice(self.members_in(a, &span));
+            union.insert(self.members_in(a as usize, span));
+        }
+        let top = &mut scan.top;
+        union.drain(strides[i] as usize, &mut scan.skip, |j| {
+            if j != i {
+                if let Some(w) = weight(j) {
+                    top.push(j as u32, w);
+                }
             }
+        });
+    }
+}
+
+/// The union of one row's candidate lists over a span of row ids, held as
+/// one bit per row. Setting members and walking the bits in ascending
+/// order yields the sorted, distinct union without sorting; every walk
+/// leaves the union clear for the next row. The batch sweep and the online
+/// graph share it.
+pub(crate) struct CandidateUnion {
+    /// Row id of bit 0.
+    start: usize,
+    words: Vec<u64>,
+}
+
+impl CandidateUnion {
+    /// A clear union over `rows`.
+    pub fn over(rows: &Range<usize>) -> Self {
+        Self { start: rows.start, words: vec![0; rows.len().div_ceil(64)] }
+    }
+
+    /// Bytes a union over `rows` rows holds.
+    pub fn bytes(rows: usize) -> usize {
+        rows.div_ceil(64) * std::mem::size_of::<u64>()
+    }
+
+    /// Adds `members`, all inside the span; returns how many were new.
+    pub fn insert(&mut self, members: &[u32]) -> usize {
+        let mut new = 0;
+        for &j in members {
+            let bit = j as usize - self.start;
+            let word = &mut self.words[bit / 64];
+            let mask = 1u64 << (bit % 64);
+            new += usize::from(*word & mask == 0);
+            *word |= mask;
         }
-        scratch.sort_unstable();
-        scratch.dedup();
-        if first {
-            debug_assert!(scratch.iter().all(|&j| j as usize >= span.start));
-            scan.stride = candidate_stride(scratch.len(), *max_candidates);
+        new
+    }
+
+    /// Takes `members` back out of the union.
+    pub fn remove(&mut self, members: &[u32]) {
+        for &j in members {
+            let bit = j as usize - self.start;
+            self.words[bit / 64] &= !(1u64 << (bit % 64));
         }
-        for &j in scratch.iter().take_while(|&&j| (j as usize) < span.end) {
-            if scan.skip > 0 {
-                scan.skip -= 1;
+    }
+
+    /// Walks the union in ascending order and clears it. Each member
+    /// passes through the counter `skip`: one that finds it at zero goes
+    /// to `offer` and resets it to `stride - 1`, the others count it down.
+    pub fn drain(&mut self, stride: usize, skip: &mut usize, mut offer: impl FnMut(usize)) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            let ones = bits.count_ones() as usize;
+            if *skip >= ones {
+                *skip -= ones;
                 continue;
             }
-            scan.skip = scan.stride - 1;
-            if j as usize != i {
-                if let Some(w) = weight(j as usize) {
-                    scan.top.push(j, w);
+            while bits != 0 {
+                let j = self.start + w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if *skip > 0 {
+                    *skip -= 1;
+                } else {
+                    *skip = stride - 1;
+                    offer(j);
                 }
             }
         }

@@ -35,7 +35,7 @@
 
 use cm_featurespace::{CmError, CmResult, ErrorKind, FrozenTable, PairKernel, SimilarityConfig};
 
-use crate::builder::{candidate_stride, route_row, TopK};
+use crate::builder::{candidate_stride, route_row, CandidateUnion, TopK};
 use crate::graph::{link, normalize, symmetric_adjacency, SparseGraph};
 
 /// Anchor-pool size target for a corpus of `n` rows. Matches the batch
@@ -164,29 +164,28 @@ impl OnlineGraph {
             return;
         }
         let kernel = PairKernel::compile(frozen, config);
+        let mut union = CandidateUnion::over(&(0..frozen.len()));
         for i in self.n_rows..frozen.len() {
-            self.insert_row(&kernel, i);
+            self.insert_row(&kernel, &mut union, i);
         }
         self.n_rows = frozen.len();
     }
 
-    fn insert_row(&mut self, kernel: &PairKernel<'_>, i: usize) {
+    /// Routes row `i`, scores every stride-th member of the union of its
+    /// anchors' lists in ascending order, and links its top `k`. `union`
+    /// spans the frozen table and is clear between rows.
+    fn insert_row(&mut self, kernel: &PairKernel<'_>, union: &mut CandidateUnion, i: usize) {
         let scores: Vec<f64> = self.anchors.iter().map(|&a| kernel.pair(i, a as usize)).collect();
         let route = route_row(&scores, self.probes);
-        let mut candidates: Vec<u32> = Vec::new();
-        for &a in &route {
-            candidates.extend_from_slice(&self.anchor_members[a]);
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let stride = candidate_stride(candidates.len(), self.max_candidates);
+        let distinct: usize = route.iter().map(|&a| union.insert(&self.anchor_members[a])).sum();
+        let stride = candidate_stride(distinct, self.max_candidates);
         let mut top = TopK::new(self.k);
-        for &j in candidates.iter().step_by(stride) {
-            let s = kernel.pair(i, j as usize);
+        union.drain(stride, &mut 0, |j| {
+            let s = kernel.pair(i, j);
             if s >= self.min_weight {
-                top.push(j, s as f32);
+                top.push(j as u32, s as f32);
             }
-        }
+        });
         let first = self.edges.len();
         top.drain_into(i as u32, &mut self.edges);
         // Candidates are earlier rows, so row `i` is newer than every
@@ -634,6 +633,65 @@ mod tests {
             assert_eq!(resumed.graph(), rebuilt(&resumed), "grown from row {end}");
         }
         assert_eq!(live.graph(), rebuilt(&live));
+    }
+
+    /// Insertion with the candidate union written as a sort: gather the
+    /// routed anchors' lists, sort, dedup, then `step_by(stride)`. Returns
+    /// the edge list and each row's stride.
+    fn sorted_union_reference(
+        t: &FeatureTable,
+        cfg: &SimilarityConfig,
+        g: &OnlineGraph,
+    ) -> (Vec<(u32, u32, f32)>, Vec<usize>) {
+        let frozen = FrozenTable::freeze(t);
+        let kernel = PairKernel::compile(&frozen, cfg);
+        let mut anchors: Vec<usize> = Vec::new();
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        let (mut edges, mut strides) = (Vec::new(), Vec::new());
+        for i in 0..t.len() {
+            let scores: Vec<f64> = anchors.iter().map(|&a| kernel.pair(i, a)).collect();
+            let route = route_row(&scores, g.probes);
+            let mut list: Vec<u32> =
+                route.iter().flat_map(|&a| members[a].iter().copied()).collect();
+            list.sort_unstable();
+            list.dedup();
+            let stride = candidate_stride(list.len(), g.max_candidates);
+            strides.push(stride);
+            let mut top = TopK::new(g.k);
+            for &j in list.iter().step_by(stride) {
+                let s = kernel.pair(i, j as usize);
+                if s >= g.min_weight {
+                    top.push(j, s as f32);
+                }
+            }
+            top.drain_into(i as u32, &mut edges);
+            for &a in &route {
+                members[a].push(i as u32);
+            }
+            if anchors.len() < target_anchor_count(i + 1) {
+                anchors.push(i);
+                members.push(vec![i as u32]);
+            }
+        }
+        (edges, strides)
+    }
+
+    #[test]
+    fn bitmap_union_matches_sorted_union_on_a_growing_table() {
+        let cfg = SimilarityConfig::uniform(vec![0]);
+        for (t, seed) in [(interleaved(400), 11u64), (random_numeric(400, 12), 12)] {
+            let mut g = OnlineGraph::new(4);
+            g.max_candidates = 8;
+            let (want, strides) = sorted_union_reference(&t, &cfg, &g);
+            let long = strides.iter().filter(|&&s| s > 1).count();
+            assert!(2 * long > strides.len(), "only {long}/{} rows strided", strides.len());
+            for end in random_cuts(t.len(), seed) {
+                g.insert_rows(&FrozenTable::freeze(&prefix_table(&t, end)), &cfg);
+                let prefix = want.iter().take_while(|e| (e.0 as usize) < end).count();
+                assert_eq!(g.edges, want[..prefix], "seed {seed}, after row {end}");
+                assert_eq!(g.graph(), SparseGraph::from_edges(end, &want[..prefix]));
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod tests {
     use cm_par::ParConfig;
     use cm_propagation::KnnMethod;
 
-    use super::knn_oracle::oracle_graph;
+    use super::knn_oracle::{oracle_graph, oracle_strides};
     use super::*;
     use crate::config::{MemBudget, MemTracker};
     use crate::corpus::StreamSpec;
@@ -151,34 +151,49 @@ mod tests {
         let w = world();
         let (resident, columns) = setup(&w, 120, 240);
         let sim = SimilarityConfig::uniform(columns).fit_scales(&resident);
-        let builder = GraphBuilder {
-            k: 5,
-            method: KnnMethod::Anchors { n_anchors: 24, probes: 3, max_candidates: 64 },
-            min_weight: 0.05,
-        };
-        assert!(!builder.uses_exact(resident.len()), "test must exercise the anchor path");
-        let want = builder.build_with(&resident, &sim, 9, &ParConfig::threads(4));
-        let oracle = oracle_graph(&builder, &resident, &sim, 9);
-        for threads in [1usize, 2, 4] {
-            let got = builder.build_with(&resident, &sim, 9, &ParConfig::threads(threads));
-            assert_eq!(got, oracle, "build_with at {threads} threads");
-        }
-        for seg_rows in [37usize, 128, 360] {
-            let mut corpus = SegmentedCorpus::new(seg_rows);
-            let head = w.generate(ModalityKind::Text, 120, 21);
-            corpus.push_head(&head.table);
-            corpus.set_stream(StreamSpec {
-                world: &w,
-                modality: ModalityKind::Image,
-                rows: 240,
-                seed: 22,
-            });
-            let mut tracker = MemTracker::new(MemBudget::default());
-            let par = ParConfig::threads(4);
-            let got = build_graph_sharded(&corpus, &builder, &sim, 9, &par, &mut tracker).unwrap();
-            assert_eq!(got, want, "seg_rows {seg_rows}");
-            assert!(tracker.peak() > 0);
-            assert_eq!(tracker.current(), 0, "all charges released");
+        // The default-like cap scans most lists whole; a cap of 8 strides
+        // most of them, so the skip counter crosses segment cuts.
+        for max_candidates in [64usize, 8] {
+            let builder = GraphBuilder {
+                k: 5,
+                method: KnnMethod::Anchors { n_anchors: 24, probes: 3, max_candidates },
+                min_weight: 0.05,
+            };
+            assert!(!builder.uses_exact(resident.len()), "test must exercise the anchor path");
+            if max_candidates == 8 {
+                let strides = oracle_strides(&builder, &resident, &sim, 9);
+                let long = strides.iter().filter(|&&s| s > 1).count();
+                assert!(2 * long > strides.len(), "{long}/{} rows strided", strides.len());
+            }
+            let oracle = oracle_graph(&builder, &resident, &sim, 9);
+            for threads in [1usize, 2, 4] {
+                let got = builder.build_with(&resident, &sim, 9, &ParConfig::threads(threads));
+                assert_eq!(got, oracle, "cap {max_candidates}: build_with at {threads} threads");
+            }
+            for seg_rows in [37usize, 128, 360] {
+                let mut corpus = SegmentedCorpus::new(seg_rows);
+                let head = w.generate(ModalityKind::Text, 120, 21);
+                corpus.push_head(&head.table);
+                corpus.set_stream(StreamSpec {
+                    world: &w,
+                    modality: ModalityKind::Image,
+                    rows: 240,
+                    seed: 22,
+                });
+                let mut peak = None;
+                for threads in [1usize, 2, 4] {
+                    let mut tracker = MemTracker::new(MemBudget::default());
+                    let par = ParConfig::threads(threads);
+                    let got = build_graph_sharded(&corpus, &builder, &sim, 9, &par, &mut tracker)
+                        .unwrap();
+                    let what = format!("cap {max_candidates}, seg_rows {seg_rows}, {threads}t");
+                    assert_eq!(got, oracle, "{what}");
+                    assert!(tracker.peak() > 0);
+                    assert_eq!(tracker.current(), 0, "{what}: all charges released");
+                    // Charges never depend on the thread count.
+                    assert_eq!(*peak.get_or_insert(tracker.peak()), tracker.peak(), "{what}");
+                }
+            }
         }
     }
 

@@ -18,7 +18,7 @@ use cross_modal::propagation::{GraphBuilder, KnnMethod};
 #[path = "support/knn_oracle.rs"]
 mod knn_oracle;
 
-use knn_oracle::oracle_graph;
+use knn_oracle::{oracle_graph, oracle_strides};
 
 use cross_modal::shard::{
     build_graph_sharded, fit_scales_sharded, MemBudget, MemTracker, SegmentedCorpus, ShardConfig,
@@ -190,8 +190,17 @@ fn knn_graphs_match_resident_across_shard_sizes_and_threads() {
         method: KnnMethod::Anchors { n_anchors: 24, probes: 3, max_candidates: 64 },
         min_weight: 0.05,
     };
+    // A small cap subsamples most rows' lists, so the stride counter
+    // carries across segment cuts.
+    let strided = GraphBuilder {
+        method: KnnMethod::Anchors { n_anchors: 24, probes: 3, max_candidates: 8 },
+        ..anchors.clone()
+    };
     assert!(!anchors.uses_exact(resident.len()), "must exercise the anchor path");
-    for builder in [&exact, &anchors] {
+    let strides = oracle_strides(&strided, &resident, &sim, 17);
+    let long = strides.iter().filter(|&&s| s > 1).count();
+    assert!(2 * long > strides.len(), "only {long}/{} rows have stride > 1", strides.len());
+    for builder in [&exact, &anchors, &strided] {
         let want = builder.build_with(&resident, &sim, 17, &ParConfig::threads(1));
         let oracle = oracle_graph(builder, &resident, &sim, 17);
         assert_eq!(want, oracle, "resident {:?} differs from the oracle", builder.method);
