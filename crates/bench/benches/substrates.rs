@@ -10,7 +10,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use cm_featurespace::{FeatureSet, ModalityKind, SimilarityConfig};
+use cm_featurespace::{FeatureSet, FrozenTable, ModalityKind, PairKernel, SimilarityConfig};
 use cm_json::Json;
 use cm_labelmodel::{AnchoredModel, GenerativeConfig, GenerativeModel, LabelMatrix};
 use cm_mining::{mine_itemsets_with, MiningConfig};
@@ -286,7 +286,7 @@ fn bench_kernels(c: &Harness) {
     let mut cols = w.schema().columns_in_sets(&FeatureSet::SHARED, false);
     cols.push(w.schema().column("img_embedding").unwrap());
     let sim = SimilarityConfig::uniform(cols).fit_scales(&combined);
-    group.bench_function("frozen_build_3k", || cm_featurespace::FrozenTable::freeze(&combined));
+    group.bench_function("frozen_build_3k", || FrozenTable::freeze(&combined));
     group.bench_function("knn_graph_3k_anchors", || {
         GraphBuilder::approximate(10, combined.len()).build_with(&combined, &sim, 1, &par)
     });
@@ -307,6 +307,27 @@ fn bench_kernels(c: &Harness) {
     group.bench_function("knn_graph_head_pool_11k", || {
         let mut tracker = MemTracker::new(MemBudget::default());
         build_graph_sharded(&corpus, &builder, &prop_sim, 1, &par, &mut tracker)
+    });
+
+    // Routing-shaped pair scoring over the same corpus: every row against
+    // 107 anchors (GraphBuilder::approximate's count at 11.6k rows), one
+    // batch per row.
+    let frozen = FrozenTable::freeze(&resident);
+    let kernel = PairKernel::compile(&frozen, &prop_sim);
+    let n_anchors = 107;
+    let anchor_rows: Vec<usize> = (0..n_anchors).map(|a| a * resident.len() / n_anchors).collect();
+    let anchor_table = resident.gather(&anchor_rows);
+    let frozen_anchors = FrozenTable::freeze(&anchor_table);
+    let anchors = PairKernel::compile(&frozen_anchors, &prop_sim);
+    let slots: Vec<u32> = (0..n_anchors as u32).collect();
+    group.bench_function("pair_scores_11k_x107", || {
+        let mut scores = vec![0.0; n_anchors];
+        let mut sum = 0.0;
+        for r in 0..resident.len() {
+            kernel.score_batch(r, &anchors, &slots, &mut scores);
+            sum += scores.iter().sum::<f64>();
+        }
+        sum
     });
 
     // Vertical bitset support counting (same workload as

@@ -292,6 +292,32 @@ pub fn normalized_similarity(
 /// `u64` masks (Jaccard becomes three popcounts).
 const CAT_MASK_BITS: u32 = 64;
 
+/// Mask-column Jaccard by `(intersection, union)`: entry
+/// `inter * 65 + union` is `inter as f64 / union as f64`, or 1.0 at union
+/// 0 — the quotients [`jaccard_ids`] divides out, computed once.
+static MASK_JACCARD: [f64; 65 * 65] = mask_jaccard_table();
+
+const fn mask_jaccard_table() -> [f64; 65 * 65] {
+    let mut table = [0.0; 65 * 65];
+    let mut inter = 0;
+    while inter <= 64 {
+        let mut union = inter;
+        while union <= 64 {
+            table[inter * 65 + union] = if union == 0 { 1.0 } else { inter as f64 / union as f64 };
+            union += 1;
+        }
+        inter += 1;
+    }
+    table
+}
+
+/// The signature bit of category id `id` in a slice column: its
+/// multiplicative hash down to 6 bits. Rows whose signatures are disjoint
+/// share no id.
+fn slice_signature_bit(id: u32) -> u64 {
+    1u64 << (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+}
+
 /// One column of a compiled [`PairKernel`] plan: resolved kind, borrowed
 /// frozen storage, and any per-column precomputation.
 enum ColKernel<'a> {
@@ -301,18 +327,23 @@ enum ColKernel<'a> {
     },
     /// Small-vocabulary categorical column: each row's sorted id set packed
     /// into one `u64`. Intersection and union sizes come from popcounts —
-    /// the same integers the sorted-slice merge produces, feeding the same
-    /// final division. The CSR ids stay borrowed for pairs against a
-    /// segment whose column compiled to `CatSlice`.
+    /// the same integers the sorted-slice merge produces — and index
+    /// [`MASK_JACCARD`], which holds the same final division. The CSR ids
+    /// stay borrowed for pairs against a segment whose column compiled to
+    /// `CatSlice`.
     CatMask {
         masks: Vec<u64>,
         offsets: &'a [u32],
         ids: &'a [u32],
     },
-    /// General categorical column: sorted-slice Jaccard over the CSR ids.
+    /// General categorical column: sorted-slice Jaccard over the CSR ids,
+    /// behind one hashed signature word per row (see
+    /// [`slice_signature_bit`]). Disjoint signatures mean an empty
+    /// intersection, which needs no merge.
     CatSlice {
         offsets: &'a [u32],
         ids: &'a [u32],
+        signatures: Vec<u64>,
     },
     Embedding {
         dim: usize,
@@ -334,16 +365,24 @@ enum ColKernel<'a> {
 ///   present — so the per-pair presence test for all columns is a single
 ///   `AND`, the shared-feature count is its popcount, and absent columns
 ///   are never visited;
-/// - per-row `u64` category masks for small vocabularies and per-row
-///   squared embedding norms.
+/// - per-row `u64` category masks for small vocabularies, per-row hashed
+///   id signatures for the others, and per-row squared embedding norms.
+///
+/// [`PairKernel::score_batch`] is the one scoring path: it scores a row
+/// against a batch of rows a plan column at a time, and
+/// [`PairKernel::pair`] / [`PairKernel::pair_across`] are its
+/// one-candidate case.
 ///
 /// Bit-identity with the reference: every floating-point operation runs on
-/// the same operands in the same order as [`normalized_similarity`]
-/// (shared columns are visited in ascending plan order, which is the
-/// reference's column order). The integer set sizes behind Jaccard and the
-/// shared-column count are order-free, and each hoisted embedding norm is
-/// accumulated over the same values in the same index order as the
-/// reference's fused cosine loop.
+/// the same operands in the same order as [`normalized_similarity`]. Each
+/// candidate's total starts at +0.0 and adds its shared columns in
+/// ascending plan order, which is the reference's column order; a batch
+/// only interleaves one candidate's sum with the others'. The integer set
+/// sizes behind Jaccard and the shared-column count are order-free, the
+/// mask table and the disjoint-signature shortcut yield the quotient
+/// [`jaccard_ids`] would, and each hoisted embedding norm is accumulated
+/// over the same values in the same index order as the reference's fused
+/// cosine loop.
 ///
 /// Plans wider than 64 columns fall back to per-column bitmap gating with
 /// the same arithmetic.
@@ -370,16 +409,21 @@ impl<'a> PairKernel<'a> {
                     present.push(p);
                 }
                 FrozenColumn::Categorical { offsets, ids, present: p } => {
+                    let packed = |bit: fn(u32) -> u64| -> Vec<u64> {
+                        (0..n)
+                            .map(|r| {
+                                ids[offsets[r] as usize..offsets[r + 1] as usize]
+                                    .iter()
+                                    .fold(0u64, |word, &id| word | bit(id))
+                            })
+                            .collect()
+                    };
                     if ids.iter().all(|&id| id < CAT_MASK_BITS) {
-                        let mut masks = vec![0u64; n];
-                        for (r, mask) in masks.iter_mut().enumerate() {
-                            for &id in &ids[offsets[r] as usize..offsets[r + 1] as usize] {
-                                *mask |= 1u64 << id;
-                            }
-                        }
+                        let masks = packed(|id| 1u64 << id);
                         plan.push(ColKernel::CatMask { masks, offsets, ids });
                     } else {
-                        plan.push(ColKernel::CatSlice { offsets, ids });
+                        let signatures = packed(slice_signature_bit);
+                        plan.push(ColKernel::CatSlice { offsets, ids, signatures });
                     }
                     present.push(p);
                 }
@@ -414,41 +458,6 @@ impl<'a> PairKernel<'a> {
         Self { plan, presence, present }
     }
 
-    /// The contribution of plan column `c` for row `i` here and row `j` of
-    /// `other`, both present in it. Forced inline: the two-sided match
-    /// otherwise stays out of the pair loop, about 10 % slower on the
-    /// 3k-row k-NN bench.
-    #[inline(always)]
-    fn col_weight(&self, c: usize, i: usize, other: &PairKernel<'_>, j: usize) -> f64 {
-        match (&self.plan[c], &other.plan[c]) {
-            (ColKernel::Numeric { values: a, scale }, ColKernel::Numeric { values: b, .. }) => {
-                (-(a[i] - b[j]).abs() / scale).exp()
-            }
-            (ColKernel::CatMask { masks: a, .. }, ColKernel::CatMask { masks: b, .. }) => {
-                let (ma, mb) = (a[i], b[j]);
-                let inter = (ma & mb).count_ones() as usize;
-                let union = ma.count_ones() as usize + mb.count_ones() as usize - inter;
-                if union == 0 {
-                    1.0
-                } else {
-                    inter as f64 / union as f64
-                }
-            }
-            (
-                ColKernel::Embedding { dim, data: a, norms: na },
-                ColKernel::Embedding { data: b, norms: nb, .. },
-            ) => {
-                let x = &a[i * dim..(i + 1) * dim];
-                let y = &b[j * dim..(j + 1) * dim];
-                0.5 * (cosine_prenorm(x, y, na[i], nb[j]) + 1.0)
-            }
-            // Any other pairing is a categorical column that compiled to a
-            // slice on at least one side: the sorted-slice Jaccard counts
-            // the same integers the masks would.
-            (a, b) => jaccard_ids(a.cat_ids(i), b.cat_ids(j)),
-        }
-    }
-
     /// The pair weight between rows `i` and `j` of the frozen table —
     /// bit-identical to `normalized_similarity((t, i), (t, j), config)`.
     pub fn pair(&self, i: usize, j: usize) -> f64 {
@@ -457,48 +466,141 @@ impl<'a> PairKernel<'a> {
 
     /// The pair weight between row `i` of this kernel's table and row `j`
     /// of `other`'s — bit-identical to
-    /// `normalized_similarity((t, i), (u, j), config)`. `other` must be
+    /// `normalized_similarity((t, i), (u, j), config)`: the one-candidate
+    /// case of [`PairKernel::score_batch`].
+    pub fn pair_across(&self, i: usize, other: &PairKernel<'_>, j: usize) -> f64 {
+        let mut out = [0.0];
+        self.score_batch(i, other, &[j as u32], &mut out);
+        out[0]
+    }
+
+    /// Scores row `i` of this kernel's table against rows `js` of
+    /// `other`'s, writing `out[k]` for `js[k]` — each bit-identical to
+    /// `normalized_similarity((t, i), (u, js[k]), config)`. `other` must be
     /// compiled from the same `config` over a table of the same schema, so
     /// the plans line up column for column; only a categorical column's
     /// mask-or-slice choice may differ between the two.
-    pub fn pair_across(&self, i: usize, other: &PairKernel<'_>, j: usize) -> f64 {
+    ///
+    /// The batch runs a plan column at a time over every candidate that
+    /// shares it, so each column's kind is resolved once per batch rather
+    /// than once per pair.
+    ///
+    /// # Panics
+    /// Panics if `out` and `js` differ in length.
+    pub fn score_batch(&self, i: usize, other: &PairKernel<'_>, js: &[u32], out: &mut [f64]) {
+        assert_eq!(js.len(), out.len(), "one output slot per candidate");
         debug_assert_eq!(
             self.plan.len(),
             other.plan.len(),
             "kernels compiled from different plans"
         );
+        out.fill(0.0);
         if self.presence.is_empty() {
-            return self.pair_wide(i, other, j);
+            return self.score_batch_wide(i, other, js, out);
         }
-        let shared = self.presence[i] & other.presence[j];
-        let count = shared.count_ones() as usize;
-        if count == 0 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        let mut bits = shared;
+        let here = self.presence[i];
+        let reached = js.iter().fold(0u64, |acc, &j| acc | other.presence[j as usize]);
+        let mut bits = here & reached;
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            total += self.col_weight(c, i, other, j);
+            self.add_column(c, i, other, js, out, |j| other.presence[j] >> c & 1 != 0);
         }
-        total / count as f64
+        for (total, &j) in out.iter_mut().zip(js) {
+            let count = (here & other.presence[j as usize]).count_ones();
+            *total = if count == 0 { 0.0 } else { *total / f64::from(count) };
+        }
     }
 
-    /// Per-column gated path for plans wider than one presence word.
-    fn pair_wide(&self, i: usize, other: &PairKernel<'_>, j: usize) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
+    /// Per-column gated batch for plans wider than one presence word.
+    fn score_batch_wide(&self, i: usize, other: &PairKernel<'_>, js: &[u32], out: &mut [f64]) {
         for (c, (p, q)) in self.present.iter().zip(&other.present).enumerate() {
-            if p.get(i) && q.get(j) {
-                total += self.col_weight(c, i, other, j);
-                count += 1;
+            if p.get(i) {
+                self.add_column(c, i, other, js, out, |j| q.get(j));
             }
         }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
+        for (total, &j) in out.iter_mut().zip(js) {
+            let j = j as usize;
+            let count = self
+                .present
+                .iter()
+                .zip(&other.present)
+                .filter(|(p, q)| p.get(i) && q.get(j))
+                .count();
+            *total = if count == 0 { 0.0 } else { *total / count as f64 };
+        }
+    }
+
+    /// Adds plan column `c`'s contribution for row `i` here and each
+    /// candidate `js[k]` of `other` that `shares(js[k])` to `out[k]`; row
+    /// `i` must be present in the column. Forced inline so each call site
+    /// keeps its own gate in the candidate loop.
+    #[inline(always)]
+    fn add_column(
+        &self,
+        c: usize,
+        i: usize,
+        other: &PairKernel<'_>,
+        js: &[u32],
+        out: &mut [f64],
+        shares: impl Fn(usize) -> bool,
+    ) {
+        let candidates = out.iter_mut().zip(js).map(|(total, &j)| (total, j as usize));
+        match (&self.plan[c], &other.plan[c]) {
+            (ColKernel::Numeric { values: a, scale }, ColKernel::Numeric { values: b, .. }) => {
+                let x = a[i];
+                for (total, j) in candidates.filter(|&(_, j)| shares(j)) {
+                    *total += (-(x - b[j]).abs() / scale).exp();
+                }
+            }
+            (ColKernel::CatMask { masks: a, .. }, ColKernel::CatMask { masks: b, .. }) => {
+                let ma = a[i];
+                let na = ma.count_ones() as usize;
+                for (total, j) in candidates.filter(|&(_, j)| shares(j)) {
+                    let mb = b[j];
+                    let inter = (ma & mb).count_ones() as usize;
+                    let union = na + mb.count_ones() as usize - inter;
+                    *total += MASK_JACCARD[inter * 65 + union];
+                }
+            }
+            (
+                ColKernel::CatSlice { signatures: sa, .. },
+                ColKernel::CatSlice { signatures: sb, .. },
+            ) => {
+                let (ids_a, sig_a) = (self.plan[c].cat_ids(i), sa[i]);
+                for (total, j) in candidates.filter(|&(_, j)| shares(j)) {
+                    let ids_b = other.plan[c].cat_ids(j);
+                    *total += if sig_a & sb[j] == 0 {
+                        // No shared id: the merge would find `inter = 0`.
+                        if ids_a.is_empty() && ids_b.is_empty() {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        jaccard_ids(ids_a, ids_b)
+                    };
+                }
+            }
+            (
+                ColKernel::Embedding { dim, data: a, norms: na },
+                ColKernel::Embedding { data: b, norms: nb, .. },
+            ) => {
+                let x = &a[i * dim..(i + 1) * dim];
+                for (total, j) in candidates.filter(|&(_, j)| shares(j)) {
+                    let y = &b[j * dim..(j + 1) * dim];
+                    *total += 0.5 * (cosine_prenorm(x, y, na[i], nb[j]) + 1.0);
+                }
+            }
+            // Any other pairing is a categorical column that compiled to a
+            // mask on one side and a slice on the other: the sorted-slice
+            // Jaccard counts the same integers the masks would.
+            (a, b) => {
+                let ids_a = a.cat_ids(i);
+                for (total, j) in candidates.filter(|&(_, j)| shares(j)) {
+                    *total += jaccard_ids(ids_a, b.cat_ids(j));
+                }
+            }
         }
     }
 }
@@ -512,7 +614,7 @@ impl ColKernel<'_> {
     #[inline(always)]
     fn cat_ids(&self, r: usize) -> &[u32] {
         match self {
-            ColKernel::CatMask { offsets, ids, .. } | ColKernel::CatSlice { offsets, ids } => {
+            ColKernel::CatMask { offsets, ids, .. } | ColKernel::CatSlice { offsets, ids, .. } => {
                 &ids[offsets[r] as usize..offsets[r + 1] as usize]
             }
             _ => unreachable!("kernels compiled from different schemas"),
@@ -823,6 +925,54 @@ mod tests {
         // An accumulator that saw nothing produces no scales.
         let empty = ScaleAccumulator::new(&[0, 1]);
         assert!(empty.finish_means().finish().is_empty());
+    }
+
+    #[test]
+    fn mask_jaccard_table_holds_the_merge_quotients() {
+        for union in 0..=64usize {
+            for inter in 0..=union {
+                let want = if union == 0 { 1.0 } else { inter as f64 / union as f64 };
+                let got = MASK_JACCARD[inter * 65 + union];
+                assert_eq!(got.to_bits(), want.to_bits(), "inter {inter}, union {union}");
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_slice_signatures_fall_back_to_the_merge() {
+        // 65 ids in 64 signature bits: two of them must collide.
+        let mut owner = [None; 64];
+        let (a, b) = (0..=64u32)
+            .find_map(|id| {
+                let bit = slice_signature_bit(id).trailing_zeros() as usize;
+                owner[bit].replace(id).map(|first| (first, id))
+            })
+            .expect("pigeonhole");
+        let schema = Arc::new(FeatureSchema::from_defs(vec![FeatureDef::categorical(
+            "wide",
+            FeatureSet::C,
+            ServingMode::Servable,
+            Vocabulary::from_names((0..128).map(|i| format!("t{i}")).collect::<Vec<_>>()),
+        )]));
+        let mut t = FeatureTable::new(schema);
+        for ids in [vec![a], vec![b], vec![a, 100], vec![b, 100]] {
+            t.push_row(&[FeatureValue::Categorical(CatSet::from_ids(ids))]);
+        }
+        let cfg = SimilarityConfig::uniform(vec![0]);
+        let frozen = FrozenTable::freeze(&t);
+        let kernel = PairKernel::compile(&frozen, &cfg);
+        let ColKernel::CatSlice { signatures, .. } = &kernel.plan[0] else {
+            panic!("ids past 64 must compile to a slice column");
+        };
+        assert_ne!(signatures[0] & signatures[1], 0, "ids {a} and {b} share a signature bit");
+        for i in 0..t.len() {
+            for j in 0..t.len() {
+                let want = normalized_similarity((&t, i), (&t, j), &cfg);
+                assert_eq!(kernel.pair(i, j).to_bits(), want.to_bits(), "pair ({i}, {j})");
+            }
+        }
+        assert_eq!(kernel.pair(0, 1), 0.0);
+        assert_eq!(kernel.pair(2, 3), 1.0 / 3.0);
     }
 
     #[test]

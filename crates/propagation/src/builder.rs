@@ -9,19 +9,26 @@
 //! count never change an edge:
 //!
 //! 1. *Routing* (anchor method only): one pass gathers the sampled anchor
-//!    rows into a small table, a second routes every row to its `probes`
-//!    most-similar anchors, and the routes invert into per-anchor member
-//!    lists, ascending by row. Each row's candidate stride is fixed here,
-//!    from the number of distinct members across its anchors.
+//!    rows into a small table, a second scores every row against all
+//!    anchors in one [`PairKernel::score_batch`], routes it to its
+//!    `probes` most-similar anchors and records the segment spans; the
+//!    routes invert into per-anchor member lists, ascending by row. Each
+//!    row's candidate stride is fixed here, from the number of distinct
+//!    members across its anchors: per recorded span, one member bitmap per
+//!    anchor (`MemberBitmaps`), and the popcount of the row's anchors' OR,
+//!    summed over the spans. No extra pass re-reads the rows.
 //! 2. *Scan*: for each query segment, one pass over every candidate
-//!    segment in offset order. Query rows split across `cm-par` chunks;
-//!    each row's candidates — every other row, or the strided union of its
-//!    anchors' members — are scored with the [`PairKernel`] and offered to
-//!    its [`TopK`] in ascending global order, so ties break the same way
-//!    wherever the segment cuts fall. A routed row's union inside a
-//!    candidate segment is a `CandidateUnion` bitmap, walked in
-//!    ascending order: no per-row sort or dedup.
+//!    segment in offset order. Each candidate segment the query segment
+//!    reaches gets its anchors' member bitmaps, built once and shared
+//!    read-only by the `cm-par` chunks the query rows split across. A
+//!    row's candidates — every other row, or the strided OR of its
+//!    anchors' bitmaps, walked in ascending order — fill a fixed-size
+//!    `ScanBatch`, which scores them a plan column at a time through
+//!    [`PairKernel::score_batch`] and offers them to the row's [`TopK`] in
+//!    ascending global order, so ties break the same way wherever the
+//!    segment cuts fall. No per-row sort, dedup or bitmap insert runs.
 
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use cm_featurespace::{
@@ -244,9 +251,11 @@ impl GraphBuilder {
                 if !candidates.reach(off_a..off_a + seg_a.len(), &span) {
                     return Ok(());
                 }
-                // One union per chunk, charged for every chunk of the plan.
-                let union_bytes = par.n_chunks(seg_a.len()) * candidates.union_bytes(span.len());
-                ledger.charge(union_bytes, "k-NN candidate unions")?;
+                // The anchors' member bitmaps are shared by every chunk;
+                // each chunk holds one candidate batch.
+                let members = candidates.member_bitmaps(&span, ledger)?;
+                let batch_bytes = par.n_chunks(seg_a.len()) * ScanBatch::BYTES;
+                ledger.charge(batch_bytes, "k-NN candidate batches")?;
                 let (frozen_b, compiled);
                 let kernel_b = if off_b == off_a {
                     &kernel_a
@@ -256,16 +265,20 @@ impl GraphBuilder {
                     &compiled
                 };
                 cm_par::par_chunks_mut(par, &mut scans, 1, |start, chunk| {
-                    let mut union = candidates.union_over(&span);
+                    let mut batch = ScanBatch::new(off_b, self.min_weight);
                     for (ra, scan) in (start..).zip(chunk) {
-                        candidates.visit(off_a + ra, &span, &mut union, scan, |j| {
-                            let s = kernel_a.pair_across(ra, kernel_b, j - off_b);
-                            (s >= self.min_weight).then_some(s as f32)
+                        let RowScan { top, skip } = scan;
+                        let score = |js: &[u32], out: &mut [f64]| {
+                            kernel_a.score_batch(ra, kernel_b, js, out);
+                        };
+                        candidates.visit(off_a + ra, &span, &members, skip, |j| {
+                            batch.push(j, &score, top);
                         });
+                        batch.flush(&score, top);
                     }
                 })
                 .unwrap_or_else(|e| e.resume());
-                ledger.release(union_bytes);
+                ledger.release(batch_bytes + members.bytes());
                 Ok(())
             })?;
             let bytes = seg_a.len() * self.k * std::mem::size_of::<(u32, u32, f32)>();
@@ -331,8 +344,8 @@ impl Candidates {
         // each anchor slot to its table row.
         let mut by_row = anchor_ids.to_vec();
         by_row.sort_unstable();
-        let position: Vec<usize> =
-            anchor_ids.iter().map(|&row| by_row.partition_point(|&r| r < row)).collect();
+        let position: Vec<u32> =
+            anchor_ids.iter().map(|&row| by_row.partition_point(|&r| r < row) as u32).collect();
         let mut table: Option<FeatureTable> = None;
         let mut table_bytes = 0usize;
         rows.for_each(ledger, &mut |offset, seg, ledger| {
@@ -368,18 +381,21 @@ impl Candidates {
         let anchors = PairKernel::compile(&frozen_anchors, config);
 
         // Routes, then their inversion, each charged before allocation.
+        // The pass records the segment spans for the stride count below.
         let probes = probes.min(anchor_ids.len());
         let route_bytes = n * probes * std::mem::size_of::<u32>();
         ledger.charge(route_bytes, "anchor routes")?;
         let mut routes: Vec<u32> = Vec::with_capacity(n * probes);
-        rows.for_each(ledger, &mut |_, seg, _| {
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        rows.for_each(ledger, &mut |offset, seg, _| {
+            spans.push(offset..offset + seg.len());
             let frozen = FrozenTable::freeze(seg);
             let kernel = PairKernel::compile(&frozen, config);
             let chunks = cm_par::par_map_chunks(par, seg.len(), |range| {
                 let mut out = Vec::with_capacity(range.len() * probes);
+                let mut scores = vec![0.0; position.len()];
                 for r in range {
-                    let scores: Vec<f64> =
-                        position.iter().map(|&p| kernel.pair_across(r, &anchors, p)).collect();
+                    kernel.score_batch(r, &anchors, &position, &mut scores);
                     out.extend(route_row(&scores, probes).into_iter().map(|a| a as u32));
                 }
                 out
@@ -411,26 +427,29 @@ impl Candidates {
             }
         }
         ledger.release(table_bytes);
-        // Each row's stride counts the distinct members of its anchors in
-        // one n-row union per chunk, cleared by re-walking the members.
-        let union_bytes = par.n_chunks(n) * CandidateUnion::bytes(n);
-        ledger.charge(union_bytes, "k-NN candidate unions")?;
-        let mut strides = vec![0u32; n];
-        let bucket = |a: u32| &members[offsets[a as usize]..offsets[a as usize + 1]];
-        cm_par::par_chunks_mut(par, &mut strides, 1, |start, chunk| {
-            let mut union = CandidateUnion::over(&(0..n));
-            for (i, stride) in (start..).zip(chunk) {
-                let route = &routes[i * probes..(i + 1) * probes];
-                let distinct: usize = route.iter().map(|&a| union.insert(bucket(a))).sum();
-                for &a in route {
-                    union.remove(bucket(a));
+        let mut routed =
+            Candidates::Routed { probes, routes, offsets, members, strides: Vec::new() };
+        // Each row's stride counts the distinct members of its anchors:
+        // the popcount of its anchors' member bitmaps, OR-ed and summed
+        // over the spans the routing pass saw.
+        let mut distinct = vec![0u32; n];
+        for span in &spans {
+            let bitmaps = routed.member_bitmaps(span, ledger)?;
+            cm_par::par_chunks_mut(par, &mut distinct, 1, |start, chunk| {
+                for (i, count) in (start..).zip(chunk) {
+                    *count += bitmaps.count(routed.anchors_of(i)) as u32;
                 }
-                *stride = candidate_stride(distinct, max_candidates) as u32;
-            }
-        })
-        .unwrap_or_else(|e| e.resume());
-        ledger.release(union_bytes);
-        Ok(Candidates::Routed { probes, routes, offsets, members, strides })
+            })
+            .unwrap_or_else(|e| e.resume());
+            ledger.release(bitmaps.bytes());
+        }
+        if let Candidates::Routed { strides, .. } = &mut routed {
+            *strides = distinct
+                .into_iter()
+                .map(|d| candidate_stride(d as usize, max_candidates) as u32)
+                .collect();
+        }
+        Ok(routed)
     }
 
     /// Bytes [`Candidates::route`] left charged.
@@ -444,20 +463,11 @@ impl Candidates {
         }
     }
 
-    /// Bytes of one chunk's [`CandidateUnion`] over a `rows`-row span.
-    fn union_bytes(&self, rows: usize) -> usize {
+    /// Row `i`'s anchor slots; empty for the exact method.
+    fn anchors_of(&self, i: usize) -> &[u32] {
         match self {
-            Candidates::All => 0,
-            Candidates::Routed { .. } => CandidateUnion::bytes(rows),
-        }
-    }
-
-    /// A clear union for visits inside `span`; empty for the exact method,
-    /// which needs none.
-    fn union_over(&self, span: &Range<usize>) -> CandidateUnion {
-        match self {
-            Candidates::All => CandidateUnion::over(&(span.start..span.start)),
-            Candidates::Routed { .. } => CandidateUnion::over(span),
+            Candidates::All => &[],
+            Candidates::Routed { probes, routes, .. } => &routes[i * probes..(i + 1) * probes],
         }
     }
 
@@ -483,93 +493,114 @@ impl Candidates {
         &bucket[lo..hi]
     }
 
-    /// Offers row `i`'s candidates inside `span`, ascending, to its scan:
-    /// `weight(j)` scores candidate `j`, `None` when below the floor. A
-    /// routed row's anchor members inside `span` are set in `union` (from
-    /// [`Candidates::union_over`]) and walked in ascending order through
-    /// the row's skip counter and its stride, fixed at routing; the walk
-    /// leaves `union` clear. Candidate segments come in offset order, so
-    /// the counter carries from one segment's last candidate to the next's
+    /// Every anchor slot's members inside `span` as bitmaps, charged to
+    /// `ledger` before they are allocated; the caller releases
+    /// [`MemberBitmaps::bytes`]. Empty for the exact method.
+    fn member_bitmaps<L: MemLedger>(
+        &self,
+        span: &Range<usize>,
+        ledger: &mut L,
+    ) -> CmResult<MemberBitmaps> {
+        let Candidates::Routed { offsets, .. } = self else {
+            return Ok(MemberBitmaps::over(span, 0));
+        };
+        let n_anchors = offsets.len() - 1;
+        ledger.charge(MemberBitmaps::bytes_for(n_anchors, span.len()), "anchor member bitmaps")?;
+        let mut bitmaps = MemberBitmaps::over(span, n_anchors);
+        for a in 0..n_anchors {
+            bitmaps.set(a, self.members_in(a, span));
+        }
+        Ok(bitmaps)
+    }
+
+    /// Offers row `i`'s candidates inside `span`, ascending, to `offer`.
+    /// A routed row's candidates are the OR of its anchors' rows of
+    /// `members` (from [`Candidates::member_bitmaps`] over `span`), walked
+    /// in ascending order through the row's skip counter and its stride,
+    /// fixed at routing. Candidate segments come in offset order, so the
+    /// counter carries from one segment's last candidate to the next's
     /// first.
     fn visit(
         &self,
         i: usize,
         span: &Range<usize>,
-        union: &mut CandidateUnion,
-        scan: &mut RowScan,
-        weight: impl Fn(usize) -> Option<f32>,
+        members: &MemberBitmaps,
+        skip: &mut usize,
+        mut offer: impl FnMut(usize),
     ) {
-        let Candidates::Routed { probes, routes, strides, .. } = self else {
-            for j in span.clone().filter(|&j| j != i) {
-                if let Some(w) = weight(j) {
-                    scan.top.push(j as u32, w);
-                }
-            }
+        let Candidates::Routed { strides, .. } = self else {
+            span.clone().filter(|&j| j != i).for_each(offer);
             return;
         };
-        for &a in &routes[i * probes..(i + 1) * probes] {
-            union.insert(self.members_in(a as usize, span));
-        }
-        let top = &mut scan.top;
-        union.drain(strides[i] as usize, &mut scan.skip, |j| {
+        members.walk(self.anchors_of(i), strides[i] as usize, skip, |j| {
             if j != i {
-                if let Some(w) = weight(j) {
-                    top.push(j as u32, w);
-                }
+                offer(j);
             }
         });
     }
 }
 
-/// The union of one row's candidate lists over a span of row ids, held as
-/// one bit per row. Setting members and walking the bits in ascending
-/// order yields the sorted, distinct union without sorting; every walk
-/// leaves the union clear for the next row. The batch sweep and the online
-/// graph share it.
-pub(crate) struct CandidateUnion {
+/// One bitmap per anchor slot over a span of row ids: bit `j - start` of
+/// slot `a`'s row is set when row `j` is routed to `a`. A routed row's
+/// candidates in the span are the OR of its anchors' rows, which is the
+/// sorted, distinct union of their member lists without a sort, a dedup or
+/// a per-row insert. Built once per span and read by every chunk.
+struct MemberBitmaps {
     /// Row id of bit 0.
     start: usize,
-    words: Vec<u64>,
+    /// Words per anchor row.
+    words: usize,
+    /// Slot `a`'s row: `bits[a * words..(a + 1) * words]`.
+    bits: Vec<u64>,
 }
 
-impl CandidateUnion {
-    /// A clear union over `rows`.
-    pub fn over(rows: &Range<usize>) -> Self {
-        Self { start: rows.start, words: vec![0; rows.len().div_ceil(64)] }
+impl MemberBitmaps {
+    /// Clear bitmaps for `n_anchors` slots over `span`.
+    fn over(span: &Range<usize>, n_anchors: usize) -> Self {
+        let words = span.len().div_ceil(64);
+        Self { start: span.start, words, bits: vec![0; n_anchors * words] }
     }
 
-    /// Bytes a union over `rows` rows holds.
-    pub fn bytes(rows: usize) -> usize {
-        rows.div_ceil(64) * std::mem::size_of::<u64>()
+    /// Bytes the bitmaps of `n_anchors` slots over `rows` rows hold.
+    fn bytes_for(n_anchors: usize, rows: usize) -> usize {
+        n_anchors * rows.div_ceil(64) * std::mem::size_of::<u64>()
     }
 
-    /// Adds `members`, all inside the span; returns how many were new.
-    pub fn insert(&mut self, members: &[u32]) -> usize {
-        let mut new = 0;
+    /// Bytes these bitmaps hold.
+    fn bytes(&self) -> usize {
+        self.bits.len() * std::mem::size_of::<u64>()
+    }
+
+    /// Sets slot `a`'s `members`, ascending and all inside the span.
+    fn set(&mut self, a: usize, members: &[u32]) {
+        let row = &mut self.bits[a * self.words..(a + 1) * self.words];
         for &j in members {
             let bit = j as usize - self.start;
-            let word = &mut self.words[bit / 64];
-            let mask = 1u64 << (bit % 64);
-            new += usize::from(*word & mask == 0);
-            *word |= mask;
-        }
-        new
-    }
-
-    /// Takes `members` back out of the union.
-    pub fn remove(&mut self, members: &[u32]) {
-        for &j in members {
-            let bit = j as usize - self.start;
-            self.words[bit / 64] &= !(1u64 << (bit % 64));
+            row[bit / 64] |= 1u64 << (bit % 64);
         }
     }
 
-    /// Walks the union in ascending order and clears it. Each member
-    /// passes through the counter `skip`: one that finds it at zero goes
-    /// to `offer` and resets it to `stride - 1`, the others count it down.
-    pub fn drain(&mut self, stride: usize, skip: &mut usize, mut offer: impl FnMut(usize)) {
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
+    /// The words of the OR of `route`'s rows, with their indices,
+    /// ascending.
+    fn union<'s>(&'s self, route: &'s [u32]) -> impl Iterator<Item = (usize, u64)> + 's {
+        (0..self.words).map(move |w| {
+            let word =
+                route.iter().fold(0u64, |acc, &a| acc | self.bits[a as usize * self.words + w]);
+            (w, word)
+        })
+    }
+
+    /// The distinct members of `route`'s anchors inside the span.
+    fn count(&self, route: &[u32]) -> usize {
+        self.union(route).map(|(_, word)| word.count_ones() as usize).sum()
+    }
+
+    /// Walks the distinct members of `route`'s anchors in ascending order.
+    /// Each passes through the counter `skip`: one that finds it at zero
+    /// goes to `offer` and resets it to `stride - 1`, the others count it
+    /// down.
+    fn walk(&self, route: &[u32], stride: usize, skip: &mut usize, mut offer: impl FnMut(usize)) {
+        for (w, mut bits) in self.union(route) {
             let ones = bits.count_ones() as usize;
             if *skip >= ones {
                 *skip -= ones;
@@ -589,6 +620,56 @@ impl CandidateUnion {
     }
 }
 
+/// A fixed-size batch of one row's candidates, scored through
+/// [`PairKernel::score_batch`] once full and offered to the row's
+/// [`TopK`] in the order they were pushed. The batch sweep holds one per
+/// chunk; the online graph one per `insert_rows` call.
+pub(crate) struct ScanBatch {
+    /// Row id of local candidate 0 in the scored segment.
+    offset: usize,
+    /// Minimum similarity for a candidate to reach the `TopK`.
+    floor: f64,
+    js: Vec<u32>,
+    scores: Vec<f64>,
+}
+
+impl ScanBatch {
+    /// Candidates scored per batch.
+    const LEN: usize = 64;
+
+    /// Bytes one batch holds: a local candidate index and a score per
+    /// slot.
+    pub const BYTES: usize = Self::LEN * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>());
+
+    /// An empty batch over a segment starting at row `offset`, keeping
+    /// candidates scored at least `floor`.
+    pub fn new(offset: usize, floor: f64) -> Self {
+        Self { offset, floor, js: Vec::with_capacity(Self::LEN), scores: vec![0.0; Self::LEN] }
+    }
+
+    /// Queues candidate row `j`; scores the batch once it is full.
+    /// `score(js, out)` scores local candidates `js` into `out`.
+    pub fn push(&mut self, j: usize, score: &impl Fn(&[u32], &mut [f64]), top: &mut TopK) {
+        self.js.push((j - self.offset) as u32);
+        if self.js.len() == Self::LEN {
+            self.flush(score, top);
+        }
+    }
+
+    /// Scores the queued candidates and offers those at or above the
+    /// floor to `top`, in queue order.
+    pub fn flush(&mut self, score: &impl Fn(&[u32], &mut [f64]), top: &mut TopK) {
+        let out = &mut self.scores[..self.js.len()];
+        score(&self.js, out);
+        for (&j, &s) in self.js.iter().zip(out.iter()) {
+            if s >= self.floor {
+                top.push((j as usize + self.offset) as u32, s as f32);
+            }
+        }
+        self.js.clear();
+    }
+}
+
 /// The anchor rows the approximate method samples for a corpus of `n`
 /// rows: a seeded shuffle of all row ids, truncated to `n_anchors`.
 fn anchor_plan(n: usize, n_anchors: usize, seed: u64) -> Vec<usize> {
@@ -600,13 +681,22 @@ fn anchor_plan(n: usize, n_anchors: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Routes one row to its top `probes` anchor slots given the row's
-/// similarity to each anchor, in anchor-slot order. The sort is stable and
-/// descending by similarity, so ties keep ascending slot order.
+/// similarity to each anchor, in anchor-slot order: descending by
+/// similarity in `total_cmp` order, ties in ascending slot order. That is
+/// a stable descending sort truncated to `probes`, kept as a running
+/// selection instead of a sort.
 pub(crate) fn route_row(scores: &[f64], probes: usize) -> Vec<usize> {
-    let mut scored: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
-    scored.sort_by(|x, y| y.1.total_cmp(&x.1));
-    scored.truncate(probes);
-    scored.into_iter().map(|(a, _)| a).collect()
+    let mut best: Vec<(usize, f64)> = Vec::with_capacity(probes + 1);
+    for (a, &s) in scores.iter().enumerate() {
+        // After every kept score at least as high as `s`: the tie goes to
+        // the earlier slot.
+        let pos = best.partition_point(|&(_, b)| b.total_cmp(&s) != Ordering::Less);
+        if pos < probes {
+            best.insert(pos, (a, s));
+            best.truncate(probes);
+        }
+    }
+    best.into_iter().map(|(a, _)| a).collect()
 }
 
 /// Stride that subsamples a candidate bucket down to the `max_candidates`
@@ -769,6 +859,27 @@ mod tests {
             for threads in [2usize, 4, 8] {
                 let g = b.build_with(&t, &cfg, 7, &ParConfig::threads(threads));
                 assert_eq!(g, base, "method {:?}, threads = {threads}", b.method);
+            }
+        }
+    }
+
+    #[test]
+    fn route_row_matches_a_stable_descending_sort() {
+        use cm_linalg::rng::Rng;
+
+        let sorted = |scores: &[f64], probes: usize| {
+            let mut scored: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+            scored.sort_by(|x, y| y.1.total_cmp(&x.1));
+            scored.truncate(probes);
+            scored.into_iter().map(|(a, _)| a).collect::<Vec<_>>()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let palette = [0.0, -0.0, 0.25, 0.5, 1.0, f64::NAN, -f64::NAN, f64::INFINITY];
+        for len in [0usize, 1, 3, 17, 107] {
+            let scores: Vec<f64> =
+                (0..len).map(|_| palette[rng.gen_range(0..palette.len())]).collect();
+            for probes in [0usize, 1, 3, 4, 200] {
+                assert_eq!(route_row(&scores, probes), sorted(&scores, probes), "{len} x {probes}");
             }
         }
     }

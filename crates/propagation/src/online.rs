@@ -35,7 +35,7 @@
 
 use cm_featurespace::{CmError, CmResult, ErrorKind, FrozenTable, PairKernel, SimilarityConfig};
 
-use crate::builder::{candidate_stride, route_row, CandidateUnion, TopK};
+use crate::builder::{candidate_stride, route_row, ScanBatch, TopK};
 use crate::graph::{link, normalize, symmetric_adjacency, SparseGraph};
 
 /// Anchor-pool size target for a corpus of `n` rows. Matches the batch
@@ -164,28 +164,36 @@ impl OnlineGraph {
             return;
         }
         let kernel = PairKernel::compile(frozen, config);
-        let mut union = CandidateUnion::over(&(0..frozen.len()));
+        let mut union = CandidateUnion::new(frozen.len());
+        let (mut scores, mut batch) = (Vec::new(), ScanBatch::new(0, self.min_weight));
         for i in self.n_rows..frozen.len() {
-            self.insert_row(&kernel, &mut union, i);
+            self.insert_row(&kernel, &mut union, &mut scores, &mut batch, i);
         }
         self.n_rows = frozen.len();
     }
 
     /// Routes row `i`, scores every stride-th member of the union of its
     /// anchors' lists in ascending order, and links its top `k`. `union`
-    /// spans the frozen table and is clear between rows.
-    fn insert_row(&mut self, kernel: &PairKernel<'_>, union: &mut CandidateUnion, i: usize) {
-        let scores: Vec<f64> = self.anchors.iter().map(|&a| kernel.pair(i, a as usize)).collect();
-        let route = route_row(&scores, self.probes);
+    /// spans the frozen table and `batch` is empty between rows; `scores`
+    /// is scratch for the anchor scores. Anchors and candidates are both
+    /// scored through [`PairKernel::score_batch`].
+    fn insert_row(
+        &mut self,
+        kernel: &PairKernel<'_>,
+        union: &mut CandidateUnion,
+        scores: &mut Vec<f64>,
+        batch: &mut ScanBatch,
+        i: usize,
+    ) {
+        let score = |js: &[u32], out: &mut [f64]| kernel.score_batch(i, kernel, js, out);
+        scores.resize(self.anchors.len(), 0.0);
+        score(&self.anchors, scores);
+        let route = route_row(scores, self.probes);
         let distinct: usize = route.iter().map(|&a| union.insert(&self.anchor_members[a])).sum();
         let stride = candidate_stride(distinct, self.max_candidates);
         let mut top = TopK::new(self.k);
-        union.drain(stride, &mut 0, |j| {
-            let s = kernel.pair(i, j);
-            if s >= self.min_weight {
-                top.push(j as u32, s as f32);
-            }
-        });
+        union.drain(stride, &mut 0, |j| batch.push(j, &score, &mut top));
+        batch.flush(&score, &mut top);
         let first = self.edges.len();
         top.drain_into(i as u32, &mut self.edges);
         // Candidates are earlier rows, so row `i` is newer than every
@@ -281,6 +289,61 @@ impl OnlineGraph {
         // belongs in the next delta.
         g.mark_durable();
         g
+    }
+}
+
+/// The union of one row's candidate lists over the rows inserted so far,
+/// held as one bit per row. Setting members and walking the bits in ascending
+/// order yields the sorted, distinct union without sorting; every walk
+/// leaves the union clear for the next row. The online graph's member
+/// lists grow row by row, so it sets each row's lists afresh; the batch
+/// sweep, whose lists are fixed, ORs per-anchor bitmaps instead.
+struct CandidateUnion {
+    words: Vec<u64>,
+}
+
+impl CandidateUnion {
+    /// A clear union over rows `0..rows`.
+    fn new(rows: usize) -> Self {
+        Self { words: vec![0; rows.div_ceil(64)] }
+    }
+
+    /// Adds `members`, all below the union's row count; returns how many
+    /// were new.
+    fn insert(&mut self, members: &[u32]) -> usize {
+        let mut new = 0;
+        for &j in members {
+            let bit = j as usize;
+            let word = &mut self.words[bit / 64];
+            let mask = 1u64 << (bit % 64);
+            new += usize::from(*word & mask == 0);
+            *word |= mask;
+        }
+        new
+    }
+
+    /// Walks the union in ascending order and clears it. Each member
+    /// passes through the counter `skip`: one that finds it at zero goes
+    /// to `offer` and resets it to `stride - 1`, the others count it down.
+    fn drain(&mut self, stride: usize, skip: &mut usize, mut offer: impl FnMut(usize)) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            let ones = bits.count_ones() as usize;
+            if *skip >= ones {
+                *skip -= ones;
+                continue;
+            }
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if *skip > 0 {
+                    *skip -= 1;
+                } else {
+                    *skip = stride - 1;
+                    offer(j);
+                }
+            }
+        }
     }
 }
 

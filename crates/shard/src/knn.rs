@@ -44,9 +44,10 @@ pub fn fit_scales_sharded(
 /// resident table at any thread count.
 ///
 /// Feature rows are resident one segment pair at a time; the anchor table,
-/// routes, member lists, one query segment's row scans, the edges and the
-/// graph are charged to `tracker` before they are allocated, and released
-/// by the time the graph returns.
+/// routes, member lists, one span's per-anchor member bitmaps, one query
+/// segment's row scans and its chunks' candidate batches, the edges and
+/// the graph are charged to `tracker` before they are allocated, and
+/// released by the time the graph returns.
 pub fn build_graph_sharded(
     corpus: &SegmentedCorpus<'_>,
     builder: &GraphBuilder,
@@ -152,15 +153,18 @@ mod tests {
         let (resident, columns) = setup(&w, 120, 240);
         let sim = SimilarityConfig::uniform(columns).fit_scales(&resident);
         // The default-like cap scans most lists whole; a cap of 8 strides
-        // most of them, so the skip counter crosses segment cuts.
-        for max_candidates in [64usize, 8] {
+        // most of them, so the skip counter crosses segment cuts. Four
+        // probes is the production routing shape; one probe ORs a single
+        // member bitmap.
+        let cells = [(3, 64usize), (3, 8), (4, 64), (4, 8), (1, 64), (1, 8)];
+        for (probes, max_candidates) in cells {
             let builder = GraphBuilder {
                 k: 5,
-                method: KnnMethod::Anchors { n_anchors: 24, probes: 3, max_candidates },
+                method: KnnMethod::Anchors { n_anchors: 24, probes, max_candidates },
                 min_weight: 0.05,
             };
             assert!(!builder.uses_exact(resident.len()), "test must exercise the anchor path");
-            if max_candidates == 8 {
+            if max_candidates == 8 && probes > 1 {
                 let strides = oracle_strides(&builder, &resident, &sim, 9);
                 let long = strides.iter().filter(|&&s| s > 1).count();
                 assert!(2 * long > strides.len(), "{long}/{} rows strided", strides.len());
@@ -168,7 +172,8 @@ mod tests {
             let oracle = oracle_graph(&builder, &resident, &sim, 9);
             for threads in [1usize, 2, 4] {
                 let got = builder.build_with(&resident, &sim, 9, &ParConfig::threads(threads));
-                assert_eq!(got, oracle, "cap {max_candidates}: build_with at {threads} threads");
+                let what = format!("probes {probes}, cap {max_candidates}");
+                assert_eq!(got, oracle, "{what}: build_with at {threads} threads");
             }
             for seg_rows in [37usize, 128, 360] {
                 let mut corpus = SegmentedCorpus::new(seg_rows);
@@ -186,7 +191,9 @@ mod tests {
                     let par = ParConfig::threads(threads);
                     let got = build_graph_sharded(&corpus, &builder, &sim, 9, &par, &mut tracker)
                         .unwrap();
-                    let what = format!("cap {max_candidates}, seg_rows {seg_rows}, {threads}t");
+                    let what = format!(
+                        "probes {probes}, cap {max_candidates}, seg_rows {seg_rows}, {threads}t"
+                    );
                     assert_eq!(got, oracle, "{what}");
                     assert!(tracker.peak() > 0);
                     assert_eq!(tracker.current(), 0, "{what}: all charges released");

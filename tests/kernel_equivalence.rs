@@ -5,8 +5,10 @@
 //! Two oracles are pinned here:
 //! - [`normalized_similarity`] vs the fused [`PairKernel`] (the
 //!   presence-word fast path, pairs across two segments whose categorical
-//!   column compiled to masks on one side and slices on the other, and
-//!   the `>64`-column wide fallback);
+//!   column compiled to masks on one side and slices on the other, the
+//!   `>64`-column wide fallback, slice columns whose signatures collide,
+//!   and non-finite embeddings), both one pair at a time and through the
+//!   column-at-a-time `score_batch`;
 //! - `cm_mining::reference::mine_itemsets_reference` (the retired
 //!   row-at-a-time miner) vs the vertical bitset engine;
 //! - the dense reference encoder (`tests/support/dense_oracle.rs`) vs the
@@ -142,16 +144,16 @@ fn pair_kernel_is_bit_identical_to_normalized_similarity() {
     }
 }
 
-#[test]
-fn pair_kernel_wide_fallback_is_bit_identical() {
-    // >64 plan columns forces the per-column-bitmap wide path.
+/// A 70-column numeric table (over one presence word) with ~30% missing
+/// cells, seeded.
+fn wide_numeric_table(n: usize, seed: u64) -> FeatureTable {
     let defs: Vec<FeatureDef> = (0..70)
         .map(|i| FeatureDef::numeric(&format!("n{i}"), FeatureSet::A, ServingMode::Servable))
         .collect();
     let schema = Arc::new(FeatureSchema::from_defs(defs));
-    let mut rng = Rng::new(23);
+    let mut rng = Rng::new(seed);
     let mut t = FeatureTable::new(schema);
-    for _ in 0..40 {
+    for _ in 0..n {
         let row: Vec<FeatureValue> = (0..70)
             .map(|_| {
                 if rng.f64() < 0.3 {
@@ -163,6 +165,13 @@ fn pair_kernel_wide_fallback_is_bit_identical() {
             .collect();
         t.push_row(&row);
     }
+    t
+}
+
+#[test]
+fn pair_kernel_wide_fallback_is_bit_identical() {
+    // >64 plan columns forces the per-column-bitmap wide path.
+    let t = wide_numeric_table(40, 23);
     let config = SimilarityConfig::uniform((0..70).collect()).fit_scales(&t);
     let frozen = FrozenTable::freeze(&t);
     let kernel = PairKernel::compile(&frozen, &config);
@@ -171,6 +180,144 @@ fn pair_kernel_wide_fallback_is_bit_identical() {
             let fused = kernel.pair(i, j);
             let reference = normalized_similarity((&t, i), (&t, j), &config);
             assert_eq!(fused.to_bits(), reference.to_bits(), "pair ({i}, {j})");
+        }
+    }
+}
+
+/// Scores row `i` of `a` against each batch in `batches` through
+/// `score_batch` and checks every slot against `normalized_similarity`,
+/// bit for bit.
+fn assert_batches_match(
+    (ta, ka): (&FeatureTable, &PairKernel<'_>),
+    (tb, kb): (&FeatureTable, &PairKernel<'_>),
+    config: &SimilarityConfig,
+    i: usize,
+    batches: &[Vec<u32>],
+    what: &str,
+) {
+    for js in batches {
+        let mut out = vec![f64::NAN; js.len()];
+        ka.score_batch(i, kb, js, &mut out);
+        for (&j, got) in js.iter().zip(&out) {
+            let want = normalized_similarity((ta, i), (tb, j as usize), config);
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: row {i} vs {j} in {js:?}");
+        }
+    }
+}
+
+/// Candidate batches for row `i` of an `n`-row table: empty, the row
+/// itself, every row, a strided subset with repeats, and every row
+/// backwards.
+fn batches_for(i: usize, n: usize) -> Vec<Vec<u32>> {
+    let all: Vec<u32> = (0..n as u32).collect();
+    let repeats: Vec<u32> = (0..n as u32).step_by(3).flat_map(|j| [j, j, i as u32]).collect();
+    vec![Vec::new(), vec![i as u32], all.clone(), repeats, all.into_iter().rev().collect()]
+}
+
+#[test]
+fn score_batch_is_bit_identical_to_normalized_similarity() {
+    let t = mixed_table(80, 11);
+    let config = SimilarityConfig::uniform(vec![0, 1, 2, 3, 4, 5]).fit_scales(&t);
+    let frozen = FrozenTable::freeze(&t);
+    let kernel = PairKernel::compile(&frozen, &config);
+    for i in 0..t.len() {
+        assert_batches_match(
+            (&t, &kernel),
+            (&t, &kernel),
+            &config,
+            i,
+            &batches_for(i, t.len()),
+            "mixed",
+        );
+    }
+
+    // The masked/sliced two-segment case, in both directions.
+    let fits = |r: usize| t.categorical(r, 4).unwrap_or(&[]).iter().all(|&id| id < 64);
+    let (masked_rows, sliced_rows): (Vec<usize>, Vec<usize>) = (0..t.len()).partition(|&r| fits(r));
+    let (masked, sliced) = (t.gather(&masked_rows), t.gather(&sliced_rows));
+    let (frozen_m, frozen_s) = (FrozenTable::freeze(&masked), FrozenTable::freeze(&sliced));
+    let kernel_m = PairKernel::compile(&frozen_m, &config);
+    let kernel_s = PairKernel::compile(&frozen_s, &config);
+    for i in 0..masked.len() {
+        let batches = batches_for(i.min(sliced.len() - 1), sliced.len());
+        assert_batches_match(
+            (&masked, &kernel_m),
+            (&sliced, &kernel_s),
+            &config,
+            i,
+            &batches,
+            "m→s",
+        );
+    }
+    for i in 0..sliced.len() {
+        let batches = batches_for(i.min(masked.len() - 1), masked.len());
+        assert_batches_match(
+            (&sliced, &kernel_s),
+            (&masked, &kernel_m),
+            &config,
+            i,
+            &batches,
+            "s→m",
+        );
+    }
+
+    // The >64-column wide fallback.
+    let wide = wide_numeric_table(40, 23);
+    let config = SimilarityConfig::uniform((0..70).collect()).fit_scales(&wide);
+    let frozen = FrozenTable::freeze(&wide);
+    let kernel = PairKernel::compile(&frozen, &config);
+    for i in 0..wide.len() {
+        let batches = batches_for(i, wide.len());
+        assert_batches_match((&wide, &kernel), (&wide, &kernel), &config, i, &batches, "wide");
+    }
+}
+
+#[test]
+fn score_batch_handles_signature_collisions_and_non_finite_embeddings() {
+    // One id per row from 0..=64 over a vocabulary too wide for masks:
+    // 65 distinct ids in 64 signature bits, so some pair of these rows
+    // shares a signature bit but no id, and the merge path has to run.
+    // Two-id rows, a high id and an empty id set (both-empty Jaccard is
+    // 1.0) ride along.
+    let schema = Arc::new(FeatureSchema::from_defs(vec![
+        FeatureDef::categorical(
+            "wide",
+            FeatureSet::C,
+            ServingMode::Servable,
+            Vocabulary::from_names((0..200).map(|i| format!("t{i}")).collect::<Vec<_>>()),
+        ),
+        FeatureDef::embedding("e", 3, FeatureSet::D, ServingMode::Servable),
+    ]));
+    let mut t = FeatureTable::new(schema);
+    let specials = [
+        vec![f32::NAN, 0.5, 0.5],
+        vec![f32::INFINITY, 1.0, 0.0],
+        vec![f32::NEG_INFINITY, f32::INFINITY, 0.0],
+        vec![0.0, 0.0, 0.0],
+        vec![-0.0, -0.0, -0.0],
+        vec![1e-30, 0.0, 0.0],
+    ];
+    let extra = [vec![3, 67], vec![5, 69, 130], vec![150], Vec::new(), Vec::new()];
+    let id_sets = (0..=64u32).map(|id| vec![id]).chain(extra);
+    for (r, ids) in id_sets.enumerate() {
+        let embedding = specials
+            .get(r % 11)
+            .cloned()
+            .unwrap_or_else(|| vec![(r as f32).sin(), (r as f32).cos(), 0.25]);
+        t.push_row(&[
+            FeatureValue::Categorical(CatSet::from_ids(ids)),
+            FeatureValue::Embedding(embedding),
+        ]);
+    }
+    let config = SimilarityConfig::uniform(vec![0, 1]);
+    let frozen = FrozenTable::freeze(&t);
+    let kernel = PairKernel::compile(&frozen, &config);
+    for i in 0..t.len() {
+        let batches = batches_for(i, t.len());
+        assert_batches_match((&t, &kernel), (&t, &kernel), &config, i, &batches, "collisions");
+        for j in 0..t.len() {
+            let want = normalized_similarity((&t, i), (&t, j), &config);
+            assert_eq!(kernel.pair(i, j).to_bits(), want.to_bits(), "pair ({i}, {j})");
         }
     }
 }

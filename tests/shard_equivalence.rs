@@ -196,11 +196,22 @@ fn knn_graphs_match_resident_across_shard_sizes_and_threads() {
         method: KnnMethod::Anchors { n_anchors: 24, probes: 3, max_candidates: 8 },
         ..anchors.clone()
     };
+    // The production routing shape (4 probes, as `GraphBuilder::approximate`
+    // and `adapt_e2e` use) and a single probe, strided, so every width of
+    // the member-bitmap OR is covered.
+    let four_probes = GraphBuilder {
+        method: KnnMethod::Anchors { n_anchors: 24, probes: 4, max_candidates: 64 },
+        ..anchors.clone()
+    };
+    let one_probe = GraphBuilder {
+        method: KnnMethod::Anchors { n_anchors: 24, probes: 1, max_candidates: 8 },
+        ..anchors.clone()
+    };
     assert!(!anchors.uses_exact(resident.len()), "must exercise the anchor path");
     let strides = oracle_strides(&strided, &resident, &sim, 17);
     let long = strides.iter().filter(|&&s| s > 1).count();
     assert!(2 * long > strides.len(), "only {long}/{} rows have stride > 1", strides.len());
-    for builder in [&exact, &anchors, &strided] {
+    for builder in [&exact, &anchors, &strided, &four_probes, &one_probe] {
         let want = builder.build_with(&resident, &sim, 17, &ParConfig::threads(1));
         let oracle = oracle_graph(builder, &resident, &sim, 17);
         assert_eq!(want, oracle, "resident {:?} differs from the oracle", builder.method);
